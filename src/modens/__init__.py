@@ -9,7 +9,6 @@ semi-synthetic hidden-confounding benchmark generator and the
 coverage-cost evaluation protocol used to judge interval tightness.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .core import (BRUTE_FORCE_MAX_M, CoverageBound, OutcomeInterval,
                    WeightVector, brute_force_extreme_quantile,
                    check_optimality, empirical_coverage_bound,
@@ -20,10 +19,9 @@ from .dist import (ComponentDistribution, Family, WeightedMixture,
                    component_cdf, component_logpdf, component_pdf,
                    component_quantile, default_quantile_tol, mixture_cdf,
                    mixture_pdf, mixture_quantile)
-from .benchgen import (CausalSample, GeneratorConfig, binarize_treatment,
-                       generate_dataset, generate_panel, quadratic_outcome,
-                       random_projection, rank_normalize, synthetic_features,
-                       write_benchmark)
+from .benchgen import (GeneratorConfig, binarize_treatment, generate_dataset,
+                       generate_panel, quadratic_outcome, random_projection,
+                       rank_normalize, synthetic_features, write_benchmark)
 from .evalharness import (CostKind, EvalConfig, ExperimentReport, cost_abs_std,
                           cost_mass, cost_relative, coverage, empirical_cdf,
                           gamma_star_search, run_experiment)
@@ -33,13 +31,12 @@ from .mlp import (EnsembleModel, Head, MlpParams, ModelFileError, TrainConfig,
                   predict_propensity, predict_propensity_batch, save_model,
                   save_propensity, train_ensemble, train_member)
 from .sensitivity import (PROPENSITY_CLAMP, SensitivityConfig, WeightBounds,
-                          bounds_for_dataset, clamp_propensity, identity_bounds,
-                          msm_bounds, msm_bounds_arrays, msm_weight_provider)
+                          clamp_propensity, identity_bounds, msm_bounds,
+                          msm_bounds_arrays)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "BRUTE_FORCE_MAX_M", "CoverageBound", "OutcomeInterval", "WeightVector",
     "brute_force_extreme_quantile", "check_optimality",
     "empirical_coverage_bound", "maximize_quantile", "minimize_quantile",
@@ -48,8 +45,8 @@ __all__ = [
     "ComponentDistribution", "Family", "WeightedMixture", "component_cdf",
     "component_logpdf", "component_pdf", "component_quantile",
     "default_quantile_tol", "mixture_cdf", "mixture_pdf", "mixture_quantile",
-    "CausalSample", "GeneratorConfig", "binarize_treatment", "generate_dataset",
-    "generate_panel", "quadratic_outcome", "random_projection", "rank_normalize",
+    "GeneratorConfig", "binarize_treatment", "generate_dataset", "generate_panel",
+    "quadratic_outcome", "random_projection", "rank_normalize",
     "synthetic_features", "write_benchmark",
     "CostKind", "EvalConfig", "ExperimentReport", "cost_abs_std", "cost_mass",
     "cost_relative", "coverage", "empirical_cdf", "gamma_star_search",
@@ -59,8 +56,7 @@ __all__ = [
     "load_propensity", "predict_components", "predict_components_batch",
     "predict_propensity", "predict_propensity_batch", "save_model",
     "save_propensity", "train_ensemble", "train_member",
-    "PROPENSITY_CLAMP", "SensitivityConfig", "WeightBounds",
-    "bounds_for_dataset", "clamp_propensity", "identity_bounds", "msm_bounds",
-    "msm_bounds_arrays", "msm_weight_provider",
+    "PROPENSITY_CLAMP", "SensitivityConfig", "WeightBounds", "clamp_propensity",
+    "identity_bounds", "msm_bounds", "msm_bounds_arrays",
     "__version__",
 ]

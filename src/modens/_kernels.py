@@ -1,47 +1,31 @@
-"""Hot numeric kernels: component/mixture CDFs, bisection quantiles, and the
-greedy weight-transfer quantile extremizer.
-
-Every function here is written in loop/scalar style that is valid both as
-plain numpy Python and under ``numba.njit``.  When numba is importable and
-the environment variable ``MODENS_NUMBA`` is not set to ``0``/``false``/
-``off``, the whole set is JIT-compiled (``cache=True, nogil=True``);
-otherwise the same functions run as interpreted numpy code.  The two paths
-compute with identical algorithms, so they agree to floating-point noise.
+"""Numeric kernels: component and mixture CDFs, bracketed bisection
+quantiles, and the envelope solver for extreme mixture quantiles.
 
 Component families are encoded as integers (``GAUSSIAN=0``, ``CAUCHY=1``)
-and ensembles as parallel arrays ``fam: int64[m]``, ``loc: float64[m]``,
-``scale: float64[m]`` so that the kernels stay allocation-light.
+and an ensemble of m members as parallel sequences ``fam``, ``loc`` and
+``scale``.  Everything is scalar ``math`` code: per call the ensembles are
+small, and numpy's per-call overhead would dominate.
+
+Extreme quantiles.  Fix q.  Over weights w in [lower, upper]^m with mean 1,
+the mixture mass F_w(q) = m^-1 sum_j w_j F_j(q) is a linear program in w.
+Its minimum puts ``upper`` on the members with the smallest masses F_j(q),
+``lower`` on those with the largest, and one fractional weight between
+them that keeps the mean at 1.  That rank pattern depends only on
+(lower, upper, m) (:func:`rank_pattern`), so the minimum is the envelope
+
+    G(q) = m^-1 sum_k p_k * sort(F_j(q))_k,
+
+which is nondecreasing in q, and max_w F_w^{-1}(beta) = G^{-1}(beta).  The
+reversed pattern gives max_w F_w(q) and with it min_w F_w^{-1}(beta).  This
+is the threshold structure of sharp marginal-sensitivity weights (Tan 2006;
+Dorn & Guo, quantile balancing).  Both envelopes are inverted by the same
+bracketed bisection as a plain mixture quantile.
 """
 
 from __future__ import annotations
 
 import math
-import os
-
-import numpy as np
-
-
-def _env_wants_numba() -> bool:
-    value = os.environ.get("MODENS_NUMBA", "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = False
-if _env_wants_numba():
-    try:
-        import numba
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a default dependency
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    def _jit(fn):
-        return numba.njit(cache=True, nogil=True)(fn)
-else:
-    def _jit(fn):
-        return fn
-
+from operator import mul
 
 GAUSSIAN = 0
 CAUCHY = 1
@@ -53,22 +37,17 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Bisection never needs more than ~200 halvings to exhaust double precision.
 _MAX_BISECT = 200
 _MAX_WIDEN = 60
-# Mass tolerance of the pairwise-transfer optimality condition.
-MASS_TOL = 1e-9
 
 
-@_jit
 def norm_cdf(x):
     # erfc form keeps relative accuracy in the lower tail.
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-@_jit
 def norm_pdf(x):
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-@_jit
 def norm_ppf(p):
     """Standard normal quantile: Acklam's rational approximation polished by
     two Newton steps on the erfc-based CDF (tail-symmetric, ~1 ulp)."""
@@ -107,7 +86,6 @@ def norm_ppf(p):
     return x
 
 
-@_jit
 def cauchy_cdf(z):
     # atan identities keep the tails accurate far from the location.
     if z < -1.0:
@@ -117,7 +95,6 @@ def cauchy_cdf(z):
     return 0.5 + math.atan(z) / math.pi
 
 
-@_jit
 def cauchy_ppf(p):
     if p < 0.25:
         return -1.0 / math.tan(math.pi * p)
@@ -126,7 +103,6 @@ def cauchy_ppf(p):
     return math.tan(math.pi * (p - 0.5))
 
 
-@_jit
 def component_cdf_s(fam, loc, scale, y):
     z = (y - loc) / scale
     if fam == GAUSSIAN:
@@ -134,14 +110,12 @@ def component_cdf_s(fam, loc, scale, y):
     return cauchy_cdf(z)
 
 
-@_jit
 def component_ppf_s(fam, loc, scale, p):
     if fam == GAUSSIAN:
         return loc + scale * norm_ppf(p)
     return loc + scale * cauchy_ppf(p)
 
 
-@_jit
 def component_pdf_s(fam, loc, scale, y):
     z = (y - loc) / scale
     if fam == GAUSSIAN:
@@ -149,7 +123,6 @@ def component_pdf_s(fam, loc, scale, y):
     return 1.0 / (math.pi * scale * (1.0 + z * z))
 
 
-@_jit
 def component_logpdf_s(fam, loc, scale, y):
     z = (y - loc) / scale
     if fam == GAUSSIAN:
@@ -157,60 +130,50 @@ def component_logpdf_s(fam, loc, scale, y):
     return -math.log(math.pi * scale) - math.log1p(z * z)
 
 
-@_jit
 def mixture_cdf_k(fam, loc, scale, w, y):
-    m = fam.shape[0]
     acc = 0.0
-    for i in range(m):
-        acc += w[i] * component_cdf_s(fam[i], loc[i], scale[i], y)
-    return acc / m
+    for f, l, s, w_j in zip(fam, loc, scale, w):
+        acc += w_j * component_cdf_s(f, l, s, y)
+    return acc / len(fam)
 
 
-@_jit
 def mixture_pdf_k(fam, loc, scale, w, y):
-    m = fam.shape[0]
     acc = 0.0
-    for i in range(m):
-        acc += w[i] * component_pdf_s(fam[i], loc[i], scale[i], y)
-    return acc / m
+    for f, l, s, w_j in zip(fam, loc, scale, w):
+        acc += w_j * component_pdf_s(f, l, s, y)
+    return acc / len(fam)
 
 
-@_jit
-def mixture_quantile_k(fam, loc, scale, w, w_floor, beta, tol):
-    """beta-quantile of the weighted mixture (mean weight 1) by bracketed
-    bisection.
+def _bisect_quantile(cdf, fam, loc, scale, w_floor, beta, tol):
+    """beta-quantile of a nondecreasing ``cdf`` by bracketed bisection.
 
     The bracket spans the component quantiles at ranks eps_q and 1-eps_q
-    with eps_q = min(beta, 1-beta) * w_floor / m, which provably straddles
-    for any admissible weight vector floored at w_floor; geometric widening
-    backs that up against floating-point edge cases.
+    with eps_q = min(beta, 1-beta) * w_floor / m.  It straddles beta for
+    any mixture whose weights have mean 1, and so for either envelope;
+    geometric widening backs that up against floating-point edge cases.
     """
-    m = fam.shape[0]
+    m = len(fam)
     eps_q = min(beta, 1.0 - beta) * w_floor / m
     if eps_q < 1e-12:
         eps_q = 1e-12
-    lo = np.inf
-    hi = -np.inf
-    for i in range(m):
-        ql = component_ppf_s(fam[i], loc[i], scale[i], eps_q)
-        qh = component_ppf_s(fam[i], loc[i], scale[i], 1.0 - eps_q)
-        if ql < lo:
-            lo = ql
-        if qh > hi:
-            hi = qh
+    lo = math.inf
+    hi = -math.inf
+    for f, l, s in zip(fam, loc, scale):
+        lo = min(lo, component_ppf_s(f, l, s, eps_q))
+        hi = max(hi, component_ppf_s(f, l, s, 1.0 - eps_q))
     if hi <= lo:
         hi = lo + tol
         lo = lo - tol
-    flo = mixture_cdf_k(fam, loc, scale, w, lo)
-    fhi = mixture_cdf_k(fam, loc, scale, w, hi)
+    flo = cdf(lo)
+    fhi = cdf(hi)
     widened = 0
     while (flo > beta or fhi < beta) and widened < _MAX_WIDEN:
         half = hi - lo
         center = 0.5 * (lo + hi)
         lo = center - half
         hi = center + half
-        flo = mixture_cdf_k(fam, loc, scale, w, lo)
-        fhi = mixture_cdf_k(fam, loc, scale, w, hi)
+        flo = cdf(lo)
+        fhi = cdf(hi)
         widened += 1
     if flo > beta or fhi < beta:
         raise RuntimeError("mixture quantile bracket failed to straddle beta")
@@ -220,189 +183,69 @@ def mixture_quantile_k(fam, loc, scale, w, w_floor, beta, tol):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if mixture_cdf_k(fam, loc, scale, w, mid) < beta:
+        if cdf(mid) < beta:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-@_jit
-def _argsort_stable(vals):
-    # insertion sort on (value, original index); ties keep the lower index
-    m = vals.shape[0]
-    idx = np.empty(m, np.int64)
-    for i in range(m):
-        idx[i] = i
-    for i in range(1, m):
-        key = idx[i]
-        kv = vals[key]
-        j = i - 1
-        while j >= 0 and vals[idx[j]] > kv:
-            idx[j + 1] = idx[j]
-            j -= 1
-        idx[j + 1] = key
-    return idx
+def mixture_quantile_k(fam, loc, scale, w, w_floor, beta, tol):
+    """beta-quantile of the weighted mixture (mean weight 1); ``w_floor``
+    is the smallest weight, which sets the bracket."""
+    return _bisect_quantile(lambda y: mixture_cdf_k(fam, loc, scale, w, y),
+                            fam, loc, scale, w_floor, beta, tol)
 
 
-@_jit
-def _kahan_sum(w):
-    s = 0.0
-    c = 0.0
-    for i in range(w.shape[0]):
-        y = w[i] - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
+def rank_pattern(lower, upper, m):
+    """Weights by ascending rank of member mass that minimise the mixture
+    mass: k = floor(m(1-lower)/(upper-lower)) entries at ``upper``, one
+    fractional entry that keeps the mean at 1, the rest at ``lower``."""
+    span = upper - lower
+    k = m if span <= 0.0 else min(int(m * (1.0 - lower) / span), m)
+    if k == m:
+        return [upper] * m
+    frac = min(max(m - k * upper - (m - k - 1) * lower, lower), upper)
+    return [upper] * k + [frac] + [lower] * (m - k - 1)
 
 
-@_jit
-def _restore_mean(w, lower, upper):
-    # pin mean(w)=1 exactly by accumulating the rounding residual on a
-    # fractional (strictly interior) component; components at a bound must
-    # stay exactly on it so vertex membership remains decidable by ==
-    m = w.shape[0]
-    resid = float(m) - _kahan_sum(w)
-    if resid == 0.0:
-        return
-    margin = 1e-9 * (1.0 + upper - lower)
-    best = -1
-    best_slack = 0.0
-    for i in range(m):
-        if min(w[i] - lower, upper - w[i]) <= margin:
-            continue
-        slack = (upper - w[i]) if resid > 0.0 else (w[i] - lower)
-        if slack > best_slack:
-            best_slack = slack
-            best = i
-    if best >= 0 and best_slack >= abs(resid):
-        w[best] += resid
+def _pattern(lower, upper, m, maximize):
+    # the reversed pattern maximises the mass, which gives the minimum quantile
+    p = rank_pattern(lower, upper, m)
+    return p if maximize else p[::-1]
 
 
-@_jit
-def greedy_max_quantile_k(fam, loc, scale, lower, upper, beta, tol, use_bulk):
-    """Maximize the mixture beta-quantile over per-component weights in
-    [lower, upper] with mean exactly 1.
+def extreme_quantile_k(fam, loc, scale, lower, upper, beta, tol, maximize):
+    """Largest (``maximize``) or smallest beta-quantile of the mixture over
+    weights in [lower, upper] with mean 1: the beta-crossing of the
+    envelope G(q) = m^-1 sum_k p_k * sort(F_j(q))_k."""
+    m = len(fam)
+    p = _pattern(lower, upper, m, maximize)
+    members = list(zip(fam, loc, scale))
 
-    Bulk phase: repeatedly re-solve the rank-assignment LP at the current
-    quantile (upper weight on the lowest-mass components, lower on the
-    highest, one fractional component conserving the sum), which needs only
-    O(log) quantile solves.  Pairwise phase: single weight transfers between
-    the worst sender/receiver pair until no pair violates the optimality
-    condition, certifying the global optimum.
-    """
-    m = fam.shape[0]
-    w = np.ones(m)
-    if m == 1 or upper - lower <= 0.0:
-        q = mixture_quantile_k(fam, loc, scale, w, 1.0, beta, tol)
-        return q, w
-    q = mixture_quantile_k(fam, loc, scale, w, lower, beta, tol)
-    masses = np.empty(m)
+    def envelope(q):
+        masses = sorted([component_cdf_s(f, l, s, q) for f, l, s in members])
+        return math.fsum(map(mul, p, masses)) / m
 
-    if use_bulk:
-        span = upper - lower
-        k_upper = int(m * (1.0 - lower) / span)
-        if k_upper > m:
-            k_upper = m
-        for _ in range(m + 8):
-            for i in range(m):
-                masses[i] = component_cdf_s(fam[i], loc[i], scale[i], q)
-            order = _argsort_stable(masses)
-            neww = np.empty(m)
-            if k_upper >= m:
-                for i in range(m):
-                    neww[i] = upper
-            else:
-                for pos in range(m):
-                    neww[order[pos]] = upper if pos < k_upper else lower
-                frac_i = order[k_upper]
-                neww[frac_i] = 0.0
-                frac = float(m) - _kahan_sum(neww)
-                if frac < lower:
-                    frac = lower
-                elif frac > upper:
-                    frac = upper
-                neww[frac_i] = frac
-            if mixture_cdf_k(fam, loc, scale, neww, q) >= beta - 1e-15:
-                break  # no mass can be moved off the current quantile
-            for i in range(m):
-                w[i] = neww[i]
-            qn = mixture_quantile_k(fam, loc, scale, w, lower, beta, tol)
-            if qn <= q + 0.1 * tol:
-                if qn > q:
-                    q = qn
-                break
-            q = qn
-
-    max_transfers = 8 * m * m + 64
-    sweep_start_q = q
-    transfers_in_sweep = 0
-    for _ in range(max_transfers):
-        for i in range(m):
-            masses[i] = component_cdf_s(fam[i], loc[i], scale[i], q)
-        r = -1
-        s = -1
-        for i in range(m):
-            if w[i] < upper and (r < 0 or masses[i] < masses[r]):
-                r = i
-            if w[i] > lower and (s < 0 or masses[i] > masses[s]):
-                s = i
-        if r < 0 or s < 0:
-            break
-        if masses[s] <= masses[r] + MASS_TOL:
-            break  # optimality condition: no transferable pair improves
-        receivable = upper - w[r]
-        sendable = w[s] - lower
-        if receivable < sendable:
-            w[r] = upper
-            w[s] = w[s] - receivable
-        else:
-            w[s] = lower
-            w[r] = w[r] + sendable
-        qn = mixture_quantile_k(fam, loc, scale, w, lower, beta, tol)
-        if qn > q:
-            q = qn
-        transfers_in_sweep += 1
-        if transfers_in_sweep >= m:
-            if q - sweep_start_q < 0.1 * tol:
-                break
-            sweep_start_q = q
-            transfers_in_sweep = 0
-
-    _restore_mean(w, lower, upper)
-    return q, w
+    return _bisect_quantile(envelope, fam, loc, scale, lower, beta, tol)
 
 
-@_jit
-def intervals_batch_k(fam, locs, scales, lowers, uppers, alpha, tol_rel, use_bulk):
-    """Per-row partially identified intervals [min quantile(alpha/2),
-    max quantile(1-alpha/2)] for n query points sharing the family layout.
+def rank_weights_k(fam, loc, scale, lower, upper, q, maximize):
+    """The weights attaining the envelope at q: the rank pattern placed by
+    the stable ascending order of the member masses F_j(q)."""
+    m = len(fam)
+    p = _pattern(lower, upper, m, maximize)
+    masses = [component_cdf_s(f, l, s, q) for f, l, s in zip(fam, loc, scale)]
+    w = [0.0] * m
+    for rank, j in enumerate(sorted(range(m), key=masses.__getitem__)):
+        w[j] = p[rank]
+    return w
 
-    The lower endpoint reuses the maximizer through the reflection
-    identity: min_w F_w^{-1}(a) = -max_w F~_w^{-1}(1-a) on negated
-    locations.
-    """
-    n = locs.shape[0]
-    m = locs.shape[1]
-    lo_out = np.empty(n)
-    hi_out = np.empty(n)
-    beta_hi = 1.0 - 0.5 * alpha
-    for i in range(n):
-        loc_i = locs[i]
-        sc_i = scales[i]
-        max_scale = 0.0
-        for j in range(m):
-            if sc_i[j] > max_scale:
-                max_scale = sc_i[j]
-        tol = tol_rel * (1.0 + max_scale)
-        q_hi, _ = greedy_max_quantile_k(fam, loc_i, sc_i, lowers[i], uppers[i],
-                                        beta_hi, tol, use_bulk)
-        neg = np.empty(m)
-        for j in range(m):
-            neg[j] = -loc_i[j]
-        q_neg, _ = greedy_max_quantile_k(fam, neg, sc_i, lowers[i], uppers[i],
-                                         beta_hi, tol, use_bulk)
-        hi_out[i] = q_hi
-        lo_out[i] = -q_neg
-    return lo_out, hi_out
+
+def interval_k(fam, loc, scale, lower, upper, alpha, tol):
+    """(min quantile(alpha/2), max quantile(1-alpha/2)) of one ensemble."""
+    lo = extreme_quantile_k(fam, loc, scale, lower, upper, alpha / 2.0, tol, False)
+    hi = extreme_quantile_k(fam, loc, scale, lower, upper, 1.0 - alpha / 2.0, tol, True)
+    if lo > hi:  # identical degenerate setups can cross by bisection noise
+        lo = hi = 0.5 * (lo + hi)
+    return lo, hi

@@ -67,19 +67,6 @@ class GeneratorConfig:
 
 
 @dataclass(frozen=True)
-class CausalSample:
-    """One generated unit.  y_potential[arm] is drawn from the same noise
-    law as y, with the treatment coordinate of V forced to that arm."""
-
-    visible: np.ndarray
-    hidden: np.ndarray
-    t: int
-    u: float
-    y: float
-    y_potential: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class GeneratedPanel:
     """Full generated arrays (including the hidden block and the pre-noise
     outcome) before splitting; mostly useful for diagnostics and tests."""
@@ -92,12 +79,6 @@ class GeneratedPanel:
     u_potential: np.ndarray   # (n, 2) pre-noise outcome per forced arm
     y_potential: np.ndarray   # (n, 2) noisy potential outcome per arm
     config: GeneratorConfig
-
-    def sample(self, i: int) -> CausalSample:
-        return CausalSample(
-            visible=self.visible[i], hidden=self.hidden[i], t=int(self.t[i]),
-            u=float(self.u[i]), y=float(self.y[i]),
-            y_potential=(float(self.y_potential[i, 0]), float(self.y_potential[i, 1])))
 
 
 def synthetic_features(n: int, n_features: int = 128, rank: int = 8,

@@ -35,16 +35,6 @@ class ConfigError(ValueError):
     """User-facing configuration problem; maps to exit code 2."""
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("MODENS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -170,6 +160,8 @@ def _cmd_train(args) -> int:
     if head is mlp.Head.PROPENSITY:
         raise ConfigError("train fits outcome heads; the propensity model is fitted alongside")
     config = _train_config_from(args, cfg_file, head)
+    if args.members < 1:
+        raise ConfigError(f"members must be >= 1, got {args.members}")
     out = Path(args.out)
     _check_writable_parent(out)
     seed = args.seed if args.seed is not None else 0
@@ -253,9 +245,12 @@ def _cmd_gamma_search(args) -> int:
         target = 1.0 - 1e-12
     out = Path(args.out)
     _check_writable_parent(out)
-    eval_cfg = EvalConfig(target_coverage=target, alpha=alpha,
-                          gamma_tol=float(args.gamma_tol), arm=int(args.arm),
-                          cost_kind=cost_kind, threads=args.threads)
+    try:
+        eval_cfg = EvalConfig(target_coverage=target, alpha=alpha,
+                              gamma_tol=float(args.gamma_tol), arm=int(args.arm),
+                              cost_kind=cost_kind)
+    except ValueError as exc:
+        raise ConfigError(f"gamma-search config: {exc}") from None
     seed = args.seed if args.seed is not None else 0
     points_path = out.with_suffix(".points.csv")
     report = run_experiment(
@@ -274,9 +269,9 @@ def _cmd_gamma_search(args) -> int:
 
 def run_oracle_check(m: int, trials: int, seed: int, tol: float = 1e-6
                      ) -> tuple[float, bool]:
-    """Greedy-vs-brute-force equivalence on random instances; returns the
-    max scale-normalized deviation and whether every trial stayed within
-    tol."""
+    """Envelope solver against the brute-force oracle on random instances;
+    returns the max scale-normalized deviation and whether every trial
+    stayed within tol."""
     rng = np.random.default_rng(seed)
     gammas = (1.5, 3.0, 10.0)
     betas = (0.05, 0.5, 0.975)
@@ -334,23 +329,25 @@ def _cmd_report(args) -> int:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         wrote.append(path)
     if args.model and args.test:
+        try:
+            gammas = [float(g) for g in args.gammas.split(",") if g]
+            eval_cfg = EvalConfig(target_coverage=0.5, alpha=float(args.alpha),
+                                  arm=int(args.arm))
+        except ValueError as exc:
+            raise ConfigError(f"report config: {exc}") from None
+        for g in gammas:
+            if not (math.isfinite(g) and g >= 1.0):
+                raise ConfigError(f"gamma must be finite and >= 1, got {g}")
         model = mlp.load_model(Path(args.model))
         prop = mlp.load_propensity(_propensity_path_for(Path(args.model),
                                                         args.propensity_model))
         test = load_dataset_csv(args.test)
         if test.potential_outcomes is None:
             raise ConfigError(f"{args.test}: report needs y0/y1 columns")
-        alpha = float(args.alpha)
-        arm = int(args.arm)
-        eval_cfg = EvalConfig(target_coverage=0.5, alpha=alpha, arm=arm,
-                              threads=args.threads)
         pipeline = modulated_pipeline(model, prop, test, eval_cfg)
-        outcomes = test.potential_outcomes[:, arm]
-        gammas = [float(g) for g in args.gammas.split(",") if g]
+        outcomes = test.potential_outcomes[:, eval_cfg.arm]
         lines = ["gamma,coverage,mean_length,cost_mass"]
         for g in gammas:
-            if g < 1.0:
-                raise ConfigError(f"gamma must be >= 1, got {g}")
             ivs = pipeline(g)
             cov = coverage(ivs, outcomes)
             mean_len = float(np.mean([iv.length for iv in ivs]))
@@ -422,12 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interval miscoverage (default 1 - target)")
     p.add_argument("--arm", type=int, choices=(0, 1), default=1)
     p.add_argument("--gamma-tol", type=float, default=0.05)
-    p.add_argument("--threads", type=int, default=_env_threads())
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gamma_search)
 
     p = sub.add_parser("oracle-check",
-                       help="greedy-vs-brute-force equivalence on random instances")
+                       help="envelope solver vs brute-force oracle on random instances")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=_cmd_oracle_check)
@@ -441,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arm", type=int, choices=(0, 1), default=1)
     p.add_argument("--lengths", default=None,
                    help="JSON {method: mean_length} for relative-cost tables")
-    p.add_argument("--threads", type=int, default=_env_threads())
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_report)
 

@@ -1,18 +1,20 @@
 """Partial identification of mixture quantiles over ensemble weights.
 
-The extremal weight assignment lives at a vertex of the feasible polytope
-{w : w_i in [lower, upper], mean(w) = 1}: all but at most one component sit
-at a bound and the remaining one restores the mean.  ``maximize_quantile``
-reaches that vertex greedily (bulk reassignment plus pairwise transfers),
-``brute_force_extreme_quantile`` enumerates every vertex as a test oracle,
-and ``check_optimality`` certifies a solution via the no-improving-pair
-condition.
+The admissible weights form the polytope {w : w_i in [lower, upper],
+mean(w) = 1}.  At a fixed q the extremal mixture mass is attained at a
+vertex that depends only on the rank order of the member masses F_j(q)
+(see ``_kernels``), so each extreme quantile is one bisection on the
+sorted-rank envelope.  ``maximize_quantile``, ``minimize_quantile``,
+``outcome_interval`` and the row loop ``modulated_intervals_batch`` all run
+that one kernel.  ``brute_force_extreme_quantile`` enumerates every vertex
+as a test oracle, and ``check_optimality`` certifies a solution via the
+no-improving-pair condition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,11 +123,9 @@ def _resolve_tol(components, tol):
     return tol
 
 
-def maximize_quantile(components, bounds: WeightBounds, beta: float,
-                      tol: float | None = None, use_bulk: bool = True
+def _extreme_quantile(components, bounds: WeightBounds, beta: float,
+                      tol: float | None, maximize: bool
                       ) -> tuple[float, WeightVector]:
-    """Supremum of the weighted-mixture beta-quantile over admissible weight
-    vectors, with the attaining weights."""
     if not isinstance(bounds, WeightBounds):
         raise ValueError("bounds must be a WeightBounds instance")
     beta = float(beta)
@@ -133,33 +133,37 @@ def maximize_quantile(components, bounds: WeightBounds, beta: float,
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     tol = _resolve_tol(components, tol)
     fam, loc, scale = pack_components(components)
-    q, w = K.greedy_max_quantile_k(fam, loc, scale, bounds.lower, bounds.upper,
-                                   beta, tol, use_bulk)
-    return float(q), WeightVector(w, bounds)
+    args = (fam, loc, scale, bounds.lower, bounds.upper)
+    q = K.extreme_quantile_k(*args, beta, tol, maximize)
+    return q, WeightVector(K.rank_weights_k(*args, q, maximize), bounds)
+
+
+def maximize_quantile(components, bounds: WeightBounds, beta: float,
+                      tol: float | None = None) -> tuple[float, WeightVector]:
+    """Supremum of the weighted-mixture beta-quantile over admissible weight
+    vectors, with the attaining weights."""
+    return _extreme_quantile(components, bounds, beta, tol, maximize=True)
 
 
 def minimize_quantile(components, bounds: WeightBounds, beta: float,
-                      tol: float | None = None, use_bulk: bool = True
-                      ) -> tuple[float, WeightVector]:
-    """Infimum of the beta-quantile, by reflection: negate locations,
-    maximize at rank 1-beta, negate the result.  Weights stay aligned with
-    the original component order."""
-    reflected = [replace(c, location=-c.location) for c in components]
-    q, w = maximize_quantile(reflected, bounds, 1.0 - float(beta), tol, use_bulk)
-    return -q, w
+                      tol: float | None = None) -> tuple[float, WeightVector]:
+    """Infimum of the weighted-mixture beta-quantile over admissible weight
+    vectors, with the attaining weights."""
+    return _extreme_quantile(components, bounds, beta, tol, maximize=False)
 
 
 def outcome_interval(components, bounds: WeightBounds, alpha: float,
-                     tol: float | None = None, gamma: float = float("nan"),
-                     use_bulk: bool = True) -> OutcomeInterval:
+                     tol: float | None = None, gamma: float = float("nan")
+                     ) -> OutcomeInterval:
     """[min quantile(alpha/2), max quantile(1-alpha/2)] under the bounds."""
+    if not isinstance(bounds, WeightBounds):
+        raise ValueError("bounds must be a WeightBounds instance")
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    lo, _ = minimize_quantile(components, bounds, alpha / 2.0, tol, use_bulk)
-    hi, _ = maximize_quantile(components, bounds, 1.0 - alpha / 2.0, tol, use_bulk)
-    if lo > hi:  # identical degenerate setups can cross by bisection noise
-        lo = hi = 0.5 * (lo + hi)
+    tol = _resolve_tol(components, tol)
+    fam, loc, scale = pack_components(components)
+    lo, hi = K.interval_k(fam, loc, scale, bounds.lower, bounds.upper, alpha, tol)
     return OutcomeInterval(lo=lo, hi=hi, alpha=alpha, gamma=gamma)
 
 
@@ -190,7 +194,7 @@ def brute_force_extreme_quantile(components, bounds: WeightBounds, beta: float,
     w_floor = lower
 
     best = None
-    w = np.empty(m, dtype=np.float64)
+    w = [0.0] * m
     for mask in range(1 << m):
         n_upper = bin(mask).count("1")
         base = n_upper * upper + (m - n_upper) * lower
@@ -243,39 +247,29 @@ def check_optimality(components, weights: WeightVector, bounds: WeightBounds,
 def modulated_intervals_batch(fam: np.ndarray, locs: np.ndarray,
                               scales: np.ndarray, lowers: np.ndarray,
                               uppers: np.ndarray, alpha: float,
-                              tol_rel: float = 1e-9, use_bulk: bool = True,
-                              threads: int = 1
+                              tol_rel: float = 1e-9
                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized driver: one outcome interval per row of (locs, scales)
-    under per-row weight bounds.  Rows are independent, so they may be
-    chunked across worker threads (the jitted kernel releases the GIL)."""
-    locs = np.ascontiguousarray(locs, dtype=np.float64)
-    scales = np.ascontiguousarray(scales, dtype=np.float64)
-    lowers = np.ascontiguousarray(lowers, dtype=np.float64)
-    uppers = np.ascontiguousarray(uppers, dtype=np.float64)
-    fam = np.ascontiguousarray(fam, dtype=np.int64)
-    n = locs.shape[0]
-    if n == 0:
-        return np.empty(0), np.empty(0)
-    threads = max(1, int(threads))
-    if threads == 1 or not K.NUMBA_ENABLED or n < 2 * threads:
-        return K.intervals_batch_k(fam, locs, scales, lowers, uppers,
-                                   float(alpha), tol_rel, use_bulk)
-    from concurrent.futures import ThreadPoolExecutor
-
+    """One outcome interval per row of (locs, scales) under per-row weight
+    bounds, at tolerance tol_rel * (1 + max row scale).  With the default
+    tol_rel, row i equals ``outcome_interval`` on that row's members and
+    bounds bit for bit."""
+    fam = np.asarray(fam, dtype=np.int64)
+    locs = np.asarray(locs, dtype=np.float64)
+    scales = np.asarray(scales, dtype=np.float64)
+    lowers = np.asarray(lowers, dtype=np.float64)
+    uppers = np.asarray(uppers, dtype=np.float64)
+    n = len(lowers)
+    if (locs.shape != (n, len(fam)) or scales.shape != locs.shape
+            or lowers.shape != (n,) or uppers.shape != (n,)):
+        raise ValueError(f"shape mismatch: fam {fam.shape}, locs {locs.shape}, "
+                         f"scales {scales.shape}, lowers {lowers.shape}, "
+                         f"uppers {uppers.shape}")
+    rows = zip(locs.tolist(), scales.tolist(), lowers.tolist(), uppers.tolist())
+    fam = fam.tolist()
+    alpha = float(alpha)
     lo_out = np.empty(n)
     hi_out = np.empty(n)
-    edges = np.linspace(0, n, threads + 1, dtype=int)
-
-    def work(a: int, b: int):
-        lo, hi = K.intervals_batch_k(fam, locs[a:b], scales[a:b], lowers[a:b],
-                                     uppers[a:b], float(alpha), tol_rel, use_bulk)
-        lo_out[a:b] = lo
-        hi_out[a:b] = hi
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, a, b)
-                   for a, b in zip(edges[:-1], edges[1:]) if b > a]
-        for fut in futures:
-            fut.result()
+    for i, (loc, scale, lower, upper) in enumerate(rows):
+        lo_out[i], hi_out[i] = K.interval_k(fam, loc, scale, lower, upper, alpha,
+                                            tol_rel * (1.0 + max(scale)))
     return lo_out, hi_out

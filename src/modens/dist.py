@@ -12,8 +12,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels as K
 
 WEIGHT_MEAN_TOL = 1e-9
@@ -67,20 +65,13 @@ class ComponentDistribution:
         return component_logpdf(self, y)
 
 
-def pack_components(components) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pack_components(components) -> tuple[list[int], list[float], list[float]]:
     """Flatten a sequence of ComponentDistribution into the parallel
-    (family-code, location, scale) arrays the kernels consume."""
-    m = len(components)
-    if m == 0:
+    (family-code, location, scale) lists the kernels consume."""
+    if len(components) == 0:
         raise ValueError("need at least one component")
-    fam = np.empty(m, dtype=np.int64)
-    loc = np.empty(m, dtype=np.float64)
-    scale = np.empty(m, dtype=np.float64)
-    for i, c in enumerate(components):
-        fam[i] = c.family.code
-        loc[i] = c.location
-        scale[i] = c.scale
-    return fam, loc, scale
+    return ([c.family.code for c in components], [c.location for c in components],
+            [c.scale for c in components])
 
 
 @dataclass(frozen=True)
@@ -116,7 +107,7 @@ class WeightedMixture:
 
     def _packed(self):
         fam, loc, scale = pack_components(self.components)
-        return fam, loc, scale, np.asarray(self.weights, dtype=np.float64)
+        return fam, loc, scale, list(self.weights)
 
     def cdf(self, y: float) -> float:
         return mixture_cdf(self, y)
@@ -175,5 +166,5 @@ def mixture_quantile(mix: WeightedMixture, beta: float, tol: float | None = None
     elif tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     fam, loc, scale, w = mix._packed()
-    w_floor = float(np.min(w))
+    w_floor = min(w)
     return K.mixture_quantile_k(fam, loc, scale, w, w_floor, beta, float(tol))

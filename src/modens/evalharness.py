@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,17 +42,17 @@ class EvalConfig:
     gamma_tol: float = 0.05
     arm: int = 1
     cost_kind: CostKind = CostKind.ABS_STD
-    threads: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.target_coverage < 1.0:
             raise ValueError("target_coverage must be in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.gamma_range[0] != 1.0 or self.gamma_range[1] <= 1.0:
-            raise ValueError("gamma_range must be (1, upper) with upper > 1")
-        if self.gamma_tol <= 0.0:
-            raise ValueError("gamma_tol must be > 0")
+        # written so that NaN fails each check
+        if self.gamma_range[0] != 1.0 or not 1.0 < self.gamma_range[1] < math.inf:
+            raise ValueError("gamma_range must be (1, upper) with finite upper > 1")
+        if not 0.0 < self.gamma_tol < math.inf:
+            raise ValueError("gamma_tol must be finite and > 0")
         if self.arm not in (0, 1):
             raise ValueError("arm must be 0 or 1")
 
@@ -63,7 +64,6 @@ class EvalConfig:
             "gamma_tol": self.gamma_tol,
             "arm": self.arm,
             "cost_kind": self.cost_kind.value,
-            "threads": self.threads,
         }
 
 
@@ -229,8 +229,7 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
 
 
 def modulated_interval_arrays(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
-                              covariates: np.ndarray, t: np.ndarray, alpha: float,
-                              use_bulk: bool = True, threads: int = 1
+                              covariates: np.ndarray, t: np.ndarray, alpha: float
                               ) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
     """Precompute member predictions and clamped propensities for arm t[i]
     of each row i, and return the gamma -> (lo, hi) endpoint-array map."""
@@ -245,21 +244,19 @@ def modulated_interval_arrays(model: mlp.EnsembleModel, propensity: mlp.MlpParam
 
     def intervals(gamma: float) -> tuple[np.ndarray, np.ndarray]:
         lowers, uppers = msm_bounds_arrays(e_t, gamma)
-        return modulated_intervals_batch(fam, locs, scales, lowers, uppers, alpha,
-                                         use_bulk=use_bulk, threads=threads)
+        return modulated_intervals_batch(fam, locs, scales, lowers, uppers, alpha)
 
     return intervals
 
 
 def modulated_pipeline(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
-                       test_data: Dataset, config: EvalConfig,
-                       use_bulk: bool = True
+                       test_data: Dataset, config: EvalConfig
                        ) -> Callable[[float], list[OutcomeInterval]]:
     """The gamma -> intervals map used by the search, scoring arm
     ``config.arm`` on every test row."""
     intervals = modulated_interval_arrays(
         model, propensity, test_data.covariates, np.full(test_data.n, config.arm),
-        config.alpha, use_bulk=use_bulk, threads=config.threads)
+        config.alpha)
 
     def pipeline(gamma: float) -> list[OutcomeInterval]:
         lo, hi = intervals(gamma)

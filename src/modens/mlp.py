@@ -58,7 +58,8 @@ class TrainConfig:
     warmup_epochs: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 1 or self.step <= 0.0 or any(h < 1 for h in self.hidden):
+        if (self.epochs < 1 or not 0.0 < self.step < math.inf  # NaN fails too
+                or any(h < 1 for h in self.hidden)):
             raise ValueError("invalid training configuration")
 
     def resolved_standardize(self) -> bool:

@@ -1,20 +1,18 @@
 """Weight bounds from a causal sensitivity model.
 
-The built-in provider is the binary-treatment marginal sensitivity model:
+The sensitivity model is the binary-treatment marginal sensitivity model:
 a violation-of-ignorability budget ``gamma >= 1`` together with a nominal
 propensity ``e`` yields the admissible modulation-weight interval
 
     lower = e + (1/gamma) * (1 - e),   upper = e + gamma * (1 - e),
 
-which always straddles 1.  Any other provider can be supplied as a plain
-callable ``(t, x, propensity) -> WeightBounds``.
+which always straddles 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 # Estimated propensities are clamped away from {0, 1}: exact values would
 # violate overlap and collapse the bounds spuriously.
@@ -54,9 +52,9 @@ class WeightBounds:
 def msm_bounds(e: float, cfg: SensitivityConfig) -> WeightBounds:
     """MSM weight bounds at nominal propensity ``e`` of the queried arm.
 
-    ``e`` must already lie in [0, 1]; use :func:`clamp_propensity` (or
-    :func:`bounds_for_dataset`) to keep estimated propensities away from
-    the endpoints where the bounds degenerate to (1, 1).
+    ``e`` must already lie in [0, 1]; use :func:`clamp_propensity` to keep
+    estimated propensities away from the endpoints where the bounds
+    degenerate to (1, 1).
     """
     e = float(e)
     if not 0.0 <= e <= 1.0:
@@ -74,42 +72,15 @@ def clamp_propensity(e: float, eps: float = PROPENSITY_CLAMP) -> float:
     return min(max(float(e), eps), 1.0 - eps)
 
 
-def bounds_for_dataset(propensities: Sequence[float],
-                       cfg: SensitivityConfig) -> list[WeightBounds]:
-    """Elementwise msm_bounds after clamping each propensity to
-    [eps, 1-eps].  Empty input gives empty output."""
-    out = []
-    for e in propensities:
-        e = float(e)
-        if not 0.0 <= e <= 1.0:
-            raise ValueError(f"propensity must be in [0, 1], got {e}")
-        out.append(msm_bounds(clamp_propensity(e), cfg))
-    return out
-
-
 def msm_bounds_arrays(e_clamped, gamma: float):
     """Vectorized MSM bound formula on already-clamped propensities.
     Returns (lower, upper) float64 arrays."""
     import numpy as np
 
     e = np.asarray(e_clamped, dtype=np.float64)
-    if e.size and (e.min() < 0.0 or e.max() > 1.0):
+    if not np.all((e >= 0.0) & (e <= 1.0)):  # NaN fails both comparisons
         raise ValueError("propensities must be in [0, 1]")
     g = float(gamma)
     if not math.isfinite(g) or g < 1.0:
         raise ValueError(f"gamma must be finite and >= 1, got {g}")
     return e + (1.0 - e) / g, e + g * (1.0 - e)
-
-
-BoundsProvider = Callable[[int, object, float], WeightBounds]
-
-
-def msm_weight_provider(cfg: SensitivityConfig) -> BoundsProvider:
-    """Wrap the MSM as a generic (t, x, propensity) -> WeightBounds provider
-    so alternative sensitivity models can be swapped in without touching
-    the interval optimizer."""
-
-    def provider(t: int, x, propensity: float) -> WeightBounds:
-        return msm_bounds(clamp_propensity(propensity), cfg)
-
-    return provider

@@ -92,7 +92,7 @@ def small_trained_ensemble():
     return model, test
 
 
-@_criterion("1. oracle equivalence (greedy vs brute force, 225 instances)")
+@_criterion("1. oracle equivalence (envelope solver vs brute force, 225 instances)")
 def test_c01_oracle_equivalence(corpus_results):
     _, worst, elapsed = corpus_results
     assert worst <= 1e-6, f"max normalized deviation {worst:.3e}"

@@ -81,15 +81,6 @@ class TestParserDefaults:
             ["train", "--data", "d.csv", "--out", "m.json"])
         assert args.members == 16
 
-    def test_threads_env_fallback(self, monkeypatch):
-        from modens.cli import build_parser
-
-        monkeypatch.setenv("MODENS_THREADS", "3")
-        args = build_parser().parse_args(
-            ["gamma-search", "--model", "m.json", "--test", "t.csv",
-             "--target", "0.9", "--out", "r.json"])
-        assert args.threads == 3
-
     def test_flag_overrides_config_file(self, bench_dir, tmp_path):
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"train": {"epochs": 10, "hidden": [4]}}))
@@ -99,6 +90,25 @@ class TestParserDefaults:
         manifest = json.loads(out.with_suffix(".json.manifest.json").read_text())
         assert manifest["config"]["epochs"] == 5     # flag wins
         assert manifest["config"]["hidden"] == [4]   # config file fills the rest
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("argv", [
+        ["gamma-search", "--model", "{model}", "--test", "{data}/test.csv",
+         "--target", "0.9", "--gamma-tol", "0", "--out", "{tmp}/r.json"],
+        ["gamma-search", "--model", "{model}", "--test", "{data}/test.csv",
+         "--target", "0.9", "--gamma-tol", "nan", "--out", "{tmp}/r.json"],
+        ["train", "--data", "{data}/train.csv", "--members", "0",
+         "--out", "{tmp}/m.json"],
+        ["train", "--data", "{data}/train.csv", "--step", "nan",
+         "--out", "{tmp}/m.json"],
+        ["report", "--model", "{model}", "--test", "{data}/test.csv",
+         "--gammas", "1,nan", "--out-dir", "{tmp}/rep"],
+    ], ids=["gamma-tol-0", "gamma-tol-nan", "members-0", "step-nan", "gamma-nan"])
+    def test_config_error_exits_2(self, bench_dir, trained_model, tmp_path, argv, capsys):
+        paths = {"model": trained_model, "data": bench_dir, "tmp": tmp_path}
+        assert run([a.format(**paths) for a in argv]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestTrain:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from modens import (ComponentDistribution, CoverageBound, Family, OutcomeInterval,
-                    WeightBounds, WeightVector, WeightedMixture,
-                    brute_force_extreme_quantile, check_optimality,
+                    SensitivityConfig, WeightBounds, WeightVector, WeightedMixture,
+                    brute_force_extreme_quantile, check_optimality, clamp_propensity,
                     default_quantile_tol, empirical_coverage_bound,
                     maximize_quantile, minimize_quantile, mixture_quantile,
-                    outcome_interval)
+                    msm_bounds, outcome_interval)
 
 import oracles
 
@@ -16,6 +16,10 @@ C = Family.CAUCHY
 
 def g(loc, scale=1.0):
     return ComponentDistribution(G, loc, scale)
+
+
+def c(loc, scale=1.0):
+    return ComponentDistribution(C, loc, scale)
 
 
 def direct_greedy_minimizer(components, bounds, beta, tol):
@@ -108,8 +112,7 @@ class TestMinimizeQuantile:
         assert np.allclose(w.weights, [0.5, 1.5])
 
     def test_reflection_identity_vs_direct_greedy(self, rng):
-        # minimize == -maximize(reflected, 1-beta) by construction; an
-        # independent direct greedy minimizer must land on the same value
+        # an independent direct greedy minimizer must land on the same value
         for _ in range(15):
             m = int(rng.integers(2, 6))
             comps = oracles.random_components(rng, m)
@@ -182,7 +185,7 @@ class TestBruteForce:
 
     def test_greedy_equals_brute_force_extreme_regime(self):
         # the evaluation protocol runs at beta near the tails with budgets
-        # up to gamma=50; the greedy must track the oracle there too
+        # up to gamma=50; the solver must track the oracle there too
         rng = np.random.default_rng(888)
         for _ in range(30):
             m = int(rng.integers(2, 7))
@@ -261,8 +264,48 @@ class TestFeasibilityPreservation:
             assert interior <= 1
 
 
+_MIXED = [g(-1.0, 0.5), c(0.3, 2.0), g(2.0, 1.5), c(-0.5, 0.7)]
+_MID = msm_bounds(0.3, SensitivityConfig(4.0))
+EDGE_CASES = {
+    "beta-0.001": (_MIXED, _MID, 0.001),
+    "beta-0.999": (_MIXED, _MID, 0.999),
+    "gamma-50-e-low": (_MIXED, msm_bounds(clamp_propensity(0.0), SensitivityConfig(50.0)),
+                       0.9),
+    "gamma-50-e-high": (_MIXED, msm_bounds(clamp_propensity(1.0), SensitivityConfig(50.0)),
+                        0.9),
+    "identical-members": ([g(1.0, 2.0)] * 5, msm_bounds(0.2, SensitivityConfig(10.0)), 0.8),
+    "cauchy-1e4-scales": ([c(0.0, 1e-2), c(1.0, 1e2), c(-3.0, 1.0)], _MID, 0.7),
+    "scale-floor": ([g(0.0, 1e-6), c(0.5, 1.0), g(-1.0, 2.0)], _MID, 0.4),
+}
+
+
+class TestNumericEdges:
+    @pytest.mark.parametrize("name", list(EDGE_CASES))
+    def test_matches_oracle_and_certificate(self, name):
+        comps, bounds, beta = EDGE_CASES[name]
+        tol = default_quantile_tol(comps)
+        q_max, w_max = maximize_quantile(comps, bounds, beta)
+        q_min, w_min = minimize_quantile(comps, bounds, beta)
+        bf_max = brute_force_extreme_quantile(comps, bounds, beta, maximize=True)
+        bf_min = brute_force_extreme_quantile(comps, bounds, beta, maximize=False)
+        assert abs(q_max - bf_max) <= 2 * tol
+        assert abs(q_min - bf_min) <= 2 * tol
+        assert q_min <= q_max
+        assert check_optimality(comps, w_max, bounds, beta)
+        for w in (w_max, w_min):
+            assert abs(w.as_array().mean() - 1.0) <= 1e-12
+
+    def test_identical_members_collapse_to_the_member_quantile(self):
+        comps, bounds, beta = EDGE_CASES["identical-members"]
+        iv = outcome_interval(comps, bounds, 2 * (1 - beta))
+        q = comps[0].quantile(beta)
+        assert iv.hi == pytest.approx(q, abs=2 * default_quantile_tol(comps))
+        assert iv.lo == pytest.approx(-q + 2.0, abs=2 * default_quantile_tol(comps))
+
+
 class TestBatchDriver:
-    def test_threaded_batch_matches_sequential(self, rng):
+    def test_rows_equal_outcome_interval(self, rng):
+        # both run the same kernel at the same tolerance: equal bit for bit
         from modens import modulated_intervals_batch, msm_bounds_arrays
 
         n, m = 40, 6
@@ -270,12 +313,23 @@ class TestBatchDriver:
         locs = rng.normal(0, 3, (n, m))
         scales = 0.2 + np.abs(rng.normal(0, 1, (n, m)))
         lowers, uppers = msm_bounds_arrays(rng.uniform(0.2, 0.8, n), 4.0)
-        seq = modulated_intervals_batch(fam, locs, scales, lowers, uppers, 0.1,
-                                        threads=1)
-        par = modulated_intervals_batch(fam, locs, scales, lowers, uppers, 0.1,
-                                        threads=3)
-        assert np.array_equal(seq[0], par[0])
-        assert np.array_equal(seq[1], par[1])
+        lo, hi = modulated_intervals_batch(fam, locs, scales, lowers, uppers, 0.1)
+        for i in range(n):
+            comps = [ComponentDistribution(C if fam[j] else G, locs[i, j], scales[i, j])
+                     for j in range(m)]
+            iv = outcome_interval(comps, WeightBounds(lowers[i], uppers[i]), 0.1)
+            assert (lo[i], hi[i]) == (iv.lo, iv.hi)
+
+    def test_rejects_mismatched_shapes(self):
+        from modens import modulated_intervals_batch
+
+        ones = np.ones((3, 4))
+        bounds = (np.full(3, 0.5), np.full(3, 2.0))
+        lo, hi = modulated_intervals_batch(np.zeros(4), ones, ones, *bounds, 0.1)
+        assert lo.shape == hi.shape == (3,)
+        for fam, scales in ((np.zeros(3), ones), (np.zeros(4), np.ones((3, 3)))):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                modulated_intervals_batch(fam, ones, scales, *bounds, 0.1)
 
 
 class TestEmpiricalCoverageBound:

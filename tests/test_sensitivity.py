@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from modens import (SensitivityConfig, WeightBounds, bounds_for_dataset,
-                    clamp_propensity, identity_bounds, msm_bounds,
-                    msm_bounds_arrays, msm_weight_provider)
+from modens import (SensitivityConfig, WeightBounds, clamp_propensity,
+                    identity_bounds, msm_bounds, msm_bounds_arrays)
 
 
 class TestWeightBounds:
@@ -60,28 +59,6 @@ class TestIdentityBounds:
             assert (b.lower, b.upper) == (identity_bounds().lower, identity_bounds().upper)
 
 
-class TestBoundsForDataset:
-    def test_elementwise_substitution(self):
-        out = bounds_for_dataset([0.5, 0.5], SensitivityConfig(2.0))
-        assert len(out) == 2
-        for b in out:
-            assert b.lower == pytest.approx(0.75)
-            assert b.upper == pytest.approx(1.5)
-
-    def test_gamma_one(self):
-        out = bounds_for_dataset([0.2], SensitivityConfig(1.0))
-        assert (out[0].lower, out[0].upper) == (1.0, 1.0)
-
-    def test_clamps_degenerate_propensity(self):
-        out = bounds_for_dataset([1.0], SensitivityConfig(50.0))
-        ref = msm_bounds(0.999, SensitivityConfig(50.0))
-        assert out[0].lower == pytest.approx(ref.lower, abs=1e-15)
-        assert out[0].upper == pytest.approx(ref.upper, abs=1e-15)
-
-    def test_empty_input(self):
-        assert bounds_for_dataset([], SensitivityConfig(3.0)) == []
-
-
 class TestInvariants:
     def test_monotone_in_gamma(self):
         for e in np.linspace(0.0, 1.0, 11):
@@ -127,9 +104,9 @@ class TestHelpers:
         with pytest.raises(ValueError):
             msm_bounds_arrays(np.array([0.5]), gamma)
 
-    def test_provider_clamps_and_matches(self):
-        provider = msm_weight_provider(SensitivityConfig(5.0))
-        b = provider(1, None, 1.0)
-        ref = msm_bounds(0.999, SensitivityConfig(5.0))
-        assert b.lower == pytest.approx(ref.lower)
-        assert b.upper == pytest.approx(ref.upper)
+    @pytest.mark.parametrize("e", [float("nan"), -0.01, 1.01, float("inf")])
+    def test_array_bounds_reject_propensity_like_scalar(self, e):
+        with pytest.raises(ValueError):
+            msm_bounds(e, SensitivityConfig(2.0))
+        with pytest.raises(ValueError):
+            msm_bounds_arrays(np.array([e, 0.5]), 2.0)
