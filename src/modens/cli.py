@@ -174,7 +174,8 @@ def _cmd_train(args) -> int:
     mlp.save_propensity(prop, prop_path, seed=seed)
     resolved = {"data": str(args.data), "head": head.value, "members": args.members,
                 "seed": seed, "hidden": list(config.hidden), "epochs": config.epochs,
-                "step": config.step}
+                "step": config.step, "standardize": config.resolved_standardize(),
+                "warmup_epochs": config.resolved_warmup_epochs()}
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train", resolved)
     print(f"wrote {out} and {prop_path}")
     return 0

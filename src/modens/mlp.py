@@ -61,11 +61,21 @@ class TrainConfig:
         if (self.epochs < 1 or not 0.0 < self.step < math.inf  # NaN fails too
                 or any(h < 1 for h in self.hidden)):
             raise ValueError("invalid training configuration")
+        w = self.warmup_epochs
+        if w is not None and (type(w) is not int or w < 1):
+            raise ValueError(f"warmup_epochs must be None or an integer >= 1, got {w!r}")
+        if self.standardize is not None and type(self.standardize) is not bool:
+            raise ValueError(f"standardize must be None or a boolean, got {self.standardize!r}")
 
     def resolved_standardize(self) -> bool:
         if self.standardize is not None:
             return self.standardize
         return self.head is Head.GAUSSIAN
+
+    def resolved_warmup_epochs(self) -> int:
+        if self.warmup_epochs is not None:
+            return self.warmup_epochs
+        return max(self.epochs // 2, 1)
 
 
 @dataclass
@@ -142,12 +152,14 @@ def init_params(layer_sizes, head: Head, rng: np.random.Generator) -> MlpParams:
     return MlpParams(sizes, weights, biases, head)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5 * (1 + tanh(z / 2)): one branch-free pass
+    that cannot overflow at any |z| and stays within 2.3e-16 of the
+    exp-based form.  `out` may be `z` itself."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -155,11 +167,13 @@ def _net_forward(params: MlpParams, X: np.ndarray) -> tuple[np.ndarray, list[np.
     """Returns (output (n, out_dim), hidden activations incl. input)."""
     acts = [X]
     a = X
-    n_layers = len(params.weights)
-    for l in range(n_layers - 1):
-        a = _sigmoid(a @ params.weights[l] + params.biases[l])
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = a @ w
+        a += b
+        _sigmoid(a, out=a)
         acts.append(a)
-    out = a @ params.weights[-1] + params.biases[-1]
+    out = a @ params.weights[-1]
+    out += params.biases[-1]
     return out, acts
 
 
@@ -171,7 +185,9 @@ def _head_loss_grad(head: Head, out: np.ndarray, target: np.ndarray
     if head is Head.PROPENSITY:
         z = out[:, 0]
         loss = float(np.mean(np.logaddexp(0.0, z) - target * z))
-        dout[:, 0] = (_sigmoid(z) - target) / n
+        d = _sigmoid(z, out=dout[:, 0])
+        d -= target
+        d /= n
         return loss, dout
     mu = out[:, 0]
     ls = out[:, 1]
@@ -200,12 +216,18 @@ def nll_and_grads(params: MlpParams, X: np.ndarray, target: np.ndarray
     loss, delta = _head_loss_grad(params.head, out, target)
     grads_w = [np.empty(0)] * len(params.weights)
     grads_b = [np.empty(0)] * len(params.biases)
+    ones = np.ones(out.shape[0])   # column sums as one BLAS product
     for l in range(len(params.weights) - 1, -1, -1):
         grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        grads_b[l] = ones @ delta
         if l > 0:
+            # sigmoid' = a * (1 - a); acts[l] is not read again, so it
+            # holds 1 - a in place of a fresh temporary
             a = acts[l]
-            delta = (delta @ params.weights[l].T) * a * (1.0 - a)
+            delta = delta @ params.weights[l].T
+            delta *= a
+            np.subtract(1.0, a, out=a)
+            delta *= a
     return loss, grads_w, grads_b
 
 
@@ -218,19 +240,18 @@ def nll(params: MlpParams, X: np.ndarray, target: np.ndarray) -> float:
 def _adam_fit(params: MlpParams, X: np.ndarray, target: np.ndarray,
               epochs: int, step: float) -> MlpParams:
     """Full-batch Adam keeping the best-NLL parameter snapshot, so the
-    returned NLL never exceeds the initial one."""
+    returned NLL never exceeds the initial one (epoch 1's loss)."""
     mw = [np.zeros_like(w) for w in params.weights]
     vw = [np.zeros_like(w) for w in params.weights]
     mb = [np.zeros_like(b) for b in params.biases]
     vb = [np.zeros_like(b) for b in params.biases]
-    best = params.copy()
-    best_loss = nll(params, X, target)
-    if not math.isfinite(best_loss):
-        raise TrainingDivergedError(
-            f"initial NLL is non-finite for head {params.head.value}")
+    best, best_loss = params, math.inf
     for epoch in range(1, epochs + 1):
         loss, gw, gb = nll_and_grads(params, X, target)
         if not math.isfinite(loss):
+            if epoch == 1:
+                raise TrainingDivergedError(
+                    f"initial NLL is non-finite for head {params.head.value}")
             raise TrainingDivergedError(
                 f"NLL became non-finite at epoch {epoch} (head {params.head.value})")
         if loss < best_loss:
@@ -303,11 +324,9 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
         return params
 
     # Cauchy head
-    warmup = config.warmup_epochs if config.warmup_epochs is not None \
-        else max(config.epochs // 2, 1)
     params = init_params(sizes, Head.GAUSSIAN, rng)
     ranks = _rank_unit(y)
-    params = _adam_fit(params, X, ranks, warmup, config.step)
+    params = _adam_fit(params, X, ranks, config.resolved_warmup_epochs(), config.step)
     # quartile-matched affine map from predicted rank space to outcome units
     out, _ = _net_forward(params, X)
     r_hat = out[:, 0]
@@ -354,8 +373,9 @@ def fit_propensity(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
 
 def forward(params: MlpParams, x: np.ndarray, t: int | None = None):
     """Per-member prediction at one query point: a ComponentDistribution for
-    outcome heads (treatment appended to the input), a probability in (0, 1)
-    for the propensity head."""
+    outcome heads (treatment appended to the input), a probability in [0, 1]
+    for the propensity head (exactly 0 or 1 once |logit| exceeds about 37;
+    `sensitivity.clamp_propensity` keeps it away from both)."""
     x = np.asarray(x, dtype=np.float64).ravel()
     if params.head is Head.PROPENSITY:
         if x.shape[0] != params.input_dim:

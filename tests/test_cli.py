@@ -110,6 +110,20 @@ class TestConfigErrors:
         assert run([a.format(**paths) for a in argv]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train_cfg", [
+        {"warmup_epochs": -3}, {"warmup_epochs": 0}, {"warmup_epochs": "5"},
+        {"warmup_epochs": 2.5}, {"warmup_epochs": True}, {"standardize": "no"},
+        {"standardize": 1},
+    ], ids=["warmup-negative", "warmup-0", "warmup-str", "warmup-float", "warmup-bool",
+            "standardize-str", "standardize-int"])
+    def test_train_config_file_error_exits_2(self, bench_dir, tmp_path, train_cfg, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"train": train_cfg}))
+        assert run(["train", "--data", bench_dir / "train.csv", "--head", "cauchy",
+                    "--members", 1, "--hidden", "4", "--epochs", 4, "--config", cfg,
+                    "--out", tmp_path / "m.json"]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_model_and_propensity(self, trained_model):
@@ -125,6 +139,21 @@ class TestTrain:
         assert run(["train", "--data", bench_dir / "train.csv", "--members", 1,
                     "--hidden", "4", "--epochs", 10, "--out", out]) == 0
         assert len(json.loads(out.read_text())["members"]) == 1
+
+    def test_manifest_replay_is_byte_identical(self, bench_dir, tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"train": {"warmup_epochs": 1}}))
+        first, replay = tmp_path / "a" / "m.json", tmp_path / "b" / "m.json"
+        first.parent.mkdir()
+        replay.parent.mkdir()
+        common = ["train", "--data", bench_dir / "train.csv", "--head", "cauchy",
+                  "--seed", 3, "--members", 2]
+        assert run(common + ["--hidden", "4", "--epochs", 6, "--config", cfg,
+                             "--out", first]) == 0
+        manifest = first.with_suffix(".json.manifest.json")
+        assert run(common + ["--config", manifest, "--out", replay]) == 0
+        for name in ("m.json", "m.propensity.json", "m.json.manifest.json"):
+            assert (replay.parent / name).read_bytes() == (first.parent / name).read_bytes()
 
     def test_corrupt_csv_row_named_in_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -10,7 +10,7 @@ from modens import (ComponentDistribution, Dataset, EnsembleModel, Family, Head,
                     predict_components_batch, predict_propensity,
                     predict_propensity_batch, save_model, train_ensemble,
                     train_member)
-from modens.mlp import init_params, nll, nll_and_grads
+from modens.mlp import _sigmoid, init_params, nll, nll_and_grads
 
 
 def zero_params(layer_sizes, head):
@@ -91,6 +91,25 @@ class TestForward:
             forward(p, np.zeros(5), t=1)
         with pytest.raises(ValueError):
             forward(p, np.zeros(3))  # missing treatment
+
+
+class TestSigmoid:
+    def test_matches_exp_form_without_overflow(self):
+        z = np.concatenate([np.linspace(-800.0, 800.0, 20001), [0.0, -0.0]])
+        ref = np.empty_like(z)
+        pos = z >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        ref[~pos] = ez / (1.0 + ez)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _sigmoid(z)
+            aliased = z.copy()
+            returned = _sigmoid(aliased, out=aliased)
+        assert np.abs(got - ref).max() <= 1e-15
+        assert ((got >= 0.0) & (got <= 1.0)).all()
+        assert got[-2] == got[-1] == 0.5
+        assert returned is aliased
+        assert np.array_equal(aliased, got)
 
 
 class TestGradients:
@@ -210,6 +229,41 @@ class TestTrainEnsemble:
             if nll(member, X_val, valid.outcomes) < nll(init, X_val, valid.outcomes):
                 better += 1
         assert better >= 15
+
+
+class TestInPlaceKernels:
+    """The forward and backward passes overwrite their own temporaries in
+    place; the caller's arrays and the parameters must come out unchanged."""
+
+    @pytest.mark.parametrize("head", [Head.GAUSSIAN, Head.CAUCHY, Head.PROPENSITY])
+    def test_inputs_left_unchanged(self, head, rng):
+        p = init_params((4, 6, 5, head.out_dim), head, rng)
+        X = rng.normal(0, 1, (30, 4))
+        if head is Head.PROPENSITY:
+            target = rng.integers(0, 2, 30).astype(float)
+        else:
+            target = rng.normal(0, 2, 30)
+        X0, target0, p0 = X.copy(), target.copy(), p.copy()
+        nll_and_grads(p, X, target)
+        nll(p, X, target)
+        if head is Head.PROPENSITY:
+            predict_propensity_batch(p, X)
+        else:
+            predict_components_batch(EnsembleModel(members=(p,), seed=0), X[:, :3], X[:, 3] > 0)
+        assert np.array_equal(X, X0) and np.array_equal(target, target0)
+        for a, b in zip(p.weights + p.biases, p0.weights + p0.biases):
+            assert np.array_equal(a, b)
+
+    def test_ensemble_members_equal_train_member(self, rng):
+        data = small_data(rng)
+        cfg = TrainConfig(hidden=(5, 4), epochs=12, head=Head.CAUCHY, warmup_epochs=6)
+        first = train_ensemble(data, cfg, seed=7, m=3)
+        again = train_ensemble(data, cfg, seed=7, m=3)
+        for j in range(1, 4):
+            ref = train_member(data, cfg, seed=7 + j)
+            for member in (first.members[j - 1], again.members[j - 1]):
+                for a, b in zip(member.weights + member.biases, ref.weights + ref.biases):
+                    assert np.array_equal(a, b)
 
 
 class TestPredict:
