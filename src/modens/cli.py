@@ -133,8 +133,7 @@ def _load_matrix_csv(path: str) -> np.ndarray:
 
 # ------------------------------------------------------------------- train
 
-def _train_config_from(args, cfg_file: dict, head: mlp.Head) -> mlp.TrainConfig:
-    section = cfg_file.get("train", cfg_file)
+def _train_config_from(args, section: dict, head: mlp.Head) -> mlp.TrainConfig:
     hidden = _resolve(args.hidden, section, "hidden", (64, 64))
     if isinstance(hidden, str):
         hidden = tuple(int(h) for h in hidden.split(",") if h)
@@ -153,26 +152,33 @@ def _train_config_from(args, cfg_file: dict, head: mlp.Head) -> mlp.TrainConfig:
 
 def _cmd_train(args) -> int:
     cfg_file = _load_config_file(args.config)
+    section = cfg_file.get("train", cfg_file)
+    head_name = _resolve(args.head, section, "head", "gaussian")
     try:
-        head = mlp.Head(args.head)
-    except ValueError:
-        raise ConfigError(f"unknown head {args.head!r}") from None
+        head = mlp.Head(head_name)
+    except (TypeError, ValueError):
+        raise ConfigError(f"unknown head {head_name!r}") from None
     if head is mlp.Head.PROPENSITY:
         raise ConfigError("train fits outcome heads; the propensity model is fitted alongside")
-    config = _train_config_from(args, cfg_file, head)
-    if args.members < 1:
-        raise ConfigError(f"members must be >= 1, got {args.members}")
+    config = _train_config_from(args, section, head)
+    # --members has a parser default, so it wins only when it was given
+    members = _resolve(args.members if args.members_given else None,
+                       section, "members", args.members)
+    if type(members) is not int or members < 1:
+        raise ConfigError(f"members must be an integer >= 1, got {members!r}")
+    seed = _resolve(args.seed, section, "seed", 0)
+    if type(seed) is not int:
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     out = Path(args.out)
     _check_writable_parent(out)
-    seed = args.seed if args.seed is not None else 0
     data = load_dataset_csv(args.data)
-    model = mlp.train_ensemble(data, config, seed, m=args.members)
+    model = mlp.train_ensemble(data, config, seed, m=members)
     mlp.save_model(model, out)
     prop_path = Path(args.propensity_out) if args.propensity_out else \
         out.with_suffix(".propensity.json")
     prop = mlp.fit_propensity(data, config, seed)
     mlp.save_propensity(prop, prop_path, seed=seed)
-    resolved = {"data": str(args.data), "head": head.value, "members": args.members,
+    resolved = {"data": str(args.data), "head": head.value, "members": members,
                 "seed": seed, "hidden": list(config.hidden), "epochs": config.epochs,
                 "step": config.step, "standardize": config.resolved_standardize(),
                 "warmup_epochs": config.resolved_warmup_epochs()}
@@ -368,6 +374,15 @@ def _cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+class _StoreGiven(argparse.Action):
+    """Stores the value and sets `<dest>_given`, so that a config file can
+    still fill an option that has a parser default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest + "_given", True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -390,14 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an outcome ensemble + propensity model")
     p.add_argument("--data", required=True)
-    p.add_argument("--head", choices=("gaussian", "cauchy"), default="gaussian")
-    p.add_argument("--members", type=int, default=16)
+    p.add_argument("--head", choices=("gaussian", "cauchy"), default=None,
+                   help="outcome head (default gaussian)")
+    p.add_argument("--members", type=int, default=16, action=_StoreGiven)
     p.add_argument("--out", required=True)
     p.add_argument("--propensity-out", default=None)
     p.add_argument("--hidden", default=None, help="comma-separated widths, e.g. 64,64")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--step", type=float, default=None)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, members_given=False)
 
     p = sub.add_parser("intervals", help="per-row outcome intervals at fixed gamma")
     p.add_argument("--model", required=True)

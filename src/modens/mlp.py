@@ -2,9 +2,12 @@
 
 Fully connected nets with sigmoid hidden activations and a linear output
 layer, trained by full-batch maximum likelihood with per-parameter adaptive
-steps (Adam) on bootstrap resamples.  Outcome heads emit (location,
-log-scale) for a Gaussian or Cauchy predictive; the propensity head emits a
-logit.  The treatment enters outcome nets as one appended input scalar.
+steps (Adam).  Each outcome member maximises the likelihood of its own
+bootstrap resample, computed as the count-weighted likelihood of the
+resample's unique rows: the same objective as on the replicated rows, with
+about 37% fewer rows per epoch.  Outcome heads emit (location, log-scale)
+for a Gaussian or Cauchy predictive; the propensity head emits a logit.
+The treatment enters outcome nets as one appended input scalar.
 
 Backpropagation is hand-rolled for this fixed architecture so the gradient
 check against finite differences stays meaningful.
@@ -177,18 +180,43 @@ def _net_forward(params: MlpParams, X: np.ndarray) -> tuple[np.ndarray, list[np.
     return out, acts
 
 
-def _head_loss_grad(head: Head, out: np.ndarray, target: np.ndarray
-                    ) -> tuple[float, np.ndarray]:
-    """Mean NLL and its gradient wrt the raw network outputs."""
-    n = out.shape[0]
+def _head_loss_grad(head: Head, out: np.ndarray, target: np.ndarray,
+                    counts: np.ndarray | None = None,
+                    target_var: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Mean NLL and its gradient wrt the raw network outputs.
+
+    With `counts`, row i stands for counts[i] copies of itself: the loss is
+    sum(c_i * l_i) / sum(c_i) and row i's gradient is scaled by
+    c_i / sum(c_i), the same values as on the replicated rows.  With
+    `target_var` (Gaussian head only), row i's copies carry targets of mean
+    target[i] and variance target_var[i]; the Gaussian NLL of such copies is
+    0.5 * ((target - mu)^2 + var) / s^2 + log s per copy."""
+    if counts is None:
+        n = out.shape[0]
+
+        def mean(loss_rows):
+            return float(np.mean(loss_rows))
+
+        def per_row(g):
+            return g / n
+    else:
+        w = counts / counts.sum()
+
+        def mean(loss_rows):
+            return float(w @ loss_rows)
+
+        def per_row(g):
+            return g * w
     dout = np.empty_like(out)
     if head is Head.PROPENSITY:
         z = out[:, 0]
-        loss = float(np.mean(np.logaddexp(0.0, z) - target * z))
+        loss = mean(np.logaddexp(0.0, z) - target * z)
         d = _sigmoid(z, out=dout[:, 0])
         d -= target
-        d /= n
+        dout[:, 0] = per_row(d)
         return loss, dout
+    if target_var is not None and head is not Head.GAUSSIAN:
+        raise ValueError("target_var needs the Gaussian head")
     mu = out[:, 0]
     ls = out[:, 1]
     el = np.exp(np.minimum(ls, 300.0))
@@ -197,23 +225,28 @@ def _head_loss_grad(head: Head, out: np.ndarray, target: np.ndarray
     r = target - mu
     z2 = (r / s) ** 2
     if head is Head.GAUSSIAN:
-        loss = float(np.mean(0.5 * z2 + np.log(s) + 0.5 * math.log(2.0 * math.pi)))
-        dout[:, 0] = (-r / s ** 2) / n
-        dout[:, 1] = np.where(live, 1.0 - z2, 0.0) / n
+        if target_var is not None:
+            z2 += target_var / s ** 2
+        loss = mean(0.5 * z2 + np.log(s) + 0.5 * math.log(2.0 * math.pi))
+        dout[:, 0] = per_row(-r / s ** 2)
+        dout[:, 1] = per_row(np.where(live, 1.0 - z2, 0.0))
     elif head is Head.CAUCHY:
-        loss = float(np.mean(np.log(math.pi * s) + np.log1p(z2)))
-        dout[:, 0] = (-2.0 * r / (s ** 2 + r ** 2)) / n
-        dout[:, 1] = np.where(live, (s ** 2 - r ** 2) / (s ** 2 + r ** 2), 0.0) / n
+        loss = mean(np.log(math.pi * s) + np.log1p(z2))
+        dout[:, 0] = per_row(-2.0 * r / (s ** 2 + r ** 2))
+        dout[:, 1] = per_row(np.where(live, (s ** 2 - r ** 2) / (s ** 2 + r ** 2), 0.0))
     else:  # pragma: no cover
         raise ValueError(f"unknown head {head}")
     return loss, dout
 
 
-def nll_and_grads(params: MlpParams, X: np.ndarray, target: np.ndarray
+def nll_and_grads(params: MlpParams, X: np.ndarray, target: np.ndarray,
+                  counts: np.ndarray | None = None,
+                  target_var: np.ndarray | None = None
                   ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Full-batch mean NLL and gradients via backprop."""
+    """Full-batch mean NLL and gradients via backprop; `counts` and
+    `target_var` as in `_head_loss_grad`."""
     out, acts = _net_forward(params, X)
-    loss, delta = _head_loss_grad(params.head, out, target)
+    loss, delta = _head_loss_grad(params.head, out, target, counts, target_var)
     grads_w = [np.empty(0)] * len(params.weights)
     grads_b = [np.empty(0)] * len(params.biases)
     ones = np.ones(out.shape[0])   # column sums as one BLAS product
@@ -231,23 +264,26 @@ def nll_and_grads(params: MlpParams, X: np.ndarray, target: np.ndarray
     return loss, grads_w, grads_b
 
 
-def nll(params: MlpParams, X: np.ndarray, target: np.ndarray) -> float:
+def nll(params: MlpParams, X: np.ndarray, target: np.ndarray,
+        counts: np.ndarray | None = None, target_var: np.ndarray | None = None) -> float:
     out, _ = _net_forward(params, X)
-    loss, _ = _head_loss_grad(params.head, out, target)
+    loss, _ = _head_loss_grad(params.head, out, target, counts, target_var)
     return loss
 
 
 def _adam_fit(params: MlpParams, X: np.ndarray, target: np.ndarray,
-              epochs: int, step: float) -> MlpParams:
+              epochs: int, step: float, counts: np.ndarray | None = None,
+              target_var: np.ndarray | None = None) -> MlpParams:
     """Full-batch Adam keeping the best-NLL parameter snapshot, so the
-    returned NLL never exceeds the initial one (epoch 1's loss)."""
+    returned NLL never exceeds the initial one (epoch 1's loss); `counts`
+    and `target_var` as in `_head_loss_grad`."""
     mw = [np.zeros_like(w) for w in params.weights]
     vw = [np.zeros_like(w) for w in params.weights]
     mb = [np.zeros_like(b) for b in params.biases]
     vb = [np.zeros_like(b) for b in params.biases]
     best, best_loss = params, math.inf
     for epoch in range(1, epochs + 1):
-        loss, gw, gb = nll_and_grads(params, X, target)
+        loss, gw, gb = nll_and_grads(params, X, target, counts, target_var)
         if not math.isfinite(loss):
             if epoch == 1:
                 raise TrainingDivergedError(
@@ -266,7 +302,7 @@ def _adam_fit(params: MlpParams, X: np.ndarray, target: np.ndarray,
             mb[l] = _ADAM_B1 * mb[l] + (1 - _ADAM_B1) * gb[l]
             vb[l] = _ADAM_B2 * vb[l] + (1 - _ADAM_B2) * gb[l] ** 2
             params.biases[l] -= step * (mb[l] / c1) / (np.sqrt(vb[l] / c2) + _ADAM_EPS)
-    final_loss = nll(params, X, target)
+    final_loss = nll(params, X, target, counts, target_var)
     if math.isfinite(final_loss) and final_loss < best_loss:
         return params
     return best
@@ -297,10 +333,13 @@ def _fold_affine(params: MlpParams, scale: float, shift: float) -> None:
 def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     """One ensemble member: seeded bootstrap resample, seeded init, Adam MLE.
 
-    Cauchy heads train in two phases: a Gaussian warm-up on rank-normalized
-    outcomes to place the body away from the heavy tails, then an affine
-    re-map of the location head to outcome units (quartile-matched) and
-    Cauchy fine-tuning.
+    The member maximises the likelihood of its bootstrap resample, written
+    as the count-weighted likelihood of the resample's unique rows (the
+    weighted likelihood bootstrap): the same objective, on about 63% of the
+    rows.  Cauchy heads train in two phases: a Gaussian warm-up on
+    rank-normalized outcomes to place the body away from the heavy tails,
+    then an affine re-map of the location head to outcome units
+    (quartile-matched) and Cauchy fine-tuning.
     """
     if data.n < 2:
         raise ValueError("need at least 2 training rows")
@@ -308,8 +347,9 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
         raise ValueError("use fit_propensity for the propensity head")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, data.n, size=data.n)
-    X = _outcome_design(data)[idx]
-    y = data.outcomes[idx]
+    rows, copy_row, counts = np.unique(idx, return_inverse=True, return_counts=True)
+    X = _outcome_design(data)[rows]
+    y = data.outcomes[rows]
     sizes = (X.shape[1], *config.hidden, 2)
 
     if config.head is Head.GAUSSIAN:
@@ -317,20 +357,28 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
         if config.resolved_standardize():
             mu_y = float(np.mean(data.outcomes))
             sd_y = max(float(np.std(data.outcomes)), 1e-12)
-            params = _adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step)
+            params = _adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step,
+                               counts)
             _fold_affine(params, sd_y, mu_y)
         else:
-            params = _adam_fit(params, X, y, config.epochs, config.step)
+            params = _adam_fit(params, X, y, config.epochs, config.step, counts)
         return params
 
-    # Cauchy head
+    # Cauchy head.  The warm-up targets are the stable-tie ranks of the n
+    # resampled outcomes, so the copies of one row hold distinct ranks:
+    # each unique row carries their mean and their variance.
     params = init_params(sizes, Head.GAUSSIAN, rng)
-    ranks = _rank_unit(y)
-    params = _adam_fit(params, X, ranks, config.resolved_warmup_epochs(), config.step)
+    y_boot = data.outcomes[idx]
+    ranks = _rank_unit(y_boot)
+    rank_mean = np.bincount(copy_row, weights=ranks) / counts
+    dev = ranks - rank_mean[copy_row]   # from deviations, not E[r^2] - mean^2
+    rank_var = np.bincount(copy_row, weights=dev * dev) / counts
+    params = _adam_fit(params, X, rank_mean, config.resolved_warmup_epochs(), config.step,
+                       counts, rank_var)
     # quartile-matched affine map from predicted rank space to outcome units
     out, _ = _net_forward(params, X)
-    r_hat = out[:, 0]
-    q25, q50, q75 = np.percentile(y, [25.0, 50.0, 75.0])
+    r_hat = np.repeat(out[:, 0], counts)
+    q25, q50, q75 = np.percentile(y_boot, [25.0, 50.0, 75.0])
     r25, r50, r75 = np.percentile(r_hat, [25.0, 50.0, 75.0])
     slope = (q75 - q25) / max(r75 - r25, 0.05)
     slope = max(slope, 1e-6)
@@ -343,10 +391,10 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
         # rarely useful for Cauchy data (moments may not exist) but honored
         mu_y = float(np.median(data.outcomes))
         _fold_affine(params, 1.0, -mu_y)
-        params = _adam_fit(params, X, y - mu_y, config.epochs, config.step)
+        params = _adam_fit(params, X, y - mu_y, config.epochs, config.step, counts)
         _fold_affine(params, 1.0, mu_y)
     else:
-        params = _adam_fit(params, X, y, config.epochs, config.step)
+        params = _adam_fit(params, X, y, config.epochs, config.step, counts)
     return params
 
 

@@ -2,15 +2,21 @@
 
 Everything here goes through scipy (or plain quadrature/bisection), not
 through the package's own kernels, so agreement between the two is a real
-check rather than a tautology.
+check rather than a tautology.  The one exception is
+`replicated_train_member`, which trains on the n replicated bootstrap rows
+through the unweighted training path: it checks the count weighting, and
+c08 checks the backpropagation it shares.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import integrate, optimize, stats
 
 from modens import ComponentDistribution, Family, SensitivityConfig, WeightBounds, msm_bounds
+from modens import mlp
 
 
 def scipy_dist(c: ComponentDistribution):
@@ -38,8 +44,6 @@ def mixture_quantile_ref(components, weights, beta: float, xtol: float = 1e-12) 
 
 def norm_quantile_by_bisection(p: float) -> float:
     """Invert the erf-based normal CDF by plain bisection."""
-    import math
-
     def cdf(x):
         return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
@@ -84,3 +88,44 @@ def random_feasible_weights(rng: np.random.Generator, m: int,
     i = int(np.argmax((hi - w) if resid > 0 else (w - lo)))
     w[i] += resid
     return w
+
+
+def replicated_train_member(data, config, seed: int):
+    """`mlp.train_member` as a plain bootstrap: the same RNG draws, then
+    Adam on the n resampled rows, duplicates and all, with the warm-up
+    ranks, the quartile map and the final NLL taken over those n rows."""
+    Head = mlp.Head
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, data.n, size=data.n)
+    X = mlp._outcome_design(data)[idx]
+    y = data.outcomes[idx]
+    sizes = (X.shape[1], *config.hidden, 2)
+    params = mlp.init_params(sizes, Head.GAUSSIAN, rng)
+    if config.head is Head.GAUSSIAN:
+        if config.resolved_standardize():
+            mu_y = float(np.mean(data.outcomes))
+            sd_y = max(float(np.std(data.outcomes)), 1e-12)
+            params = mlp._adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step)
+            mlp._fold_affine(params, sd_y, mu_y)
+        else:
+            params = mlp._adam_fit(params, X, y, config.epochs, config.step)
+        return params
+    params = mlp._adam_fit(params, X, mlp._rank_unit(y), config.resolved_warmup_epochs(),
+                           config.step)
+    out, _ = mlp._net_forward(params, X)
+    q25, q50, q75 = np.percentile(y, [25.0, 50.0, 75.0])
+    r25, r50, r75 = np.percentile(out[:, 0], [25.0, 50.0, 75.0])
+    slope = max((q75 - q25) / max(r75 - r25, 0.05), 1e-6)
+    params.weights[-1][:, 0] *= slope
+    params.biases[-1][0] = params.biases[-1][0] * slope + (q50 - slope * r50)
+    params.weights[-1][:, 1] = 0.0
+    params.biases[-1][1] = math.log(max((q75 - q25) / 2.0, 1e-3))
+    params.head = Head.CAUCHY
+    if config.resolved_standardize():
+        mu_y = float(np.median(data.outcomes))
+        mlp._fold_affine(params, 1.0, -mu_y)
+        params = mlp._adam_fit(params, X, y - mu_y, config.epochs, config.step)
+        mlp._fold_affine(params, 1.0, mu_y)
+    else:
+        params = mlp._adam_fit(params, X, y, config.epochs, config.step)
+    return params

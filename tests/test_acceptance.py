@@ -266,6 +266,32 @@ def test_c08_gradient_check():
             assert rel <= 1e-4, f"{head.value} case {case}: rel err {rel:.2e}"
 
 
+@_criterion("8. gradient check on the count-weighted path (bootstrap members)")
+def test_c08_weighted_gradient_check():
+    rng = np.random.default_rng(4343)
+    for head in (Head.GAUSSIAN, Head.CAUCHY, Head.PROPENSITY):
+        for case in range(50):
+            n = int(rng.integers(3, 9))
+            d_in = int(rng.integers(2, 6))
+            hidden = (int(rng.integers(3, 7)),)
+            params = init_params((d_in, *hidden, head.out_dim), head,
+                                 np.random.default_rng(1000 + case))
+            X = rng.normal(0, 1, (n, d_in))
+            kw = {"counts": rng.integers(1, 6, n)}
+            if head is Head.PROPENSITY:
+                target = rng.integers(0, 2, n).astype(float)
+            else:
+                target = rng.normal(0, 2, n)
+            if head is Head.GAUSSIAN and case % 2:
+                kw["target_var"] = rng.uniform(0.0, 1.0, n)   # warm-up rank spread
+            _, gw, gb = nll_and_grads(params, X, target, **kw)
+            nw, nb = numeric_gradients(params, X, target, **kw)
+            num = np.concatenate([a.ravel() for a in gw + gb])
+            ref = np.concatenate([a.ravel() for a in nw + nb])
+            rel = np.linalg.norm(num - ref) / max(np.linalg.norm(ref), 1e-8)
+            assert rel <= 1e-4, f"{head.value} case {case}: rel err {rel:.2e}"
+
+
 @_criterion("9. coverage-bound diagnostic and binary-search contract")
 def test_c09_coverage_bound_and_search():
     rng = np.random.default_rng(5050)

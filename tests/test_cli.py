@@ -124,6 +124,19 @@ class TestConfigErrors:
                     "--out", tmp_path / "m.json"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train_cfg", [
+        {"head": "propensity"}, {"head": "poisson"}, {"members": 0}, {"members": "2"},
+        {"members": True}, {"seed": 1.5}, {"seed": "3"},
+    ], ids=["head-propensity", "head-unknown", "members-0", "members-str", "members-bool",
+            "seed-float", "seed-str"])
+    def test_train_config_file_run_setting_error_exits_2(self, bench_dir, tmp_path,
+                                                         train_cfg, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"train": {"hidden": [4], "epochs": 4, **train_cfg}}))
+        assert run(["train", "--data", bench_dir / "train.csv", "--config", cfg,
+                    "--out", tmp_path / "m.json"]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_model_and_propensity(self, trained_model):
@@ -154,6 +167,38 @@ class TestTrain:
         assert run(common + ["--config", manifest, "--out", replay]) == 0
         for name in ("m.json", "m.propensity.json", "m.json.manifest.json"):
             assert (replay.parent / name).read_bytes() == (first.parent / name).read_bytes()
+
+    def test_cauchy_manifest_replay_without_flags_is_byte_identical(self, bench_dir,
+                                                                    tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"train": {"warmup_epochs": 1}}))
+        first, replay = tmp_path / "a" / "m.json", tmp_path / "b" / "m.json"
+        first.parent.mkdir()
+        replay.parent.mkdir()
+        assert run(["train", "--data", bench_dir / "train.csv", "--head", "cauchy",
+                    "--seed", 3, "--members", 2, "--hidden", "4", "--epochs", 6,
+                    "--config", cfg, "--out", first]) == 0
+        manifest = first.with_suffix(".json.manifest.json")
+        assert run(["train", "--data", bench_dir / "train.csv", "--config", manifest,
+                    "--out", replay]) == 0
+        for name in ("m.json", "m.propensity.json", "m.json.manifest.json"):
+            assert (replay.parent / name).read_bytes() == (first.parent / name).read_bytes()
+        doc = json.loads(replay.read_text())
+        assert (doc["head"], doc["seed"], len(doc["members"])) == ("cauchy", 3, 2)
+
+    def test_flags_override_replayed_manifest(self, bench_dir, tmp_path):
+        first = tmp_path / "m.json"
+        assert run(["train", "--data", bench_dir / "train.csv", "--head", "cauchy",
+                    "--seed", 3, "--members", 2, "--hidden", "4", "--epochs", 4,
+                    "--out", first]) == 0
+        replay = tmp_path / "r.json"
+        assert run(["train", "--data", bench_dir / "train.csv", "--head", "gaussian",
+                    "--seed", 4, "--members", 1,
+                    "--config", first.with_suffix(".json.manifest.json"),
+                    "--out", replay]) == 0
+        config = json.loads(replay.with_suffix(".json.manifest.json").read_text())["config"]
+        assert (config["head"], config["seed"], config["members"]) == ("gaussian", 4, 1)
+        assert (config["hidden"], config["epochs"]) == ([4], 4)
 
     def test_corrupt_csv_row_named_in_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

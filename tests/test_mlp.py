@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from modens import (ComponentDistribution, Dataset, EnsembleModel, Family, Head,
                     ModelFileError, TrainConfig, fit_propensity,
                     forward, load_model, predict_components,
@@ -23,8 +24,9 @@ def zero_params(layer_sizes, head):
     return p
 
 
-def numeric_gradients(params, X, target, step=1e-5):
-    """Central finite differences over every parameter."""
+def numeric_gradients(params, X, target, step=1e-5, **loss_kw):
+    """Central finite differences over every parameter; `loss_kw` (counts,
+    target_var) goes to `nll`."""
     gw = [np.zeros_like(w) for w in params.weights]
     gb = [np.zeros_like(b) for b in params.biases]
     for l, w in enumerate(params.weights):
@@ -33,18 +35,18 @@ def numeric_gradients(params, X, target, step=1e-5):
             idx = it.multi_index
             orig = w[idx]
             w[idx] = orig + step
-            up = nll(params, X, target)
+            up = nll(params, X, target, **loss_kw)
             w[idx] = orig - step
-            dn = nll(params, X, target)
+            dn = nll(params, X, target, **loss_kw)
             w[idx] = orig
             gw[l][idx] = (up - dn) / (2 * step)
     for l, b in enumerate(params.biases):
         for i in range(b.shape[0]):
             orig = b[i]
             b[i] = orig + step
-            up = nll(params, X, target)
+            up = nll(params, X, target, **loss_kw)
             b[i] = orig - step
-            dn = nll(params, X, target)
+            dn = nll(params, X, target, **loss_kw)
             b[i] = orig
             gb[l][i] = (up - dn) / (2 * step)
     return gw, gb
@@ -125,6 +127,99 @@ class TestGradients:
             else:
                 target = rng.normal(0, 2, n)
             assert grad_relative_error(p, X, target) <= 1e-4
+
+
+def weighted_case(head, rng, n=9, rank_var=False):
+    """Unique rows with counts 1..4 and the same rows replicated; with
+    `rank_var`, each copy gets its own target, as warm-up ranks do."""
+    X = rng.normal(0, 1, (n, 4))
+    counts = rng.integers(1, 5, n)
+    if head is Head.PROPENSITY:
+        target = rng.integers(0, 2, n).astype(float)
+    else:
+        target = rng.normal(0, 2, n)
+    X_rep = np.repeat(X, counts, axis=0)
+    target_rep = np.repeat(target, counts)
+    kw = {"counts": counts}
+    if rank_var:
+        target_rep = target_rep + rng.normal(0, 0.5, target_rep.shape[0])
+        owner = np.repeat(np.arange(n), counts)
+        target = np.bincount(owner, weights=target_rep) / counts
+        dev = target_rep - target[owner]
+        kw["target_var"] = np.bincount(owner, weights=dev * dev) / counts
+    return X, target, kw, X_rep, target_rep
+
+
+class TestWeightedKernels:
+    """Counts (and the Gaussian rank-variance term) stand for replicated
+    rows; c08's weighted sibling checks these gradients by finite
+    differences."""
+
+    @pytest.mark.parametrize("head,rank_var", [
+        (Head.GAUSSIAN, False), (Head.CAUCHY, False), (Head.PROPENSITY, False),
+        (Head.GAUSSIAN, True)], ids=["gaussian", "cauchy", "propensity", "gaussian-rank-var"])
+    def test_counts_equal_repeated_rows(self, head, rank_var, rng):
+        for trial in range(5):
+            p = init_params((4, 6, 5, head.out_dim), head, np.random.default_rng(trial))
+            X, target, kw, X_rep, target_rep = weighted_case(head, rng, rank_var=rank_var)
+            loss, gw, gb = nll_and_grads(p, X, target, **kw)
+            ref_loss, ref_gw, ref_gb = nll_and_grads(p, X_rep, target_rep)
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            assert nll(p, X, target, **kw) == loss
+            for g, ref in zip(gw + gb, ref_gw + ref_gb):
+                assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_rank_variance_needs_gaussian_head(self, rng):
+        p = init_params((4, 3, 2), Head.CAUCHY, rng)
+        X, target, kw, _, _ = weighted_case(Head.GAUSSIAN, rng, rank_var=True)
+        with pytest.raises(ValueError, match="Gaussian"):
+            nll_and_grads(p, X, target, **kw)
+
+
+def heavy_tailed_data(rng, n, rounded=False):
+    X = rng.normal(0, 1, (n, 3))
+    t = rng.integers(0, 2, n)
+    y = X @ rng.normal(0, 1, 3) + 0.5 * t + rng.standard_cauchy(n)
+    if rounded:   # distinct rows tie, so their ranks interleave
+        y = np.round(y)
+    return Dataset(covariates=X, treatments=t, outcomes=y)
+
+
+class TestMemberExactness:
+    """`train_member` on unique rows with counts trains the same weights as
+    a plain bootstrap on the n replicated rows."""
+
+    @pytest.mark.parametrize("case", [
+        "gaussian-standardized", "gaussian-raw", "cauchy", "cauchy-tied-outcomes",
+        "two-rows-one-drawn"])
+    def test_matches_replicated_reference(self, case):
+        rng = np.random.default_rng(31)
+        data = heavy_tailed_data(rng, 2 if case == "two-rows-one-drawn" else 120,
+                                 rounded=case == "cauchy-tied-outcomes")
+        config = {
+            "gaussian-standardized": TrainConfig(hidden=(6, 5), epochs=40, head=Head.GAUSSIAN),
+            "gaussian-raw": TrainConfig(hidden=(6,), epochs=40, head=Head.GAUSSIAN,
+                                        standardize=False),
+            "cauchy": TrainConfig(hidden=(6, 5), epochs=40, head=Head.CAUCHY,
+                                  warmup_epochs=20),
+            "cauchy-tied-outcomes": TrainConfig(hidden=(6,), epochs=40, head=Head.CAUCHY,
+                                                warmup_epochs=20),
+            "two-rows-one-drawn": TrainConfig(hidden=(4,), epochs=30, head=Head.CAUCHY),
+        }[case]
+        seeds = [1, 2, 3]
+        if case == "two-rows-one-drawn":
+            # seeds whose bootstrap draws the same row twice
+            seeds = [s for s in range(20)
+                     if np.unique(np.random.default_rng(s).integers(0, 2, 2)).size == 1][:3]
+            assert len(seeds) == 3
+        if case == "cauchy-tied-outcomes":
+            assert np.unique(data.outcomes).size < data.n // 4
+        for seed in seeds:
+            got = train_member(data, config, seed)
+            ref = oracles.replicated_train_member(data, config, seed)
+            assert got.head is ref.head is config.head
+            for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
+                assert np.abs(a - b).max() <= 1e-9
 
 
 class TestTrainMember:
