@@ -23,8 +23,9 @@ from .benchgen import (GeneratorConfig, binarize_treatment, generate_dataset,
                        generate_panel, quadratic_outcome, random_projection,
                        rank_normalize, synthetic_features, write_benchmark)
 from .evalharness import (CostKind, EvalConfig, ExperimentReport, cost_abs_std,
-                          cost_mass, cost_relative, coverage, empirical_cdf,
-                          gamma_star_search, run_experiment)
+                          cost_mass, cost_mass_arrays, cost_relative, coverage,
+                          coverage_arrays, empirical_cdf, gamma_star_search,
+                          run_experiment)
 from .mlp import (EnsembleModel, Head, MlpParams, ModelFileError, TrainConfig,
                   TrainingDivergedError, fit_propensity, forward, load_model,
                   load_propensity, predict_components, predict_components_batch,
@@ -49,7 +50,8 @@ __all__ = [
     "quadratic_outcome", "random_projection", "rank_normalize",
     "synthetic_features", "write_benchmark",
     "CostKind", "EvalConfig", "ExperimentReport", "cost_abs_std", "cost_mass",
-    "cost_relative", "coverage", "empirical_cdf", "gamma_star_search",
+    "cost_mass_arrays", "cost_relative", "coverage", "coverage_arrays",
+    "empirical_cdf", "gamma_star_search",
     "run_experiment",
     "EnsembleModel", "Head", "MlpParams", "ModelFileError", "TrainConfig",
     "TrainingDivergedError", "fit_propensity", "forward", "load_model",

@@ -1,5 +1,5 @@
-"""Numeric kernels: component and mixture CDFs, bracketed bisection
-quantiles, and the envelope solver for extreme mixture quantiles.
+"""Numeric kernels: component and mixture CDFs, quantiles by one bracketed
+root-finder, and the envelope solver for extreme mixture quantiles.
 
 Component families are encoded as integers (``GAUSSIAN=0``, ``CAUCHY=1``)
 and an ensemble of m members as parallel sequences ``fam``, ``loc`` and
@@ -19,7 +19,8 @@ which is nondecreasing in q, and max_w F_w^{-1}(beta) = G^{-1}(beta).  The
 reversed pattern gives max_w F_w(q) and with it min_w F_w^{-1}(beta).  This
 is the threshold structure of sharp marginal-sensitivity weights (Tan 2006;
 Dorn & Guo, quantile balancing).  Both envelopes are inverted by the same
-bracketed bisection as a plain mixture quantile.
+root-finder as a plain mixture quantile: Chandrupatla's interpolation step
+kept inside ITP's bisection-rate radius, to within tol/2 of the crossing.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Bisection never needs more than ~200 halvings to exhaust double precision.
-_MAX_BISECT = 200
+# The ITP projection closes a bracket in n_max steps, which stays below this
+# cap for any finite bracket and tol above the floating-point spacing.
+_MAX_STEPS = 200
 _MAX_WIDEN = 60
 
 
@@ -144,13 +146,23 @@ def mixture_pdf_k(fam, loc, scale, w, y):
     return acc / len(fam)
 
 
-def _bisect_quantile(cdf, fam, loc, scale, w_floor, beta, tol):
-    """beta-quantile of a nondecreasing ``cdf`` by bracketed bisection.
+def _bracketed_quantile(cdf, fam, loc, scale, w_floor, beta, tol):
+    """beta-quantile of a nondecreasing ``cdf``, to within tol/2.
 
     The bracket spans the component quantiles at ranks eps_q and 1-eps_q
     with eps_q = min(beta, 1-beta) * w_floor / m.  It straddles beta for
     any mixture whose weights have mean 1, and so for either envelope;
     geometric widening backs that up against floating-point edge cases.
+
+    Inside it, each step takes Chandrupatla's (1997) point: inverse
+    quadratic interpolation through the last three points when they pass
+    his smoothness test, else the midpoint.  The point is kept tol/2
+    inside the bracket and projected into ITP's radius around the
+    midpoint (Oliveira & Takahashi 2020), so no solve takes more than
+    n_max = ceil(log2(W0/tol)) + 2 steps inside a bracket of width W0: two
+    more than bisection.  ``cdf(x) < beta`` moves the lower end.  The loop
+    stops at width <= tol and returns the midpoint, within tol/2 of the
+    crossing.
     """
     m = len(fam)
     eps_q = min(beta, 1.0 - beta) * w_floor / m
@@ -177,24 +189,56 @@ def _bisect_quantile(cdf, fam, loc, scale, w_floor, beta, tol):
         widened += 1
     if flo > beta or fhi < beta:
         raise RuntimeError("mixture quantile bracket failed to straddle beta")
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= 2.0 * tol:
+    # residuals f = cdf - beta; x1 is the newest point, x2 the other end of
+    # the bracket and x3 the end that x1 replaced
+    flo -= beta
+    fhi -= beta
+    x1, f1, x2, f2 = lo, flo, hi, fhi
+    half_tol = 0.5 * tol
+    n_max = math.ceil(math.log2((hi - lo) / tol)) + 2
+    t = 0.5
+    for j in range(_MAX_STEPS):
+        width = hi - lo
+        if width <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        if mid <= lo or mid >= hi:  # floating-point spacing ran out
             break
-        if cdf(mid) < beta:
-            lo = mid
+        x = x1 + t * (x2 - x1)
+        x = min(max(x, lo + half_tol), hi - half_tol)
+        r = math.ldexp(half_tol, n_max - j) - 0.5 * width
+        x = min(max(x, mid - r), mid + r) if r > 0.0 else mid
+        if not lo < x < hi:
+            x = mid
+        fx = cdf(x) - beta
+        if fx < 0.0:
+            x3, f3 = lo, flo
+            lo, flo = x, fx
+            x2, f2 = hi, fhi
         else:
-            hi = mid
+            x3, f3 = hi, fhi
+            hi, fhi = x, fx
+            x2, f2 = lo, flo
+        x1, f1 = x, fx
+        t = 0.5
+        if f3 != f2:
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                     + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+    else:
+        if hi - lo > tol:
+            raise RuntimeError("mixture quantile bracket still open after "
+                               f"{_MAX_STEPS} steps")
     return 0.5 * (lo + hi)
 
 
 def mixture_quantile_k(fam, loc, scale, w, w_floor, beta, tol):
     """beta-quantile of the weighted mixture (mean weight 1); ``w_floor``
     is the smallest weight, which sets the bracket."""
-    return _bisect_quantile(lambda y: mixture_cdf_k(fam, loc, scale, w, y),
-                            fam, loc, scale, w_floor, beta, tol)
+    return _bracketed_quantile(lambda y: mixture_cdf_k(fam, loc, scale, w, y),
+                               fam, loc, scale, w_floor, beta, tol)
 
 
 def rank_pattern(lower, upper, m):
@@ -227,7 +271,7 @@ def extreme_quantile_k(fam, loc, scale, lower, upper, beta, tol, maximize):
         masses = sorted([component_cdf_s(f, l, s, q) for f, l, s in members])
         return math.fsum(map(mul, p, masses)) / m
 
-    return _bisect_quantile(envelope, fam, loc, scale, lower, beta, tol)
+    return _bracketed_quantile(envelope, fam, loc, scale, lower, beta, tol)
 
 
 def rank_weights_k(fam, loc, scale, lower, upper, q, maximize):
@@ -246,6 +290,6 @@ def interval_k(fam, loc, scale, lower, upper, alpha, tol):
     """(min quantile(alpha/2), max quantile(1-alpha/2)) of one ensemble."""
     lo = extreme_quantile_k(fam, loc, scale, lower, upper, alpha / 2.0, tol, False)
     hi = extreme_quantile_k(fam, loc, scale, lower, upper, 1.0 - alpha / 2.0, tol, True)
-    if lo > hi:  # identical degenerate setups can cross by bisection noise
+    if lo > hi:  # identical degenerate setups can cross by solver noise
         lo = hi = 0.5 * (lo + hi)
     return lo, hi

@@ -23,9 +23,8 @@ from . import benchgen, mlp
 from .core import brute_force_extreme_quantile, maximize_quantile, minimize_quantile
 from .data import DatasetFormatError, load_dataset_csv
 from .dist import ComponentDistribution, Family
-from .evalharness import (CostKind, EvalConfig, cost_mass, cost_relative,
-                          coverage, modulated_interval_arrays, modulated_pipeline,
-                          run_experiment)
+from .evalharness import (CostKind, EvalConfig, cost_mass_arrays, cost_relative,
+                          coverage_arrays, modulated_interval_arrays, run_experiment)
 from .sensitivity import SensitivityConfig, msm_bounds
 
 PROG = "modens"
@@ -92,6 +91,40 @@ def _resolve(flag_value, config: dict, key: str, default):
     return default
 
 
+_REQUIRED = object()
+
+
+def _setting(flag_value, config: dict, key: str, kind: type, default=_REQUIRED,
+             flag: str | None = None):
+    """Flag, else config-file ``key``, else ``default``, checked to be of
+    ``kind`` (int, float or str); a JSON null counts as not given."""
+    value = _resolve(flag_value, config, key, None)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{flag or '--' + key.replace('_', '-')} is required, "
+                              f"as a flag or as {key!r} in the config file")
+        return default
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind is int:
+        ok = type(value) is int
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _command_config(args) -> dict:
+    """The config file's settings for this subcommand: its section named
+    after the subcommand, else the top level (a replayed manifest)."""
+    cfg_file = _load_config_file(args.config)
+    section = cfg_file.get(args.subcommand, cfg_file)
+    if not isinstance(section, dict):
+        raise ConfigError(f"config file {args.config}: {args.subcommand!r} must be an object")
+    return section
+
+
 # ---------------------------------------------------------------- generate
 
 def _cmd_generate(args) -> int:
@@ -151,24 +184,21 @@ def _train_config_from(args, section: dict, head: mlp.Head) -> mlp.TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    section = cfg_file.get("train", cfg_file)
-    head_name = _resolve(args.head, section, "head", "gaussian")
+    section = _command_config(args)
+    head_name = _setting(args.head, section, "head", str, "gaussian")
     try:
         head = mlp.Head(head_name)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"unknown head {head_name!r}") from None
     if head is mlp.Head.PROPENSITY:
         raise ConfigError("train fits outcome heads; the propensity model is fitted alongside")
     config = _train_config_from(args, section, head)
     # --members has a parser default, so it wins only when it was given
-    members = _resolve(args.members if args.members_given else None,
-                       section, "members", args.members)
-    if type(members) is not int or members < 1:
+    members = _setting(args.members if args.members_given else None,
+                       section, "members", int, args.members)
+    if members < 1:
         raise ConfigError(f"members must be an integer >= 1, got {members!r}")
-    seed = _resolve(args.seed, section, "seed", 0)
-    if type(seed) is not int:
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = _setting(args.seed, section, "seed", int, 0)
     out = Path(args.out)
     _check_writable_parent(out)
     data = load_dataset_csv(args.data)
@@ -196,28 +226,33 @@ def _propensity_path_for(model_path: Path, explicit: str | None) -> Path:
 # --------------------------------------------------------------- intervals
 
 def _cmd_intervals(args) -> int:
-    model_path = Path(args.model)
-    model = mlp.load_model(model_path)
-    prop = mlp.load_propensity(_propensity_path_for(model_path, args.propensity_model))
-    data = load_dataset_csv(args.data)
-    gamma = float(args.gamma)
-    alpha = float(args.alpha)
+    cfg = _command_config(args)
+    model_path = Path(_setting(args.model, cfg, "model", str))
+    data_path = _setting(args.data, cfg, "data", str)
+    gamma = _setting(args.gamma, cfg, "gamma", float)
+    alpha = _setting(args.alpha, cfg, "alpha", float)
+    arm = _setting(args.arm, cfg, "arm", int, None)
+    seed = _setting(args.seed, cfg, "seed", int, 0)
     if not (math.isfinite(gamma) and gamma >= 1.0):
         raise ConfigError(f"gamma must be finite and >= 1, got {gamma}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    if arm not in (None, 0, 1):
+        raise ConfigError(f"arm must be 0 or 1, got {arm}")
     out = Path(args.out)
     _check_writable_parent(out)
+    model = mlp.load_model(model_path)
+    prop = mlp.load_propensity(_propensity_path_for(model_path, args.propensity_model))
+    data = load_dataset_csv(data_path)
 
-    t = data.treatments if args.arm is None else np.full(data.n, int(args.arm))
+    t = data.treatments if arm is None else np.full(data.n, arm)
     lo, hi = modulated_interval_arrays(model, prop, data.covariates, t, alpha)(gamma)
     lines = ["index,t,lo,hi"]
     for i, (t_i, lo_i, hi_i) in enumerate(zip(t.tolist(), lo.tolist(), hi.tolist())):
         lines.append(f"{i},{t_i},{lo_i!r},{hi_i!r}")
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    resolved = {"model": str(model_path), "data": str(args.data), "gamma": gamma,
-                "alpha": alpha, "arm": args.arm,
-                "seed": args.seed if args.seed is not None else 0}
+    resolved = {"model": str(model_path), "data": data_path, "gamma": gamma,
+                "alpha": alpha, "arm": arm, "seed": seed}
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "intervals", resolved)
     print(f"wrote {out}")
     return 0
@@ -226,23 +261,25 @@ def _cmd_intervals(args) -> int:
 # ------------------------------------------------------------- gamma-search
 
 def _cmd_gamma_search(args) -> int:
-    model_path = Path(args.model)
-    test = load_dataset_csv(args.test)
-    if test.potential_outcomes is None:
-        raise ConfigError(f"{args.test}: gamma-search needs y0/y1 potential-outcome columns")
-    target = float(args.target)
+    cfg = _command_config(args)
+    model_path = Path(_setting(args.model, cfg, "model", str))
+    test_path = _setting(args.test, cfg, "test", str)
+    target = _setting(args.target, cfg, "target_coverage", float, flag="--target")
+    alpha = _setting(args.alpha, cfg, "alpha", float, None)
+    gamma_tol = _setting(args.gamma_tol, cfg, "gamma_tol", float, 0.05)
+    arm = _setting(args.arm, cfg, "arm", int, 1)
+    cost = _setting(args.cost, cfg, "cost_kind", str, "abs_std", flag="--cost")
+    seed = _setting(args.seed, cfg, "seed", int, 0)
     if not 0.0 < target <= 1.0:
         raise ConfigError(f"target must be in (0, 1], got {target}")
     try:
-        cost_kind = CostKind(args.cost)
+        cost_kind = CostKind(cost)
     except ValueError:
-        raise ConfigError(f"unknown cost kind {args.cost!r}") from None
-    if args.alpha is not None:
-        alpha = float(args.alpha)
-    elif target < 1.0:
+        raise ConfigError(f"unknown cost kind {cost!r}") from None
+    if alpha is None:
+        if target >= 1.0:
+            raise ConfigError("--target 1.0 needs an explicit --alpha")
         alpha = 1.0 - target
-    else:
-        raise ConfigError("--target 1.0 needs an explicit --alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     if target >= 1.0:
@@ -250,22 +287,23 @@ def _cmd_gamma_search(args) -> int:
         # on unbounded outcome laws; keep it representable so the FAILURE
         # path is reachable by scripted checks
         target = 1.0 - 1e-12
-    out = Path(args.out)
-    _check_writable_parent(out)
     try:
-        eval_cfg = EvalConfig(target_coverage=target, alpha=alpha,
-                              gamma_tol=float(args.gamma_tol), arm=int(args.arm),
-                              cost_kind=cost_kind)
+        eval_cfg = EvalConfig(target_coverage=target, alpha=alpha, gamma_tol=gamma_tol,
+                              arm=arm, cost_kind=cost_kind)
     except ValueError as exc:
         raise ConfigError(f"gamma-search config: {exc}") from None
-    seed = args.seed if args.seed is not None else 0
+    out = Path(args.out)
+    _check_writable_parent(out)
+    test = load_dataset_csv(test_path)
+    if test.potential_outcomes is None:
+        raise ConfigError(f"{test_path}: gamma-search needs y0/y1 potential-outcome columns")
     points_path = out.with_suffix(".points.csv")
     report = run_experiment(
         test, eval_cfg, model=model_path,
         propensity=_propensity_path_for(model_path, args.propensity_model),
         seed=seed, report_json=out, points_csv=points_path)
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "gamma-search",
-                    {"model": str(model_path), "test": str(args.test),
+                    {"model": str(model_path), "test": test_path,
                      "seed": seed, **eval_cfg.to_dict()})
     verdict = "FAILURE" if report.failed else f"gamma*={report.gamma_star:.4f}"
     print(f"{verdict} coverage={report.achieved_coverage:.4f} -> {out}")
@@ -304,15 +342,18 @@ def run_oracle_check(m: int, trials: int, seed: int, tol: float = 1e-6
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.m > 10:
+    cfg = _command_config(args)
+    m = _setting(args.m, cfg, "m", int)
+    trials = _setting(args.trials, cfg, "trials", int, 50)
+    seed = _setting(args.seed, cfg, "seed", int, 0)
+    if m > 10:
         raise ConfigError(
-            f"m={args.m} refused: the brute-force oracle costs m * 2^m quantile "
+            f"m={m} refused: the brute-force oracle costs m * 2^m quantile "
             f"solves and is capped at m <= 10")
-    if args.m < 1 or args.trials < 1:
+    if m < 1 or trials < 1:
         raise ConfigError("m and trials must be >= 1")
-    seed = args.seed if args.seed is not None else 0
-    worst, ok = run_oracle_check(args.m, args.trials, seed)
-    print(f"oracle-check m={args.m} trials={args.trials} max deviation={worst:.3e} "
+    worst, ok = run_oracle_check(m, trials, seed)
+    print(f"oracle-check m={m} trials={trials} max deviation={worst:.3e} "
           f"{'OK' if ok else 'FAILED (tolerance 1e-6)'}")
     return 0 if ok else 1
 
@@ -320,12 +361,19 @@ def _cmd_oracle_check(args) -> int:
 # ------------------------------------------------------------------ report
 
 def _cmd_report(args) -> int:
+    cfg = _command_config(args)
+    lengths_path = _setting(args.lengths, cfg, "lengths", str, None)
+    model_path = _setting(args.model, cfg, "model", str, None)
+    test_path = _setting(args.test, cfg, "test", str, None)
+    gammas_arg = _setting(args.gammas, cfg, "gammas", str, "1,2,5,10,25,50")
+    alpha = _setting(args.alpha, cfg, "alpha", float, 0.05)
+    arm = _setting(args.arm, cfg, "arm", int, 1)
     out_dir = Path(args.out_dir)
     _check_writable_dir(out_dir)
     wrote = []
-    if args.lengths:
+    if lengths_path:
         try:
-            lengths = json.loads(Path(args.lengths).read_text(encoding="utf-8"))
+            lengths = json.loads(Path(lengths_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"lengths file: {exc}") from None
         rel = cost_relative({str(k): float(v) for k, v in lengths.items()})
@@ -335,39 +383,42 @@ def _cmd_report(args) -> int:
         path = out_dir / "relative_costs.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         wrote.append(path)
-    if args.model and args.test:
+    if model_path and test_path:
         try:
-            gammas = [float(g) for g in args.gammas.split(",") if g]
-            eval_cfg = EvalConfig(target_coverage=0.5, alpha=float(args.alpha),
-                                  arm=int(args.arm))
+            gammas = [float(g) for g in gammas_arg.split(",") if g]
         except ValueError as exc:
             raise ConfigError(f"report config: {exc}") from None
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+        if arm not in (0, 1):
+            raise ConfigError(f"arm must be 0 or 1, got {arm}")
         for g in gammas:
             if not (math.isfinite(g) and g >= 1.0):
                 raise ConfigError(f"gamma must be finite and >= 1, got {g}")
-        model = mlp.load_model(Path(args.model))
-        prop = mlp.load_propensity(_propensity_path_for(Path(args.model),
+        model = mlp.load_model(Path(model_path))
+        prop = mlp.load_propensity(_propensity_path_for(Path(model_path),
                                                         args.propensity_model))
-        test = load_dataset_csv(args.test)
+        test = load_dataset_csv(test_path)
         if test.potential_outcomes is None:
-            raise ConfigError(f"{args.test}: report needs y0/y1 columns")
-        pipeline = modulated_pipeline(model, prop, test, eval_cfg)
-        outcomes = test.potential_outcomes[:, eval_cfg.arm]
+            raise ConfigError(f"{test_path}: report needs y0/y1 columns")
+        intervals = modulated_interval_arrays(model, prop, test.covariates,
+                                              np.full(test.n, arm), alpha)
+        outcomes = test.potential_outcomes[:, arm]
         lines = ["gamma,coverage,mean_length,cost_mass"]
         for g in gammas:
-            ivs = pipeline(g)
-            cov = coverage(ivs, outcomes)
-            mean_len = float(np.mean([iv.length for iv in ivs]))
-            lines.append(f"{g!r},{cov!r},{mean_len!r},{cost_mass(ivs, outcomes)!r}")
+            lo, hi = intervals(g)
+            cov = coverage_arrays(lo, hi, outcomes)
+            mean_len = float(np.mean(hi - lo))
+            lines.append(f"{g!r},{cov!r},{mean_len!r},{cost_mass_arrays(lo, hi, outcomes)!r}")
         path = out_dir / "coverage_curve.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         wrote.append(path)
     if not wrote:
         raise ConfigError("report needs --lengths and/or (--model and --test)")
     _write_manifest(out_dir / "report.manifest.json", "report",
-                    {"lengths": args.lengths, "model": args.model,
-                     "test": args.test, "gammas": args.gammas,
-                     "alpha": args.alpha, "arm": args.arm})
+                    {"lengths": lengths_path, "model": model_path,
+                     "test": test_path, "gammas": gammas_arg,
+                     "alpha": alpha, "arm": arm})
     print("wrote " + ", ".join(str(p) for p in wrote))
     return 0
 
@@ -415,43 +466,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None)
     p.set_defaults(func=_cmd_train, members_given=False)
 
+    # Options a config file can set have no parser default; each command
+    # resolves them as flag, then config file, then the default in its help.
     p = sub.add_parser("intervals", help="per-row outcome intervals at fixed gamma")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", default=None, help="ensemble JSON (required)")
     p.add_argument("--propensity-model", default=None)
-    p.add_argument("--data", required=True)
-    p.add_argument("--gamma", required=True, type=float)
-    p.add_argument("--alpha", required=True, type=float)
+    p.add_argument("--data", default=None, help="dataset CSV (required)")
+    p.add_argument("--gamma", type=float, default=None, help="sensitivity budget (required)")
+    p.add_argument("--alpha", type=float, default=None, help="miscoverage (required)")
     p.add_argument("--arm", type=int, choices=(0, 1), default=None,
                    help="score a fixed arm instead of each row's treatment")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_intervals)
 
     p = sub.add_parser("gamma-search", help="binary-search the smallest adequate gamma")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", default=None, help="ensemble JSON (required)")
     p.add_argument("--propensity-model", default=None)
-    p.add_argument("--test", required=True)
-    p.add_argument("--target", required=True, type=float)
-    p.add_argument("--cost", choices=[k.value for k in CostKind], default="abs_std")
+    p.add_argument("--test", default=None, help="test CSV with y0/y1 (required)")
+    p.add_argument("--target", type=float, default=None,
+                   help="coverage target (required; config key target_coverage)")
+    p.add_argument("--cost", choices=[k.value for k in CostKind], default=None,
+                   help="cost function (default abs_std; config key cost_kind)")
     p.add_argument("--alpha", type=float, default=None,
                    help="interval miscoverage (default 1 - target)")
-    p.add_argument("--arm", type=int, choices=(0, 1), default=1)
-    p.add_argument("--gamma-tol", type=float, default=0.05)
+    p.add_argument("--arm", type=int, choices=(0, 1), default=None, help="(default 1)")
+    p.add_argument("--gamma-tol", type=float, default=None, help="(default 0.05)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gamma_search)
 
     p = sub.add_parser("oracle-check",
                        help="envelope solver vs brute-force oracle on random instances")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--m", type=int, default=None, help="ensemble size (required)")
+    p.add_argument("--trials", type=int, default=None, help="(default 50)")
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("report", help="plot-ready coverage/cost CSVs")
     p.add_argument("--model", default=None)
     p.add_argument("--propensity-model", default=None)
     p.add_argument("--test", default=None)
-    p.add_argument("--gammas", default="1,2,5,10,25,50")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--arm", type=int, choices=(0, 1), default=1)
+    p.add_argument("--gammas", default=None, help="(default 1,2,5,10,25,50)")
+    p.add_argument("--alpha", type=float, default=None, help="(default 0.05)")
+    p.add_argument("--arm", type=int, choices=(0, 1), default=None, help="(default 1)")
     p.add_argument("--lengths", default=None,
                    help="JSON {method: mean_length} for relative-cost tables")
     p.add_argument("--out-dir", required=True)

@@ -3,8 +3,8 @@
 The admissible weights form the polytope {w : w_i in [lower, upper],
 mean(w) = 1}.  At a fixed q the extremal mixture mass is attained at a
 vertex that depends only on the rank order of the member masses F_j(q)
-(see ``_kernels``), so each extreme quantile is one bisection on the
-sorted-rank envelope.  ``maximize_quantile``, ``minimize_quantile``,
+(see ``_kernels``), so each extreme quantile is one bracketed root search
+on the sorted-rank envelope, to within tol/2.  ``maximize_quantile``, ``minimize_quantile``,
 ``outcome_interval`` and the row loop ``modulated_intervals_batch`` all run
 that one kernel.  ``brute_force_extreme_quantile`` enumerates every vertex
 as a test oracle, and ``check_optimality`` certifies a solution via the

@@ -2,8 +2,9 @@
 
 A ``WeightedMixture`` is the ensemble predictive law at one query point:
 ``F(y) = m^-1 * sum_i w_i * F_i(y)`` with nonnegative weights of mean 1,
-so it stays a proper probability distribution.  Quantiles are solved by
-bracketed bisection on the exact CDF.
+so it stays a proper probability distribution.  Quantiles are solved on the
+exact CDF by the bracketed root-finder of ``_kernels`` (Chandrupatla's
+interpolation with ITP's worst-case bound), to within tol/2.
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ class WeightedMixture:
 
 
 def default_quantile_tol(components) -> float:
-    """Scale-relative bisection tolerance: 1e-9 * (1 + max component scale)."""
+    """Scale-relative quantile tolerance: 1e-9 * (1 + max component scale).
+    The root-finder closes its bracket to this width and returns the
+    midpoint, within tol/2 of the crossing."""
     return 1e-9 * (1.0 + max(c.scale for c in components))
 
 

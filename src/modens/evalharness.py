@@ -115,21 +115,35 @@ class ExperimentReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _endpoints(intervals: Sequence[OutcomeInterval]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([iv.lo for iv in intervals], dtype=np.float64),
+            np.array([iv.hi for iv in intervals], dtype=np.float64))
+
+
+def coverage_arrays(lo: np.ndarray, hi: np.ndarray, outcomes: Sequence[float]) -> float:
+    """Fraction of outcomes y_i inside their closed interval [lo_i, hi_i]."""
+    y = np.asarray(outcomes, dtype=np.float64)
+    if len(lo) != len(y):
+        raise ValueError(f"{len(lo)} intervals vs {len(y)} outcomes")
+    if len(y) == 0:
+        raise ValueError("empty inputs")
+    return int(np.count_nonzero((lo <= y) & (y <= hi))) / len(y)
+
+
 def coverage(intervals: Sequence[OutcomeInterval], outcomes: Sequence[float]) -> float:
     """Fraction of outcomes inside their (closed) interval."""
-    if len(intervals) != len(outcomes):
-        raise ValueError(f"{len(intervals)} intervals vs {len(outcomes)} outcomes")
-    if len(intervals) == 0:
-        raise ValueError("empty inputs")
-    hit = sum(1 for iv, y in zip(intervals, outcomes) if iv.contains(float(y)))
-    return hit / len(intervals)
+    return coverage_arrays(*_endpoints(intervals), outcomes)
+
+
+def _abs_std(lo: np.ndarray, hi: np.ndarray, outcome_std: float) -> float:
+    if outcome_std <= 0.0:
+        raise ValueError("outcome_std must be > 0")
+    return float(np.mean(hi - lo)) / float(outcome_std)
 
 
 def cost_abs_std(intervals: Sequence[OutcomeInterval], outcome_std: float) -> float:
     """Mean interval length scaled to the empirical outcome standard deviation."""
-    if outcome_std <= 0.0:
-        raise ValueError("outcome_std must be > 0")
-    return float(np.mean([iv.length for iv in intervals])) / float(outcome_std)
+    return _abs_std(*_endpoints(intervals), outcome_std)
 
 
 def cost_relative(lengths_by_method: Mapping[str, float]) -> dict[str, float]:
@@ -144,16 +158,20 @@ def cost_relative(lengths_by_method: Mapping[str, float]) -> dict[str, float]:
     return {name: length / best for name, length in lengths_by_method.items()}
 
 
-def empirical_cdf(test_outcomes: Sequence[float]) -> Callable[[float], float]:
-    """Piecewise-linear interpolation between order statistics, flat beyond
-    the extremes."""
+def _ecdf_knots(test_outcomes: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     ys = np.sort(np.asarray(test_outcomes, dtype=np.float64))
     if ys.size == 0:
         raise ValueError("empty outcome sample")
+    return ys, np.linspace(0.0, 1.0, ys.size)
+
+
+def empirical_cdf(test_outcomes: Sequence[float]) -> Callable[[float], float]:
+    """Piecewise-linear interpolation between order statistics, flat beyond
+    the extremes."""
+    ys, probs = _ecdf_knots(test_outcomes)
     if ys.size == 1:
         y0 = float(ys[0])
         return lambda y: 0.0 if y < y0 else 1.0
-    probs = np.linspace(0.0, 1.0, ys.size)
 
     def cdf(y: float) -> float:
         return float(np.interp(y, ys, probs))
@@ -161,21 +179,30 @@ def empirical_cdf(test_outcomes: Sequence[float]) -> Callable[[float], float]:
     return cdf
 
 
+def cost_mass_arrays(lo: np.ndarray, hi: np.ndarray,
+                     test_outcomes: Sequence[float]) -> float:
+    """Mean empirical-distribution mass spanned by the intervals [lo_i, hi_i],
+    with the CDF of :func:`empirical_cdf` evaluated on all endpoints at once."""
+    ys, probs = _ecdf_knots(test_outcomes)
+    if ys.size == 1:  # the step CDF: 0 below the single outcome, 1 from it on
+        return float(np.mean(np.where(hi >= ys[0], 1.0, 0.0) - np.where(lo >= ys[0], 1.0, 0.0)))
+    return float(np.mean(np.interp(hi, ys, probs) - np.interp(lo, ys, probs)))
+
+
 def cost_mass(intervals: Sequence[OutcomeInterval],
               test_outcomes: Sequence[float]) -> float:
     """Mean empirical-distribution mass spanned by the intervals."""
-    cdf = empirical_cdf(test_outcomes)
-    return float(np.mean([cdf(iv.hi) - cdf(iv.lo) for iv in intervals]))
+    return cost_mass_arrays(*_endpoints(intervals), test_outcomes)
 
 
-def _cost_at(intervals: Sequence[OutcomeInterval], outcomes: np.ndarray,
+def _cost_at(lo: np.ndarray, hi: np.ndarray, outcomes: np.ndarray,
              kind: CostKind) -> float:
     if kind is CostKind.ABS_STD:
-        return cost_abs_std(intervals, float(np.std(outcomes)))
+        return _abs_std(lo, hi, float(np.std(outcomes)))
     if kind is CostKind.MASS:
-        return cost_mass(intervals, outcomes)
+        return cost_mass_arrays(lo, hi, outcomes)
     # RELATIVE needs competing methods; report the raw mean length instead
-    return float(np.mean([iv.length for iv in intervals]))
+    return float(np.mean(hi - lo))
 
 
 def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
@@ -197,35 +224,31 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
             cache[gamma] = (intervals, coverage(intervals, outcomes))
         return cache[gamma]
 
-    g_lo, g_hi = config.gamma_range
-    intervals, cov = probe(g_lo)
-    if cov >= config.target_coverage:
-        gamma_star = g_lo
-    else:
-        intervals, cov = probe(g_hi)
-        if cov < config.target_coverage:
-            return ExperimentReport(
-                gamma_star=None, achieved_coverage=cov, coverage_cost=None,
-                mean_length=float(np.mean([iv.length for iv in intervals])),
-                intervals=intervals, config=config.to_dict(), seed=seed,
-                runtime_seconds=time.perf_counter() - t0)
-        lo, hi = g_lo, g_hi
-        while hi - lo > config.gamma_tol:
-            mid = 0.5 * (lo + hi)
-            _, cov_mid = probe(mid)
-            if cov_mid >= config.target_coverage:
-                hi = mid
-            else:
-                lo = mid
-        gamma_star = hi
-        intervals, cov = probe(gamma_star)
+    def report(gamma_star: float | None) -> ExperimentReport:
+        intervals, cov = probe(g_hi if gamma_star is None else gamma_star)
+        lo, hi = _endpoints(intervals)
+        return ExperimentReport(
+            gamma_star=gamma_star, achieved_coverage=cov,
+            coverage_cost=(None if gamma_star is None
+                           else _cost_at(lo, hi, outcomes, config.cost_kind)),
+            mean_length=float(np.mean(hi - lo)),
+            intervals=intervals, config=config.to_dict(), seed=seed,
+            runtime_seconds=time.perf_counter() - t0)
 
-    return ExperimentReport(
-        gamma_star=gamma_star, achieved_coverage=cov,
-        coverage_cost=_cost_at(intervals, outcomes, config.cost_kind),
-        mean_length=float(np.mean([iv.length for iv in intervals])),
-        intervals=intervals, config=config.to_dict(), seed=seed,
-        runtime_seconds=time.perf_counter() - t0)
+    g_lo, g_hi = config.gamma_range
+    if probe(g_lo)[1] >= config.target_coverage:
+        return report(g_lo)
+    if probe(g_hi)[1] < config.target_coverage:
+        return report(None)
+    lo, hi = g_lo, g_hi
+    while hi - lo > config.gamma_tol:
+        mid = 0.5 * (lo + hi)
+        _, cov_mid = probe(mid)
+        if cov_mid >= config.target_coverage:
+            hi = mid
+        else:
+            lo = mid
+    return report(hi)
 
 
 def modulated_interval_arrays(model: mlp.EnsembleModel, propensity: mlp.MlpParams,

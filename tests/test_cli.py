@@ -138,6 +138,92 @@ class TestConfigErrors:
         assert "config error" in capsys.readouterr().err
 
 
+class TestSubcommandConfigFiles:
+    @pytest.mark.parametrize("argv", [
+        ["intervals", "--model", "{model}", "--data", "{data}/valid.csv", "--gamma", "2",
+         "--alpha", "0.2", "--out", "{tmp}/iv.csv"],
+        ["gamma-search", "--model", "{model}", "--test", "{data}/test.csv",
+         "--target", "0.8", "--out", "{tmp}/r.json"],
+        ["report", "--model", "{model}", "--test", "{data}/test.csv", "--gammas", "1",
+         "--out-dir", "{tmp}/rep"],
+        ["oracle-check", "--m", "2", "--trials", "1"],
+    ], ids=["intervals", "gamma-search", "report", "oracle-check"])
+    def test_missing_config_file_exits_2(self, bench_dir, trained_model, tmp_path, argv,
+                                         capsys):
+        paths = {"model": trained_model, "data": bench_dir, "tmp": tmp_path}
+        argv = [a.format(**paths) for a in argv]
+        assert run(argv + ["--config", "/nonexistent.json"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "iv.csv").exists()
+
+    def test_malformed_config_file_exits_2(self, bench_dir, trained_model, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{\"gamma\": 2,")
+        assert run(["intervals", "--model", trained_model, "--data", bench_dir / "valid.csv",
+                    "--alpha", 0.2, "--config", cfg, "--out", tmp_path / "iv.csv"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [{"gamma": "2"}, {"gamma": True}, {"arm": 2},
+                                         {"seed": 1.5}, {"alpha": None}],
+                             ids=["gamma-str", "gamma-bool", "arm-2", "seed-float",
+                                  "alpha-null"])
+    def test_bad_intervals_setting_exits_2(self, bench_dir, trained_model, tmp_path,
+                                           setting, capsys):
+        cfg = tmp_path / "iv.json"
+        cfg.write_text(json.dumps({"intervals": {"gamma": 2.0, "alpha": 0.2, **setting}}))
+        assert run(["intervals", "--model", trained_model, "--data", bench_dir / "valid.csv",
+                    "--config", cfg, "--out", tmp_path / "iv.csv"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_intervals_manifest_replay_and_flag_precedence(self, bench_dir, trained_model,
+                                                           tmp_path):
+        first, replay, flagged = (tmp_path / f"{n}.csv" for n in ("a", "b", "c"))
+        assert run(["intervals", "--model", trained_model, "--data", bench_dir / "valid.csv",
+                    "--gamma", 2, "--alpha", 0.2, "--arm", 1, "--out", first]) == 0
+        manifest = first.with_suffix(".csv.manifest.json")
+        assert run(["intervals", "--config", manifest, "--out", replay]) == 0
+        assert replay.read_bytes() == first.read_bytes()
+        assert run(["intervals", "--config", manifest, "--gamma", 1.5, "--out", flagged]) == 0
+        resolved = json.loads(flagged.with_suffix(".csv.manifest.json").read_text())["config"]
+        assert resolved["gamma"] == 1.5                           # flag wins
+        assert (resolved["alpha"], resolved["arm"]) == (0.2, 1)   # the file fills the rest
+
+    def test_gamma_search_manifest_replay_writes_the_same_report(self, bench_dir,
+                                                                 trained_model, tmp_path):
+        first, replay = tmp_path / "a" / "r.json", tmp_path / "b" / "r.json"
+        first.parent.mkdir()
+        replay.parent.mkdir()
+        assert run(["gamma-search", "--model", trained_model, "--test",
+                    bench_dir / "test.csv", "--target", 0.8, "--alpha", 0.3, "--arm", 0,
+                    "--cost", "mass", "--gamma-tol", 0.5, "--seed", 4, "--out", first]) == 0
+        manifest = first.with_suffix(".json.manifest.json")
+        assert run(["gamma-search", "--config", manifest, "--out", replay]) == 0
+        a, b = (json.loads(p.read_text()) for p in (first, replay))
+        a.pop("runtime_seconds")
+        b.pop("runtime_seconds")
+        assert a == b
+        assert a["config"]["cost_kind"] == "mass" and a["seed"] == 4
+        assert (replay.with_suffix(".points.csv").read_bytes()
+                == first.with_suffix(".points.csv").read_bytes())
+        assert (replay.with_suffix(".json.manifest.json").read_bytes()
+                == manifest.read_bytes())
+
+    def test_report_manifest_replay(self, bench_dir, trained_model, tmp_path):
+        first, replay = tmp_path / "a", tmp_path / "b"
+        assert run(["report", "--model", trained_model, "--test", bench_dir / "test.csv",
+                    "--gammas", "1,3", "--alpha", 0.2, "--arm", 0, "--out-dir", first]) == 0
+        assert run(["report", "--config", first / "report.manifest.json",
+                    "--out-dir", replay]) == 0
+        for name in ("coverage_curve.csv", "report.manifest.json"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+    def test_oracle_check_reads_its_settings_from_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "oc.json"
+        cfg.write_text(json.dumps({"oracle-check": {"m": 3, "trials": 2}}))
+        assert run(["oracle-check", "--config", cfg]) == 0
+        assert "m=3 trials=2" in capsys.readouterr().out
+
+
 class TestTrain:
     def test_writes_model_and_propensity(self, trained_model):
         assert trained_model.exists()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from modens import (CostKind, EvalConfig, OutcomeInterval, cost_abs_std, cost_mass,
-                    cost_relative, coverage, empirical_cdf, gamma_star_search)
+                    cost_mass_arrays, cost_relative, coverage, coverage_arrays,
+                    empirical_cdf, gamma_star_search)
 
 
 def iv(lo, hi, alpha=0.1, gamma=1.0):
@@ -114,6 +115,37 @@ class TestCostMass:
         cdf = empirical_cdf(ys)
         assert cdf(ys.min() - 100) == 0.0
         assert cdf(ys.max() + 100) == 1.0
+
+
+class TestEndpointArrays:
+    """The costs on (lo, hi) arrays equal their per-interval definitions bit
+    for bit."""
+
+    @pytest.mark.parametrize("n_outcomes", [1, 2, 37])
+    def test_equal_to_per_interval_definitions(self, rng, n_outcomes):
+        ys = rng.standard_cauchy(n_outcomes)
+        lo = rng.normal(0.0, 2.0, 50)
+        hi = lo + rng.exponential(1.5, 50)
+        hi[:3] = lo[:3]
+        if n_outcomes == 1:
+            lo[3], hi[4] = ys[0], ys[0]
+        ivs = [iv(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        outcomes = rng.standard_cauchy(50)
+        outcomes[:2] = lo[:2]
+        cdf = empirical_cdf(ys)
+        assert cost_mass_arrays(lo, hi, ys) == float(np.mean(
+            [cdf(x.hi) - cdf(x.lo) for x in ivs]))
+        assert cost_mass(ivs, ys) == cost_mass_arrays(lo, hi, ys)
+        hits = sum(1 for x, y in zip(ivs, outcomes.tolist()) if x.lo <= y <= x.hi)
+        assert coverage_arrays(lo, hi, outcomes) == hits / 50
+        assert coverage(ivs, outcomes) == hits / 50
+        assert cost_abs_std(ivs, 1.3) == float(np.mean([x.length for x in ivs])) / 1.3
+
+    def test_length_mismatch_and_empty(self):
+        with pytest.raises(ValueError):
+            coverage_arrays(np.zeros(2), np.ones(2), [0.5])
+        with pytest.raises(ValueError):
+            coverage_arrays(np.zeros(0), np.zeros(0), [])
 
 
 def step_pipeline(threshold, inner=(-1.0, 1.0), outer=(-10.0, 10.0), n=20):

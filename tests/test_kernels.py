@@ -1,0 +1,185 @@
+"""The bracketed root-finder behind every mixture and envelope quantile.
+
+Each solve is checked three ways: the certificate G(q - tol/2) < beta <=
+G(q + tol/2) on the function the solver inverted, the scipy oracle on the
+mixture with the weights that attain the envelope at q, and the evaluation
+budget n_max = ceil(log2(W0/tol)) + 2 of the steps inside the initial
+bracket [x0, x0 + W0] (the solver's first two evaluations).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from modens import (ComponentDistribution, Family, SensitivityConfig, clamp_propensity,
+                    default_quantile_tol, msm_bounds)
+from modens import _kernels as K
+from modens.dist import pack_components
+
+import oracles
+
+G = Family.GAUSSIAN
+C = Family.CAUCHY
+
+
+def g(loc, scale=1.0):
+    return ComponentDistribution(G, loc, scale)
+
+
+def c(loc, scale=1.0):
+    return ComponentDistribution(C, loc, scale)
+
+
+class Recorder:
+    """Wraps ``_kernels._bracketed_quantile`` so that every solve keeps the
+    function it inverted, the points it evaluated and its answer."""
+
+    def __init__(self, monkeypatch):
+        self.solves = []
+        solve = K._bracketed_quantile
+
+        def recording(cdf, fam, loc, scale, w_floor, beta, tol):
+            xs = []
+
+            def counted(x):
+                xs.append(x)
+                return cdf(x)
+
+            q = solve(counted, fam, loc, scale, w_floor, beta, tol)
+            self.solves.append((cdf, xs, beta, tol, q))
+            return q
+
+        monkeypatch.setattr(K, "_bracketed_quantile", recording)
+
+
+def assert_certificate_and_budget(cdf, xs, beta, tol, q):
+    steps = len(xs) - 2
+    below, above = q - tol / 2, q + tol / 2
+    if below < q:
+        assert cdf(below) < beta
+    if above > q:
+        assert beta <= cdf(above)
+    x0, x1 = xs[0], xs[1]
+    assert cdf(x0) <= beta <= cdf(x1), "the bracket needed widening"
+    n_max = math.ceil(math.log2((x1 - x0) / tol)) + 2
+    assert steps <= n_max
+
+
+MID = msm_bounds(0.3, SensitivityConfig(4.0))
+CLAMPED_50 = msm_bounds(clamp_propensity(0.0), SensitivityConfig(50.0))
+CASES = {
+    "scale-floor-next-to-1e3": ([g(0.0, 1e-6), c(0.5, 1e3), g(-1.0, 1e3), c(2.0, 1.0)],
+                                MID, (0.3, 0.5, 0.9)),
+    "identical-members": ([c(1.0, 2.0)] * 5, MID, (0.1, 0.8)),
+    "cauchy-tails": ([c(-1.0, 0.5), c(0.0, 1.0), c(2.0, 3.0)], MID, (1e-6, 1.0 - 1e-6)),
+    "gamma-50-clamped-propensity": ([g(-1.0, 0.5), c(0.3, 2.0), g(2.0, 1.5), c(-0.5, 0.7)],
+                                    CLAMPED_50, (0.05, 0.5, 0.95)),
+    "locations-near-1e4": ([g(1e4, 1.0), c(1e4 + 3.0, 0.5), g(1e4 - 2.0, 2.0)],
+                           MID, (0.05, 0.5, 0.95)),
+}
+
+
+def oracle_slack(comps, weights, q, beta):
+    """tol/2 is the solver's accuracy; beyond it allow 1e-12, plus, where
+    the mixture CDF is within 1e-3 of 1, its floating-point resolution there
+    (one unit in the last place of 1, over the density).  At beta = 1 - 1e-6
+    in a scale-1 Cauchy tail that resolution is about 4e-5 in x: no CDF
+    evaluated in double precision places the quantile more tightly."""
+    slack = 1e-12
+    if beta > 1.0 - 1e-3:
+        slack += 4.0 * math.ulp(1.0) / oracles.mixture_pdf_ref(comps, weights, q)
+    return slack
+
+
+@pytest.mark.parametrize("name", list(CASES))
+@pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
+def test_envelope_quantile_edges(monkeypatch, name, maximize):
+    comps, bounds, betas = CASES[name]
+    fam, loc, scale = pack_components(comps)
+    tol = default_quantile_tol(comps)
+    rec = Recorder(monkeypatch)
+    for beta in betas:
+        q = K.extreme_quantile_k(fam, loc, scale, bounds.lower, bounds.upper, beta, tol,
+                                 maximize)
+        cdf, xs, _, _, q_solved = rec.solves[-1]
+        assert q == q_solved
+        assert_certificate_and_budget(cdf, xs, beta, tol, q)
+        w = K.rank_weights_k(fam, loc, scale, bounds.lower, bounds.upper, q, maximize)
+        ref = oracles.mixture_quantile_ref(comps, w, beta)
+        assert abs(q - ref) <= tol / 2 + oracle_slack(comps, w, q, beta)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_plain_mixture_quantile_edges(monkeypatch, name):
+    comps, bounds, betas = CASES[name]
+    fam, loc, scale = pack_components(comps)
+    tol = default_quantile_tol(comps)
+    m = len(comps)
+    # one member at the upper bound, one fractional, the rest at the lower
+    w = [bounds.upper, m - bounds.upper - (m - 2) * bounds.lower] + [bounds.lower] * (m - 2)
+    rec = Recorder(monkeypatch)
+    for beta in betas:
+        q = K.mixture_quantile_k(fam, loc, scale, w, min(w), beta, tol)
+        assert_certificate_and_budget(*rec.solves[-1])
+        ref = oracles.mixture_quantile_ref(comps, w, beta)
+        assert abs(q - ref) <= tol / 2 + oracle_slack(comps, w, q, beta)
+
+
+@pytest.mark.parametrize("crossing", [0.123456789, -2.5, 2.2])
+def test_step_cdf_closes_within_budget(crossing):
+    # a single jump: interpolation sees no slope and learns nothing
+    xs = []
+
+    def step(x):
+        xs.append(x)
+        return 0.0 if x < crossing else 1.0
+
+    tol = 1e-9
+    q = K._bracketed_quantile(step, [K.GAUSSIAN], [0.0], [10.0], 1.0, 0.4, tol)
+    assert_certificate_and_budget(step, xs, 0.4, tol, q)
+    assert abs(q - crossing) <= tol / 2
+
+
+def test_staircase_cdf_closes_within_budget():
+    xs = []
+
+    def stairs(x):
+        xs.append(x)
+        return min(max(math.floor(4.0 * x) / 40.0 + 0.5, 0.0), 1.0)
+
+    tol = 1e-9
+    q = K._bracketed_quantile(stairs, [K.GAUSSIAN], [0.0], [10.0], 1.0, 0.3, tol)
+    assert_certificate_and_budget(stairs, xs, 0.3, tol, q)
+    assert abs(q - (-2.0)) <= tol / 2
+
+
+def test_open_bracket_raises(monkeypatch):
+    monkeypatch.setattr(K, "_MAX_STEPS", 3)
+    with pytest.raises(RuntimeError, match="still open"):
+        K._bracketed_quantile(lambda x: float(x >= 0.1), [K.GAUSSIAN], [0.0], [10.0], 1.0,
+                           0.4, 1e-9)
+
+
+def test_exhausted_spacing_returns_without_error():
+    # near 1e8 adjacent doubles are 1.5e-8 apart, wider than tol
+    loc = 1e8
+    q = K.mixture_quantile_k([K.GAUSSIAN], [loc], [1.0], [1.0], 1.0, 0.3, 2e-9)
+    assert abs(q - (loc + K.norm_ppf(0.3))) <= 2 * math.ulp(loc)
+
+
+def test_random_ensembles_within_budget_and_half_tol(monkeypatch):
+    rng = np.random.default_rng(7)
+    rec = Recorder(monkeypatch)
+    for _ in range(40):
+        comps = oracles.random_components(rng, int(rng.integers(1, 9)))
+        bounds = oracles.random_bounds(rng, float(rng.uniform(1.0, 50.0)))
+        fam, loc, scale = pack_components(comps)
+        tol = default_quantile_tol(comps)
+        beta = float(rng.uniform(0.01, 0.99))
+        maximize = bool(rng.random() < 0.5)
+        q = K.extreme_quantile_k(fam, loc, scale, bounds.lower, bounds.upper, beta, tol,
+                                 maximize)
+        assert_certificate_and_budget(*rec.solves[-1])
+        w = K.rank_weights_k(fam, loc, scale, bounds.lower, bounds.upper, q, maximize)
+        assert abs(q - oracles.mixture_quantile_ref(comps, w, beta)) <= tol / 2 + 1e-12
