@@ -16,21 +16,19 @@ from .core import (BRUTE_FORCE_MAX_M, CoverageBound, OutcomeInterval,
                    modulated_intervals_batch, outcome_interval)
 from .data import Dataset, DatasetFormatError, load_dataset_csv, save_dataset_csv
 from .dist import (ComponentDistribution, Family, WeightedMixture,
-                   component_cdf, component_logpdf, component_pdf,
-                   component_quantile, default_quantile_tol, mixture_cdf,
-                   mixture_pdf, mixture_quantile)
+                   component_cdf, component_logpdf, component_quantile,
+                   default_quantile_tol, mixture_cdf, mixture_pdf, mixture_quantile)
 from .benchgen import (GeneratorConfig, binarize_treatment, generate_dataset,
                        generate_panel, quadratic_outcome, random_projection,
                        rank_normalize, synthetic_features, write_benchmark)
 from .evalharness import (CostKind, EvalConfig, ExperimentReport, cost_abs_std,
-                          cost_mass, cost_mass_arrays, cost_relative, coverage,
-                          coverage_arrays, empirical_cdf, gamma_star_search,
+                          cost_mass, cost_relative, coverage, gamma_star_search,
                           run_experiment)
 from .mlp import (EnsembleModel, Head, MlpParams, ModelFileError, TrainConfig,
-                  TrainingDivergedError, fit_propensity, forward, load_model,
-                  load_propensity, predict_components, predict_components_batch,
-                  predict_propensity, predict_propensity_batch, save_model,
-                  save_propensity, train_ensemble, train_member)
+                  TrainingDivergedError, fit_propensity, load_model,
+                  load_propensity, predict_components_batch,
+                  predict_propensity_batch, save_model, save_propensity,
+                  train_ensemble, train_member)
 from .sensitivity import (PROPENSITY_CLAMP, SensitivityConfig, WeightBounds,
                           clamp_propensity, identity_bounds, msm_bounds,
                           msm_bounds_arrays)
@@ -44,20 +42,17 @@ __all__ = [
     "modulated_intervals_batch", "outcome_interval",
     "Dataset", "DatasetFormatError", "load_dataset_csv", "save_dataset_csv",
     "ComponentDistribution", "Family", "WeightedMixture", "component_cdf",
-    "component_logpdf", "component_pdf", "component_quantile",
+    "component_logpdf", "component_quantile",
     "default_quantile_tol", "mixture_cdf", "mixture_pdf", "mixture_quantile",
     "GeneratorConfig", "binarize_treatment", "generate_dataset", "generate_panel",
     "quadratic_outcome", "random_projection", "rank_normalize",
     "synthetic_features", "write_benchmark",
     "CostKind", "EvalConfig", "ExperimentReport", "cost_abs_std", "cost_mass",
-    "cost_mass_arrays", "cost_relative", "coverage", "coverage_arrays",
-    "empirical_cdf", "gamma_star_search",
-    "run_experiment",
+    "cost_relative", "coverage", "gamma_star_search", "run_experiment",
     "EnsembleModel", "Head", "MlpParams", "ModelFileError", "TrainConfig",
-    "TrainingDivergedError", "fit_propensity", "forward", "load_model",
-    "load_propensity", "predict_components", "predict_components_batch",
-    "predict_propensity", "predict_propensity_batch", "save_model",
-    "save_propensity", "train_ensemble", "train_member",
+    "TrainingDivergedError", "fit_propensity", "load_model",
+    "load_propensity", "predict_components_batch", "predict_propensity_batch",
+    "save_model", "save_propensity", "train_ensemble", "train_member",
     "PROPENSITY_CLAMP", "SensitivityConfig", "WeightBounds", "clamp_propensity",
     "identity_bounds", "msm_bounds", "msm_bounds_arrays",
     "__version__",

@@ -41,11 +41,6 @@ _MAX_STEPS = 200
 _MAX_WIDEN = 60
 
 
-def norm_cdf(x):
-    # erfc form keeps relative accuracy in the lower tail.
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
 def norm_pdf(x):
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 

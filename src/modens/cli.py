@@ -23,8 +23,8 @@ from . import benchgen, mlp
 from .core import brute_force_extreme_quantile, maximize_quantile, minimize_quantile
 from .data import DatasetFormatError, load_dataset_csv
 from .dist import ComponentDistribution, Family
-from .evalharness import (CostKind, EvalConfig, cost_mass_arrays, cost_relative,
-                          coverage_arrays, modulated_interval_arrays, run_experiment)
+from .evalharness import (CostKind, EvalConfig, cost_mass, cost_relative, coverage,
+                          modulated_interval_arrays, run_experiment)
 from .sensitivity import SensitivityConfig, msm_bounds
 
 PROG = "modens"
@@ -83,22 +83,15 @@ def _check_writable_parent(out: Path) -> None:
         raise ConfigError(f"output directory {parent} is not writable")
 
 
-def _resolve(flag_value, config: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
 _REQUIRED = object()
 
 
 def _setting(flag_value, config: dict, key: str, kind: type, default=_REQUIRED,
              flag: str | None = None):
     """Flag, else config-file ``key``, else ``default``, checked to be of
-    ``kind`` (int, float or str); a JSON null counts as not given."""
-    value = _resolve(flag_value, config, key, None)
+    ``kind`` (int, float, str or a tuple of types); a JSON null counts as
+    not given."""
+    value = flag_value if flag_value is not None else config.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"{flag or '--' + key.replace('_', '-')} is required, "
@@ -111,8 +104,10 @@ def _setting(flag_value, config: dict, key: str, kind: type, default=_REQUIRED,
     else:
         ok = isinstance(value, kind)
     if not ok:
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+        names = (" or ".join(k.__name__ for k in kind) if isinstance(kind, tuple)
+                 else kind.__name__)
+        raise ConfigError(f"{key} must be {names}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _command_config(args) -> dict:
@@ -167,14 +162,17 @@ def _load_matrix_csv(path: str) -> np.ndarray:
 # ------------------------------------------------------------------- train
 
 def _train_config_from(args, section: dict, head: mlp.Head) -> mlp.TrainConfig:
-    hidden = _resolve(args.hidden, section, "hidden", (64, 64))
-    if isinstance(hidden, str):
-        hidden = tuple(int(h) for h in hidden.split(",") if h)
+    hidden = _setting(args.hidden, section, "hidden", (str, list), "64,64")
+    widths = ([int(h) if h.strip().isdecimal() else h for h in hidden.split(",") if h]
+              if isinstance(hidden, str) else hidden)
+    if any(type(h) is not int for h in widths):
+        raise ConfigError(f"hidden must be comma-separated integers or a list of "
+                          f"integers, got {hidden!r}")
     try:
         return mlp.TrainConfig(
-            hidden=tuple(int(h) for h in hidden),
-            epochs=int(_resolve(args.epochs, section, "epochs", 2000)),
-            step=float(_resolve(args.step, section, "step", 1e-2)),
+            hidden=tuple(widths),
+            epochs=_setting(args.epochs, section, "epochs", int, 2000),
+            step=_setting(args.step, section, "step", float, 1e-2),
             head=head,
             standardize=section.get("standardize"),
             warmup_epochs=section.get("warmup_epochs"),
@@ -204,8 +202,7 @@ def _cmd_train(args) -> int:
     data = load_dataset_csv(args.data)
     model = mlp.train_ensemble(data, config, seed, m=members)
     mlp.save_model(model, out)
-    prop_path = Path(args.propensity_out) if args.propensity_out else \
-        out.with_suffix(".propensity.json")
+    prop_path = _propensity_path_for(out, args.propensity_out)
     prop = mlp.fit_propensity(data, config, seed)
     mlp.save_propensity(prop, prop_path, seed=seed)
     resolved = {"data": str(args.data), "head": head.value, "members": members,
@@ -223,11 +220,21 @@ def _propensity_path_for(model_path: Path, explicit: str | None) -> Path:
     return model_path.with_suffix(".propensity.json")
 
 
+def _load_models(model_path: Path, propensity_model: str | None
+                 ) -> tuple[mlp.EnsembleModel, mlp.MlpParams, str]:
+    """The ensemble, its propensity model (by default the one `train` wrote
+    next to it) and the propensity path, which the manifest records so
+    that a replay loads the same file."""
+    prop_path = _propensity_path_for(model_path, propensity_model)
+    return mlp.load_model(model_path), mlp.load_propensity(prop_path), str(prop_path)
+
+
 # --------------------------------------------------------------- intervals
 
 def _cmd_intervals(args) -> int:
     cfg = _command_config(args)
     model_path = Path(_setting(args.model, cfg, "model", str))
+    propensity_model = _setting(args.propensity_model, cfg, "propensity_model", str, None)
     data_path = _setting(args.data, cfg, "data", str)
     gamma = _setting(args.gamma, cfg, "gamma", float)
     alpha = _setting(args.alpha, cfg, "alpha", float)
@@ -241,8 +248,7 @@ def _cmd_intervals(args) -> int:
         raise ConfigError(f"arm must be 0 or 1, got {arm}")
     out = Path(args.out)
     _check_writable_parent(out)
-    model = mlp.load_model(model_path)
-    prop = mlp.load_propensity(_propensity_path_for(model_path, args.propensity_model))
+    model, prop, prop_path = _load_models(model_path, propensity_model)
     data = load_dataset_csv(data_path)
 
     t = data.treatments if arm is None else np.full(data.n, arm)
@@ -251,8 +257,9 @@ def _cmd_intervals(args) -> int:
     for i, (t_i, lo_i, hi_i) in enumerate(zip(t.tolist(), lo.tolist(), hi.tolist())):
         lines.append(f"{i},{t_i},{lo_i!r},{hi_i!r}")
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    resolved = {"model": str(model_path), "data": data_path, "gamma": gamma,
-                "alpha": alpha, "arm": arm, "seed": seed}
+    resolved = {"model": str(model_path), "propensity_model": prop_path,
+                "data": data_path, "gamma": gamma, "alpha": alpha, "arm": arm,
+                "seed": seed}
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "intervals", resolved)
     print(f"wrote {out}")
     return 0
@@ -263,6 +270,7 @@ def _cmd_intervals(args) -> int:
 def _cmd_gamma_search(args) -> int:
     cfg = _command_config(args)
     model_path = Path(_setting(args.model, cfg, "model", str))
+    propensity_model = _setting(args.propensity_model, cfg, "propensity_model", str, None)
     test_path = _setting(args.test, cfg, "test", str)
     target = _setting(args.target, cfg, "target_coverage", float, flag="--target")
     alpha = _setting(args.alpha, cfg, "alpha", float, None)
@@ -297,14 +305,12 @@ def _cmd_gamma_search(args) -> int:
     test = load_dataset_csv(test_path)
     if test.potential_outcomes is None:
         raise ConfigError(f"{test_path}: gamma-search needs y0/y1 potential-outcome columns")
-    points_path = out.with_suffix(".points.csv")
-    report = run_experiment(
-        test, eval_cfg, model=model_path,
-        propensity=_propensity_path_for(model_path, args.propensity_model),
-        seed=seed, report_json=out, points_csv=points_path)
+    model, prop, prop_path = _load_models(model_path, propensity_model)
+    report = run_experiment(test, eval_cfg, model=model, propensity=prop, seed=seed,
+                            report_json=out, points_csv=out.with_suffix(".points.csv"))
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "gamma-search",
-                    {"model": str(model_path), "test": test_path,
-                     "seed": seed, **eval_cfg.to_dict()})
+                    {"model": str(model_path), "propensity_model": prop_path,
+                     "test": test_path, "seed": seed, **eval_cfg.to_dict()})
     verdict = "FAILURE" if report.failed else f"gamma*={report.gamma_star:.4f}"
     print(f"{verdict} coverage={report.achieved_coverage:.4f} -> {out}")
     return 0
@@ -364,6 +370,7 @@ def _cmd_report(args) -> int:
     cfg = _command_config(args)
     lengths_path = _setting(args.lengths, cfg, "lengths", str, None)
     model_path = _setting(args.model, cfg, "model", str, None)
+    propensity_model = _setting(args.propensity_model, cfg, "propensity_model", str, None)
     test_path = _setting(args.test, cfg, "test", str, None)
     gammas_arg = _setting(args.gammas, cfg, "gammas", str, "1,2,5,10,25,50")
     alpha = _setting(args.alpha, cfg, "alpha", float, 0.05)
@@ -395,9 +402,7 @@ def _cmd_report(args) -> int:
         for g in gammas:
             if not (math.isfinite(g) and g >= 1.0):
                 raise ConfigError(f"gamma must be finite and >= 1, got {g}")
-        model = mlp.load_model(Path(model_path))
-        prop = mlp.load_propensity(_propensity_path_for(Path(model_path),
-                                                        args.propensity_model))
+        model, prop, propensity_model = _load_models(Path(model_path), propensity_model)
         test = load_dataset_csv(test_path)
         if test.potential_outcomes is None:
             raise ConfigError(f"{test_path}: report needs y0/y1 columns")
@@ -407,9 +412,9 @@ def _cmd_report(args) -> int:
         lines = ["gamma,coverage,mean_length,cost_mass"]
         for g in gammas:
             lo, hi = intervals(g)
-            cov = coverage_arrays(lo, hi, outcomes)
+            cov = coverage(lo, hi, outcomes)
             mean_len = float(np.mean(hi - lo))
-            lines.append(f"{g!r},{cov!r},{mean_len!r},{cost_mass_arrays(lo, hi, outcomes)!r}")
+            lines.append(f"{g!r},{cov!r},{mean_len!r},{cost_mass(lo, hi, outcomes)!r}")
         path = out_dir / "coverage_curve.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         wrote.append(path)
@@ -417,7 +422,8 @@ def _cmd_report(args) -> int:
         raise ConfigError("report needs --lengths and/or (--model and --test)")
     _write_manifest(out_dir / "report.manifest.json", "report",
                     {"lengths": lengths_path, "model": model_path,
-                     "test": test_path, "gammas": gammas_arg,
+                     "propensity_model": propensity_model, "test": test_path,
+                     "gammas": gammas_arg,
                      "alpha": alpha, "arm": arm})
     print("wrote " + ", ".join(str(p) for p in wrote))
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .dist import default_quantile_tol, pack_components
+from .dist import pack_components, resolve_quantile_tol
 from .sensitivity import WeightBounds
 
 WEIGHT_MEAN_TOL = 1e-9
@@ -75,9 +75,6 @@ class OutcomeInterval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, y: float) -> bool:
-        return self.lo <= y <= self.hi
-
 
 @dataclass(frozen=True)
 class CoverageBound:
@@ -114,15 +111,6 @@ def empirical_coverage_bound(cb: CoverageBound) -> tuple[float, float]:
     return max(inner, 0.0), cb.failure_probability
 
 
-def _resolve_tol(components, tol):
-    if tol is None:
-        return default_quantile_tol(components)
-    tol = float(tol)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    return tol
-
-
 def _extreme_quantile(components, bounds: WeightBounds, beta: float,
                       tol: float | None, maximize: bool
                       ) -> tuple[float, WeightVector]:
@@ -131,7 +119,7 @@ def _extreme_quantile(components, bounds: WeightBounds, beta: float,
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    tol = _resolve_tol(components, tol)
+    tol = resolve_quantile_tol(components, tol)
     fam, loc, scale = pack_components(components)
     args = (fam, loc, scale, bounds.lower, bounds.upper)
     q = K.extreme_quantile_k(*args, beta, tol, maximize)
@@ -161,7 +149,7 @@ def outcome_interval(components, bounds: WeightBounds, alpha: float,
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    tol = _resolve_tol(components, tol)
+    tol = resolve_quantile_tol(components, tol)
     fam, loc, scale = pack_components(components)
     lo, hi = K.interval_k(fam, loc, scale, bounds.lower, bounds.upper, alpha, tol)
     return OutcomeInterval(lo=lo, hi=hi, alpha=alpha, gamma=gamma)
@@ -188,7 +176,7 @@ def brute_force_extreme_quantile(components, bounds: WeightBounds, beta: float,
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    tol = _resolve_tol(components, tol)
+    tol = resolve_quantile_tol(components, tol)
     fam, loc, scale = pack_components(components)
     lower, upper = bounds.lower, bounds.upper
     w_floor = lower
@@ -228,7 +216,7 @@ def check_optimality(components, weights: WeightVector, bounds: WeightBounds,
     """True iff no pair (j, k) with w_j > lower and w_k < upper has
     F_j(q) > F_k(q) + tol_mass at the current beta-quantile q, i.e. no
     single weight transfer can push the quantile further up."""
-    tol = _resolve_tol(components, tol)
+    tol = resolve_quantile_tol(components, tol)
     fam, loc, scale = pack_components(components)
     w = weights.as_array() if isinstance(weights, WeightVector) else \
         np.asarray(weights, dtype=np.float64)

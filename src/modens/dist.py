@@ -127,6 +127,16 @@ def default_quantile_tol(components) -> float:
     return 1e-9 * (1.0 + max(c.scale for c in components))
 
 
+def resolve_quantile_tol(components, tol: float | None) -> float:
+    """``tol`` as a float, or the default tolerance when it is None."""
+    if tol is None:
+        return default_quantile_tol(components)
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    return tol
+
+
 def component_cdf(d: ComponentDistribution, y: float) -> float:
     y = _require_finite("y", y)
     return K.component_cdf_s(d.family.code, d.location, d.scale, y)
@@ -142,10 +152,6 @@ def component_quantile(d: ComponentDistribution, p: float) -> float:
 def component_logpdf(d: ComponentDistribution, y: float) -> float:
     y = _require_finite("y", y)
     return K.component_logpdf_s(d.family.code, d.location, d.scale, y)
-
-
-def component_pdf(d: ComponentDistribution, y: float) -> float:
-    return math.exp(component_logpdf(d, y))
 
 
 def mixture_cdf(mix: WeightedMixture, y: float) -> float:
@@ -164,10 +170,7 @@ def mixture_quantile(mix: WeightedMixture, beta: float, tol: float | None = None
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    if tol is None:
-        tol = default_quantile_tol(mix.components)
-    elif tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    tol = resolve_quantile_tol(mix.components, tol)
     fam, loc, scale, w = mix._packed()
     w_floor = min(w)
-    return K.mixture_quantile_k(fam, loc, scale, w, w_floor, beta, float(tol))
+    return K.mixture_quantile_k(fam, loc, scale, w, w_floor, beta, tol)

@@ -7,7 +7,11 @@ budget is needed; FAILURE when even gamma=50 falls short), then score the
 interval size at gamma* with one of three cost functions: absolute length
 scaled to the outcome standard deviation, length relative to the best
 competing method, or mass under the empirical outcome distribution.
-"""
+
+Intervals travel as ``(lo, hi)`` endpoint arrays: the search turns each
+probe's intervals into arrays once, the costs and ``ExperimentReport``
+read arrays, and ``run_experiment`` runs the protocol on an already
+loaded test set, ensemble and propensity model."""
 
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import mlp
 from .core import OutcomeInterval, modulated_intervals_batch
-from .data import Dataset, load_dataset_csv
+from .data import Dataset
 from .dist import Family
 from .sensitivity import PROPENSITY_CLAMP, msm_bounds_arrays
 
@@ -70,13 +74,16 @@ class EvalConfig:
 @dataclass
 class ExperimentReport:
     """gamma_star is None on FAILURE (coverage at the top of the gamma range
-    never reached the target); FAILURE reports carry no coverage cost."""
+    never reached the target); FAILURE reports carry no coverage cost.
+    ``lo`` and ``hi`` are the endpoint arrays at gamma_star, or at the top
+    of the gamma range on FAILURE."""
 
     gamma_star: float | None
     achieved_coverage: float
     coverage_cost: float | None
     mean_length: float
-    intervals: list[OutcomeInterval]
+    lo: np.ndarray
+    hi: np.ndarray
     config: dict
     seed: int | None = None
     runtime_seconds: float = 0.0
@@ -95,7 +102,7 @@ class ExperimentReport:
             "gamma_star": "FAILURE" if self.failed else self.gamma_star,
             "achieved_coverage": self.achieved_coverage,
             "mean_length": self.mean_length,
-            "n_points": len(self.intervals),
+            "n_points": len(self.lo),
             "seed": self.seed,
             "runtime_seconds": self.runtime_seconds,
         }
@@ -109,18 +116,16 @@ class ExperimentReport:
             encoding="utf-8")
 
     def write_points_csv(self, path: str | Path, outcomes: Sequence[float]) -> None:
+        y = np.asarray(outcomes, dtype=np.float64)
+        covered = (self.lo <= y) & (y <= self.hi)
         lines = ["index,lo,hi,y,covered"]
-        for i, (iv, y) in enumerate(zip(self.intervals, outcomes)):
-            lines.append(f"{i},{iv.lo!r},{iv.hi!r},{float(y)!r},{int(iv.contains(y))}")
+        for i, (lo, hi, y_i, c) in enumerate(zip(self.lo.tolist(), self.hi.tolist(),
+                                                 y.tolist(), covered.tolist())):
+            lines.append(f"{i},{lo!r},{hi!r},{y_i!r},{int(c)}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _endpoints(intervals: Sequence[OutcomeInterval]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([iv.lo for iv in intervals], dtype=np.float64),
-            np.array([iv.hi for iv in intervals], dtype=np.float64))
-
-
-def coverage_arrays(lo: np.ndarray, hi: np.ndarray, outcomes: Sequence[float]) -> float:
+def coverage(lo: np.ndarray, hi: np.ndarray, outcomes: Sequence[float]) -> float:
     """Fraction of outcomes y_i inside their closed interval [lo_i, hi_i]."""
     y = np.asarray(outcomes, dtype=np.float64)
     if len(lo) != len(y):
@@ -130,20 +135,11 @@ def coverage_arrays(lo: np.ndarray, hi: np.ndarray, outcomes: Sequence[float]) -
     return int(np.count_nonzero((lo <= y) & (y <= hi))) / len(y)
 
 
-def coverage(intervals: Sequence[OutcomeInterval], outcomes: Sequence[float]) -> float:
-    """Fraction of outcomes inside their (closed) interval."""
-    return coverage_arrays(*_endpoints(intervals), outcomes)
-
-
-def _abs_std(lo: np.ndarray, hi: np.ndarray, outcome_std: float) -> float:
+def cost_abs_std(lo: np.ndarray, hi: np.ndarray, outcome_std: float) -> float:
+    """Mean interval length scaled to the empirical outcome standard deviation."""
     if outcome_std <= 0.0:
         raise ValueError("outcome_std must be > 0")
     return float(np.mean(hi - lo)) / float(outcome_std)
-
-
-def cost_abs_std(intervals: Sequence[OutcomeInterval], outcome_std: float) -> float:
-    """Mean interval length scaled to the empirical outcome standard deviation."""
-    return _abs_std(*_endpoints(intervals), outcome_std)
 
 
 def cost_relative(lengths_by_method: Mapping[str, float]) -> dict[str, float]:
@@ -158,49 +154,26 @@ def cost_relative(lengths_by_method: Mapping[str, float]) -> dict[str, float]:
     return {name: length / best for name, length in lengths_by_method.items()}
 
 
-def _ecdf_knots(test_outcomes: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def cost_mass(lo: np.ndarray, hi: np.ndarray, test_outcomes: Sequence[float]) -> float:
+    """Mean empirical-distribution mass spanned by the intervals [lo_i, hi_i].
+    The empirical CDF interpolates linearly between the order statistics
+    (the k-th of n at (k-1)/(n-1)) and is flat beyond the extremes; a single
+    outcome gives the step CDF, 0 below it and 1 from it on."""
     ys = np.sort(np.asarray(test_outcomes, dtype=np.float64))
     if ys.size == 0:
         raise ValueError("empty outcome sample")
-    return ys, np.linspace(0.0, 1.0, ys.size)
-
-
-def empirical_cdf(test_outcomes: Sequence[float]) -> Callable[[float], float]:
-    """Piecewise-linear interpolation between order statistics, flat beyond
-    the extremes."""
-    ys, probs = _ecdf_knots(test_outcomes)
     if ys.size == 1:
-        y0 = float(ys[0])
-        return lambda y: 0.0 if y < y0 else 1.0
-
-    def cdf(y: float) -> float:
-        return float(np.interp(y, ys, probs))
-
-    return cdf
-
-
-def cost_mass_arrays(lo: np.ndarray, hi: np.ndarray,
-                     test_outcomes: Sequence[float]) -> float:
-    """Mean empirical-distribution mass spanned by the intervals [lo_i, hi_i],
-    with the CDF of :func:`empirical_cdf` evaluated on all endpoints at once."""
-    ys, probs = _ecdf_knots(test_outcomes)
-    if ys.size == 1:  # the step CDF: 0 below the single outcome, 1 from it on
         return float(np.mean(np.where(hi >= ys[0], 1.0, 0.0) - np.where(lo >= ys[0], 1.0, 0.0)))
+    probs = np.linspace(0.0, 1.0, ys.size)
     return float(np.mean(np.interp(hi, ys, probs) - np.interp(lo, ys, probs)))
-
-
-def cost_mass(intervals: Sequence[OutcomeInterval],
-              test_outcomes: Sequence[float]) -> float:
-    """Mean empirical-distribution mass spanned by the intervals."""
-    return cost_mass_arrays(*_endpoints(intervals), test_outcomes)
 
 
 def _cost_at(lo: np.ndarray, hi: np.ndarray, outcomes: np.ndarray,
              kind: CostKind) -> float:
     if kind is CostKind.ABS_STD:
-        return _abs_std(lo, hi, float(np.std(outcomes)))
+        return cost_abs_std(lo, hi, float(np.std(outcomes)))
     if kind is CostKind.MASS:
-        return cost_mass_arrays(lo, hi, outcomes)
+        return cost_mass(lo, hi, outcomes)
     # RELATIVE needs competing methods; report the raw mean length instead
     return float(np.mean(hi - lo))
 
@@ -216,35 +189,35 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
     """
     t0 = time.perf_counter()
     outcomes = np.asarray(outcomes, dtype=np.float64)
-    cache: dict[float, tuple[list[OutcomeInterval], float]] = {}
+    cache: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
 
-    def probe(gamma: float) -> tuple[list[OutcomeInterval], float]:
+    def probe(gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
         if gamma not in cache:
             intervals = list(pipeline(gamma))
-            cache[gamma] = (intervals, coverage(intervals, outcomes))
+            lo = np.array([iv.lo for iv in intervals], dtype=np.float64)
+            hi = np.array([iv.hi for iv in intervals], dtype=np.float64)
+            cache[gamma] = (lo, hi, coverage(lo, hi, outcomes))
         return cache[gamma]
 
     def report(gamma_star: float | None) -> ExperimentReport:
-        intervals, cov = probe(g_hi if gamma_star is None else gamma_star)
-        lo, hi = _endpoints(intervals)
+        lo, hi, cov = probe(g_hi if gamma_star is None else gamma_star)
         return ExperimentReport(
             gamma_star=gamma_star, achieved_coverage=cov,
             coverage_cost=(None if gamma_star is None
                            else _cost_at(lo, hi, outcomes, config.cost_kind)),
-            mean_length=float(np.mean(hi - lo)),
-            intervals=intervals, config=config.to_dict(), seed=seed,
+            mean_length=float(np.mean(hi - lo)), lo=lo, hi=hi,
+            config=config.to_dict(), seed=seed,
             runtime_seconds=time.perf_counter() - t0)
 
     g_lo, g_hi = config.gamma_range
-    if probe(g_lo)[1] >= config.target_coverage:
+    if probe(g_lo)[2] >= config.target_coverage:
         return report(g_lo)
-    if probe(g_hi)[1] < config.target_coverage:
+    if probe(g_hi)[2] < config.target_coverage:
         return report(None)
     lo, hi = g_lo, g_hi
     while hi - lo > config.gamma_tol:
         mid = 0.5 * (lo + hi)
-        _, cov_mid = probe(mid)
-        if cov_mid >= config.target_coverage:
+        if probe(mid)[2] >= config.target_coverage:
             hi = mid
         else:
             lo = mid
@@ -289,37 +262,17 @@ def modulated_pipeline(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
     return pipeline
 
 
-def run_experiment(test_data: Dataset | str | Path, eval_config: EvalConfig, *,
-                   model: mlp.EnsembleModel | str | Path | None = None,
-                   propensity: mlp.MlpParams | str | Path | None = None,
-                   train_data: Dataset | str | Path | None = None,
-                   train_config: mlp.TrainConfig | None = None,
-                   members: int = 16, seed: int = 0,
+def run_experiment(test_data: Dataset, eval_config: EvalConfig, *,
+                   model: mlp.EnsembleModel, propensity: mlp.MlpParams, seed: int = 0,
                    report_json: str | Path | None = None,
                    points_csv: str | Path | None = None) -> ExperimentReport:
-    """End-to-end protocol: resolve (or train) the ensemble and propensity
-    models, build per-point components and MSM bounds for the scored arm,
-    then run the gamma* search and optionally write the report artifacts."""
+    """End-to-end protocol on loaded objects: per-point components and MSM
+    bounds for the scored arm from the trained ensemble and propensity
+    model, then the gamma* search, optionally writing the report JSON and
+    the per-point CSV."""
     t0 = time.perf_counter()
-    if isinstance(test_data, (str, Path)):
-        test_data = load_dataset_csv(test_data)
     if test_data.potential_outcomes is None:
         raise ValueError("test data must carry y0/y1 potential-outcome columns")
-    if isinstance(train_data, (str, Path)):
-        train_data = load_dataset_csv(train_data)
-    if isinstance(model, (str, Path)):
-        model = mlp.load_model(model)
-    if isinstance(propensity, (str, Path)):
-        propensity = mlp.load_propensity(propensity)
-    if model is None:
-        if train_data is None or train_config is None:
-            raise ValueError("provide a model or (train_data, train_config)")
-        model = mlp.train_ensemble(train_data, train_config, seed, m=members)
-    if propensity is None:
-        if train_data is None or train_config is None:
-            raise ValueError("provide a propensity model or (train_data, train_config)")
-        propensity = mlp.fit_propensity(train_data, train_config, seed)
-
     outcomes = test_data.potential_outcomes[:, eval_config.arm]
     pipeline = modulated_pipeline(model, propensity, test_data, eval_config)
     report = gamma_star_search(pipeline, outcomes, eval_config, seed=seed)

@@ -8,6 +8,9 @@ resample's unique rows: the same objective as on the replicated rows, with
 about 37% fewer rows per epoch.  Outcome heads emit (location, log-scale)
 for a Gaussian or Cauchy predictive; the propensity head emits a logit.
 The treatment enters outcome nets as one appended input scalar.
+Prediction works on row batches only: ``predict_components_batch`` gives
+the (n, m) member location and scale arrays, ``predict_propensity_batch``
+the n propensities e_1(x); both reject covariates of the wrong width.
 
 Backpropagation is hand-rolled for this fixed architecture so the gradient
 check against finite differences stays meaningful.
@@ -24,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .dist import ComponentDistribution, Family
 
 SCALE_FLOOR = 1e-6
 SCHEMA_VERSION = 1
@@ -419,45 +421,23 @@ def fit_propensity(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
                      config.epochs, config.step)
 
 
-def forward(params: MlpParams, x: np.ndarray, t: int | None = None):
-    """Per-member prediction at one query point: a ComponentDistribution for
-    outcome heads (treatment appended to the input), a probability in [0, 1]
-    for the propensity head (exactly 0 or 1 once |logit| exceeds about 37;
-    `sensitivity.clamp_propensity` keeps it away from both)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if params.head is Head.PROPENSITY:
-        if x.shape[0] != params.input_dim:
-            raise ValueError(f"expected {params.input_dim} inputs, got {x.shape[0]}")
-        out, _ = _net_forward(params, x[None, :])
-        return float(_sigmoid(out[:, 0])[0])
-    if t is None:
-        raise ValueError("outcome heads require the treatment input t")
-    if x.shape[0] + 1 != params.input_dim:
-        raise ValueError(
-            f"expected {params.input_dim - 1} covariates + treatment, got {x.shape[0]}")
-    row = np.concatenate([x, [float(t)]])
-    out, _ = _net_forward(params, row[None, :])
-    family = Family.GAUSSIAN if params.head is Head.GAUSSIAN else Family.CAUCHY
-    scale = max(float(np.exp(min(out[0, 1], 300.0))), SCALE_FLOOR)
-    return ComponentDistribution(family=family, location=float(out[0, 0]), scale=scale)
-
-
-def predict_components(model: EnsembleModel, x: np.ndarray, t: int
-                       ) -> list[ComponentDistribution]:
-    """All m member predictive laws at one (x, t), member order preserved."""
-    if model.head is Head.PROPENSITY:
-        raise ValueError("model is propensity-headed")
-    return [forward(p, x, t) for p in model.members]
+def _covariate_matrix(X: np.ndarray, d: int) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != d:
+        got = X.shape[1] if X.ndim == 2 else f"an array of shape {X.shape}"
+        raise ValueError(f"model expects {d} covariate columns, got {got}")
+    return X
 
 
 def predict_components_batch(model: EnsembleModel, X: np.ndarray, t: np.ndarray
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Member locations and scales for n query rows: arrays of shape (n, m)."""
+    """Member locations and scales for n query rows (covariates X, treatment
+    t appended as the last input): arrays of shape (n, m), member order
+    preserved."""
     if model.head is Head.PROPENSITY:
         raise ValueError("model is propensity-headed")
-    X = np.asarray(X, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64).ravel()
-    rows = np.column_stack([X, t])
+    X = _covariate_matrix(X, model.members[0].input_dim - 1)
+    rows = np.column_stack([X, np.asarray(t, dtype=np.float64).ravel()])
     n = rows.shape[0]
     locs = np.empty((n, model.m))
     scales = np.empty((n, model.m))
@@ -468,15 +448,13 @@ def predict_components_batch(model: EnsembleModel, X: np.ndarray, t: np.ndarray
     return locs, scales
 
 
-def predict_propensity(params: MlpParams, x: np.ndarray) -> float:
-    return forward(params, x)
-
-
 def predict_propensity_batch(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    """e_1(x) for n rows of covariates X, in [0, 1] (exactly 0 or 1 once
+    |logit| exceeds about 37; `sensitivity.clamp_propensity` keeps it away
+    from both); e_0 is its complement."""
     if params.head is not Head.PROPENSITY:
         raise ValueError("model is not propensity-headed")
-    X = np.asarray(X, dtype=np.float64)
-    out, _ = _net_forward(params, X)
+    out, _ = _net_forward(params, _covariate_matrix(X, params.input_dim))
     return _sigmoid(out[:, 0])
 
 

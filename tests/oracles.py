@@ -42,6 +42,18 @@ def mixture_quantile_ref(components, weights, beta: float, xtol: float = 1e-12) 
         lambda y: mixture_cdf_ref(components, weights, y) - beta, lo, hi, xtol=xtol)
 
 
+def empirical_cdf(test_outcomes):
+    """The empirical outcome CDF of `evalharness.cost_mass`, one point at a
+    time: piecewise-linear between order statistics (the k-th of n at
+    (k-1)/(n-1)), flat beyond the extremes, a step for a single outcome."""
+    ys = np.sort(np.asarray(test_outcomes, dtype=np.float64))
+    if ys.size == 1:
+        y0 = float(ys[0])
+        return lambda y: 0.0 if y < y0 else 1.0
+    probs = np.linspace(0.0, 1.0, ys.size)
+    return lambda y: float(np.interp(y, ys, probs))
+
+
 def norm_quantile_by_bisection(p: float) -> float:
     """Invert the erf-based normal CDF by plain bisection."""
     def cdf(x):

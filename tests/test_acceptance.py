@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from modens import (CostKind, CoverageBound, EvalConfig, GeneratorConfig, Head,
-                    SensitivityConfig, TrainConfig, WeightedMixture,
-                    brute_force_extreme_quantile, check_optimality,
+from modens import (ComponentDistribution, CostKind, CoverageBound, EvalConfig, Family,
+                    GeneratorConfig, Head, SensitivityConfig, TrainConfig,
+                    WeightedMixture, brute_force_extreme_quantile, check_optimality,
                     empirical_coverage_bound, fit_propensity, gamma_star_search,
                     generate_dataset, identity_bounds, maximize_quantile,
                     minimize_quantile, mixture_pdf, mixture_quantile, msm_bounds,
-                    outcome_interval, predict_components, train_ensemble)
+                    outcome_interval, predict_components_batch, train_ensemble)
 from modens.core import modulated_intervals_batch
 from modens.dist import default_quantile_tol
 from modens.evalharness import modulated_pipeline
@@ -143,9 +143,12 @@ def test_c02_optimality_certificate(corpus_results):
 @_criterion("3. gamma=1 collapse to the plain ensemble interval")
 def test_c03_gamma_one_collapse(small_trained_ensemble):
     model, test = small_trained_ensemble
+    locs, scales = predict_components_batch(model, test.covariates[:8], np.ones(8))
+    family = Family(model.head.value)
     for alpha in (0.05, 0.1, 0.5):
         for i in range(8):
-            comps = predict_components(model, test.covariates[i], 1)
+            comps = [ComponentDistribution(family, loc, scale)
+                     for loc, scale in zip(locs[i].tolist(), scales[i].tolist())]
             tol = default_quantile_tol(comps)
             iv = outcome_interval(comps, identity_bounds(), alpha, gamma=1.0)
             mix = WeightedMixture(comps)

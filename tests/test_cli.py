@@ -113,15 +113,17 @@ class TestConfigErrors:
     @pytest.mark.parametrize("train_cfg", [
         {"warmup_epochs": -3}, {"warmup_epochs": 0}, {"warmup_epochs": "5"},
         {"warmup_epochs": 2.5}, {"warmup_epochs": True}, {"standardize": "no"},
-        {"standardize": 1},
+        {"standardize": 1}, {"epochs": 2.7}, {"epochs": True}, {"hidden": [3.9]},
+        {"step": "0.01"},
     ], ids=["warmup-negative", "warmup-0", "warmup-str", "warmup-float", "warmup-bool",
-            "standardize-str", "standardize-int"])
+            "standardize-str", "standardize-int", "epochs-float", "epochs-bool",
+            "hidden-float", "step-str"])
     def test_train_config_file_error_exits_2(self, bench_dir, tmp_path, train_cfg, capsys):
+        # hidden and epochs come from the file, so that a bad value there is read
         cfg = tmp_path / "train.json"
-        cfg.write_text(json.dumps({"train": train_cfg}))
+        cfg.write_text(json.dumps({"train": {"hidden": [4], "epochs": 4, **train_cfg}}))
         assert run(["train", "--data", bench_dir / "train.csv", "--head", "cauchy",
-                    "--members", 1, "--hidden", "4", "--epochs", 4, "--config", cfg,
-                    "--out", tmp_path / "m.json"]) == 2
+                    "--members", 1, "--config", cfg, "--out", tmp_path / "m.json"]) == 2
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("train_cfg", [
@@ -187,6 +189,41 @@ class TestSubcommandConfigFiles:
         resolved = json.loads(flagged.with_suffix(".csv.manifest.json").read_text())["config"]
         assert resolved["gamma"] == 1.5                           # flag wins
         assert (resolved["alpha"], resolved["arm"]) == (0.2, 1)   # the file fills the rest
+
+    def test_propensity_model_replayed_from_manifest(self, bench_dir, trained_model,
+                                                     tmp_path, capsys):
+        # the propensity model sits under a name `train` would not give it
+        # and the default one next to the model is another model, so a
+        # replay that fell back to the default would write other intervals
+        prop = tmp_path / "prop_other.json"
+        prop.write_bytes(trained_model.with_suffix(".propensity.json").read_bytes())
+        model = tmp_path / "m.json"
+        model.write_bytes(trained_model.read_bytes())
+        assert run(["train", "--data", bench_dir / "train.csv", "--members", 1,
+                    "--hidden", "3", "--epochs", 2, "--seed", 9, "--out", tmp_path / "x.json",
+                    "--propensity-out", tmp_path / "m.propensity.json"]) == 0
+        first, replay = tmp_path / "iv.csv", tmp_path / "iv2.csv"
+        assert run(["intervals", "--model", model, "--propensity-model", prop,
+                    "--data", bench_dir / "valid.csv", "--gamma", 3, "--alpha", 0.2,
+                    "--arm", 1, "--out", first]) == 0
+        manifest = first.with_suffix(".csv.manifest.json")
+        assert json.loads(manifest.read_text())["config"]["propensity_model"] == str(prop)
+        assert run(["intervals", "--config", manifest, "--out", replay]) == 0
+        assert replay.read_bytes() == first.read_bytes()
+        fallback = tmp_path / "iv3.csv"
+        assert run(["intervals", "--model", model, "--data", bench_dir / "valid.csv",
+                    "--gamma", 3, "--alpha", 0.2, "--arm", 1, "--out", fallback]) == 0
+        assert fallback.read_bytes() != first.read_bytes()
+        for argv in (["gamma-search", "--model", model, "--propensity-model", prop,
+                      "--test", bench_dir / "test.csv", "--target", 0.8,
+                      "--out", tmp_path / "r.json"],
+                     ["report", "--model", model, "--propensity-model", prop,
+                      "--test", bench_dir / "test.csv", "--gammas", "1",
+                      "--out-dir", tmp_path / "rep"]):
+            assert run(argv) == 0
+        for manifest in (tmp_path / "r.json.manifest.json",
+                         tmp_path / "rep" / "report.manifest.json"):
+            assert json.loads(manifest.read_text())["config"]["propensity_model"] == str(prop)
 
     def test_gamma_search_manifest_replay_writes_the_same_report(self, bench_dir,
                                                                  trained_model, tmp_path):
@@ -347,9 +384,10 @@ class TestIntervals:
     def test_rows_match_scalar_outcome_interval(self, bench_dir, trained_model,
                                                 tmp_path, arm):
         # the batch path must give the scalar library answer on every row
-        from modens import (SensitivityConfig, clamp_propensity, load_model,
-                            load_propensity, msm_bounds, outcome_interval,
-                            predict_components, predict_propensity)
+        from modens import (ComponentDistribution, Family, SensitivityConfig,
+                            clamp_propensity, load_model, load_propensity, msm_bounds,
+                            outcome_interval, predict_components_batch,
+                            predict_propensity_batch)
 
         gamma, alpha = 2.0, 0.2
         out = tmp_path / "iv.csv"
@@ -363,18 +401,39 @@ class TestIntervals:
         prop = load_propensity(trained_model.with_suffix(".propensity.json"))
         data = load_dataset_csv(bench_dir / "valid.csv")
         assert len(lines) == data.n + 1
+        arms = data.treatments if arm is None else np.full(data.n, arm)
+        locs, scales = predict_components_batch(model, data.covariates, arms)
+        e1s = predict_propensity_batch(prop, data.covariates)
+        family = Family(model.head.value)
         for i, line in enumerate(lines[1:]):
             index, t, lo, hi = line.split(",")
             assert int(index) == i
             assert int(t) == (int(data.treatments[i]) if arm is None else arm)
-            comps = predict_components(model, data.covariates[i], int(t))
-            e1 = predict_propensity(prop, data.covariates[i])
+            comps = [ComponentDistribution(family, loc, scale)
+                     for loc, scale in zip(locs[i].tolist(), scales[i].tolist())]
+            e1 = float(e1s[i])
             e_t = e1 if int(t) == 1 else 1.0 - e1
             bounds = msm_bounds(clamp_propensity(e_t), SensitivityConfig(gamma))
             ref = outcome_interval(comps, bounds, alpha)
             tol = 1e-9 * (1.0 + max(c.scale for c in comps))
             assert abs(float(lo) - ref.lo) <= tol
             assert abs(float(hi) - ref.hi) <= tol
+
+    @pytest.mark.parametrize("subcommand", ["intervals", "gamma-search"])
+    def test_covariate_width_mismatch_exits_1(self, bench_dir, trained_model, tmp_path,
+                                              subcommand, capsys):
+        data = load_dataset_csv(bench_dir / "test.csv")
+        lines = (bench_dir / "test.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        narrow = tmp_path / "narrow.csv"   # without the last covariate column
+        narrow.write_text("\n".join(",".join(r[:data.d - 1] + r[data.d:]) for r in rows) + "\n")
+        args = {"intervals": ["--data", narrow, "--gamma", 2, "--alpha", 0.2,
+                              "--out", tmp_path / "iv.csv"],
+                "gamma-search": ["--test", narrow, "--target", 0.8,
+                                 "--out", tmp_path / "r.json"]}[subcommand]
+        assert run([subcommand, "--model", trained_model] + args) == 1
+        assert (f"model expects {data.d} covariate columns, got {data.d - 1}"
+                in capsys.readouterr().err)
 
     def test_truncated_model_exits_1(self, bench_dir, trained_model, tmp_path):
         broken = tmp_path / "broken.json"

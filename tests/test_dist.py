@@ -165,8 +165,9 @@ class TestMixtureQuantile:
         mix = WeightedMixture([g(0, 1)])
         with pytest.raises(ValueError):
             mixture_quantile(mix, 0.0)
-        with pytest.raises(ValueError):
-            mixture_quantile(mix, 0.5, tol=-1.0)
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be finite and > 0"):
+                mixture_quantile(mix, 0.5, tol=tol)
 
 
 class TestMixturePdf:

@@ -1,59 +1,64 @@
 import numpy as np
 import pytest
 
+import oracles
 from modens import (CostKind, EvalConfig, OutcomeInterval, cost_abs_std, cost_mass,
-                    cost_mass_arrays, cost_relative, coverage, coverage_arrays,
-                    empirical_cdf, gamma_star_search)
+                    cost_relative, coverage, gamma_star_search)
 
 
 def iv(lo, hi, alpha=0.1, gamma=1.0):
     return OutcomeInterval(lo=lo, hi=hi, alpha=alpha, gamma=gamma)
 
 
+def ends(intervals):
+    """The (lo, hi) endpoint arrays of a list of intervals."""
+    return (np.array([x.lo for x in intervals]), np.array([x.hi for x in intervals]))
+
+
 class TestCoverage:
     def test_all_inside(self):
         ivs = [iv(0, 2)] * 5
-        assert coverage(ivs, [1.0] * 5) == 1.0
+        assert coverage(*ends(ivs), [1.0] * 5) == 1.0
 
     def test_none_inside(self):
         ivs = [iv(0, 2)] * 5
-        assert coverage(ivs, [3.0] * 5) == 0.0
+        assert coverage(*ends(ivs), [3.0] * 5) == 0.0
 
     def test_half_inside(self):
         ivs = [iv(0, 1)] * 6
-        assert coverage(ivs, [0.5, 0.5, 0.5, 2, 2, 2]) == 0.5
+        assert coverage(*ends(ivs), [0.5, 0.5, 0.5, 2, 2, 2]) == 0.5
 
     def test_closed_interval_endpoints_count(self):
-        assert coverage([iv(0, 1)], [1.0]) == 1.0
-        assert coverage([iv(0, 1)], [0.0]) == 1.0
+        assert coverage(*ends([iv(0, 1)]), [1.0]) == 1.0
+        assert coverage(*ends([iv(0, 1)]), [0.0]) == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            coverage([iv(0, 1)], [0.5, 0.6])
+            coverage(*ends([iv(0, 1)]), [0.5, 0.6])
 
 
 class TestCostAbsStd:
     def test_unit_intervals(self):
-        assert cost_abs_std([iv(0, 1)] * 4, 1.0) == pytest.approx(1.0)
+        assert cost_abs_std(*ends([iv(0, 1)] * 4), 1.0) == pytest.approx(1.0)
 
     def test_degenerate_intervals(self):
-        assert cost_abs_std([iv(0, 0)] * 3, 2.0) == 0.0
+        assert cost_abs_std(*ends([iv(0, 0)] * 3), 2.0) == 0.0
 
     def test_arithmetic(self):
-        assert cost_abs_std([iv(0, 2), iv(0, 4)], 2.0) == pytest.approx(1.5)
+        assert cost_abs_std(*ends([iv(0, 2), iv(0, 4)]), 2.0) == pytest.approx(1.5)
 
     def test_zero_std_rejected(self):
         with pytest.raises(ValueError):
-            cost_abs_std([iv(0, 1)], 0.0)
+            cost_abs_std(*ends([iv(0, 1)]), 0.0)
 
     def test_scales_linearly_under_outcome_rescaling(self, rng):
         ivs = [iv(float(a), float(a + b)) for a, b in
                zip(rng.normal(0, 1, 10), rng.uniform(0.5, 2, 10))]
         std = 1.7
-        c1 = cost_abs_std(ivs, std)
+        c1 = cost_abs_std(*ends(ivs), std)
         scaled = [iv(3 * x.lo, 3 * x.hi) for x in ivs]
-        assert cost_abs_std(scaled, std) == pytest.approx(3 * c1)
-        assert cost_abs_std(scaled, 3 * std) == pytest.approx(c1)
+        assert cost_abs_std(*ends(scaled), std) == pytest.approx(3 * c1)
+        assert cost_abs_std(*ends(scaled), 3 * std) == pytest.approx(c1)
 
 
 class TestCostRelative:
@@ -78,23 +83,23 @@ class TestCostRelative:
 class TestCostMass:
     def test_interval_spanning_all_outcomes(self, rng):
         ys = rng.normal(0, 1, 50)
-        assert cost_mass([iv(ys.min() - 1, ys.max() + 1)], ys) == pytest.approx(1.0)
+        assert cost_mass(*ends([iv(ys.min() - 1, ys.max() + 1)]), ys) == pytest.approx(1.0)
 
     def test_degenerate_interval_at_non_atom(self, rng):
         ys = rng.normal(0, 1, 50)
-        assert cost_mass([iv(10.0, 10.0)], ys) == 0.0
+        assert cost_mass(*ends([iv(10.0, 10.0)]), ys) == 0.0
 
     def test_lower_half_of_evenly_spaced(self):
         ys = np.linspace(0.0, 99.0, 100)
-        got = cost_mass([iv(-1.0, 49.5)], ys)
+        got = cost_mass(*ends([iv(-1.0, 49.5)]), ys)
         assert got == pytest.approx(0.5, abs=0.01)
 
     def test_at_most_one(self, rng):
         ys = rng.normal(0, 3, 40)
         ivs = [iv(float(a), float(a + abs(b))) for a, b in
                zip(rng.normal(0, 3, 20), rng.normal(0, 5, 20))]
-        assert cost_mass(ivs, ys) <= 1.0
-        assert cost_mass(ivs, ys) >= 0.0
+        assert cost_mass(*ends(ivs), ys) <= 1.0
+        assert cost_mass(*ends(ivs), ys) >= 0.0
 
     def test_invariant_under_monotone_transform(self, rng):
         # applying the same strictly increasing map to outcomes and
@@ -102,24 +107,24 @@ class TestCostMass:
         # error within cells, zero when knots map exactly)
         ys = np.sort(rng.normal(0, 1, 30))
         ivs = [iv(float(ys[3]), float(ys[20]))]
-        before = cost_mass(ivs, ys)
+        before = cost_mass(*ends(ivs), ys)
 
         def f(v):
             return np.expm1(v)  # strictly increasing
 
         ivs2 = [iv(float(f(ys[3])), float(f(ys[20])))]
-        assert cost_mass(ivs2, f(ys)) == pytest.approx(before, abs=1e-12)
+        assert cost_mass(*ends(ivs2), f(ys)) == pytest.approx(before, abs=1e-12)
 
     def test_empirical_cdf_flat_beyond_extremes(self, rng):
         ys = rng.normal(0, 1, 20)
-        cdf = empirical_cdf(ys)
+        cdf = oracles.empirical_cdf(ys)
         assert cdf(ys.min() - 100) == 0.0
         assert cdf(ys.max() + 100) == 1.0
 
 
 class TestEndpointArrays:
     """The costs on (lo, hi) arrays equal their per-interval definitions bit
-    for bit."""
+    for bit (the empirical CDF's is `oracles.empirical_cdf`)."""
 
     @pytest.mark.parametrize("n_outcomes", [1, 2, 37])
     def test_equal_to_per_interval_definitions(self, rng, n_outcomes):
@@ -132,20 +137,18 @@ class TestEndpointArrays:
         ivs = [iv(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
         outcomes = rng.standard_cauchy(50)
         outcomes[:2] = lo[:2]
-        cdf = empirical_cdf(ys)
-        assert cost_mass_arrays(lo, hi, ys) == float(np.mean(
+        cdf = oracles.empirical_cdf(ys)
+        assert cost_mass(lo, hi, ys) == float(np.mean(
             [cdf(x.hi) - cdf(x.lo) for x in ivs]))
-        assert cost_mass(ivs, ys) == cost_mass_arrays(lo, hi, ys)
         hits = sum(1 for x, y in zip(ivs, outcomes.tolist()) if x.lo <= y <= x.hi)
-        assert coverage_arrays(lo, hi, outcomes) == hits / 50
-        assert coverage(ivs, outcomes) == hits / 50
-        assert cost_abs_std(ivs, 1.3) == float(np.mean([x.length for x in ivs])) / 1.3
+        assert coverage(lo, hi, outcomes) == hits / 50
+        assert cost_abs_std(lo, hi, 1.3) == float(np.mean([x.length for x in ivs])) / 1.3
 
     def test_length_mismatch_and_empty(self):
         with pytest.raises(ValueError):
-            coverage_arrays(np.zeros(2), np.ones(2), [0.5])
+            coverage(np.zeros(2), np.ones(2), [0.5])
         with pytest.raises(ValueError):
-            coverage_arrays(np.zeros(0), np.zeros(0), [])
+            coverage(np.zeros(0), np.zeros(0), [])
 
 
 def step_pipeline(threshold, inner=(-1.0, 1.0), outer=(-10.0, 10.0), n=20):
@@ -217,7 +220,7 @@ class TestGammaStarSearch:
             half = gamma
             return [OutcomeInterval(lo=-half, hi=half, alpha=0.1, gamma=gamma)] * 200
 
-        covs = [coverage(pipeline(g), ys) for g in (1, 2, 5, 10, 25, 50)]
+        covs = [coverage(*ends(pipeline(g)), ys) for g in (1, 2, 5, 10, 25, 50)]
         assert all(a <= b + 1e-12 for a, b in zip(covs, covs[1:]))
 
 
@@ -249,8 +252,9 @@ class TestGammaStarSearch:
 
 
 class TestRunExperiment:
-    def test_train_in_place_and_write_artifacts(self, tmp_path):
-        from modens import GeneratorConfig, Head, TrainConfig, generate_dataset, run_experiment
+    def test_trained_models_write_artifacts(self, tmp_path):
+        from modens import (GeneratorConfig, Head, TrainConfig, fit_propensity,
+                            generate_dataset, run_experiment, train_ensemble)
 
         gen = GeneratorConfig(seed=17, n_train=200, n_valid=40, n_test=80,
                               noise_family="gaussian", noise_scale=4.0)
@@ -258,11 +262,12 @@ class TestRunExperiment:
         cfg = EvalConfig(target_coverage=0.8, alpha=0.2, cost_kind=CostKind.MASS)
         report_path = tmp_path / "report.json"
         points_path = tmp_path / "points.csv"
+        train_cfg = TrainConfig(hidden=(6,), epochs=60, head=Head.GAUSSIAN)
         report = run_experiment(
-            test, cfg, train_data=train,
-            train_config=TrainConfig(hidden=(6,), epochs=60, head=Head.GAUSSIAN),
-            members=2, seed=3, report_json=report_path, points_csv=points_path)
-        assert len(report.intervals) == test.n
+            test, cfg, model=train_ensemble(train, train_cfg, 3, m=2),
+            propensity=fit_propensity(train, train_cfg, 3),
+            seed=3, report_json=report_path, points_csv=points_path)
+        assert len(report.lo) == len(report.hi) == test.n
         assert report_path.exists()
         lines = points_path.read_text().splitlines()
         assert lines[0] == "index,lo,hi,y,covered"
@@ -271,14 +276,18 @@ class TestRunExperiment:
         assert covered / test.n == pytest.approx(report.achieved_coverage)
 
     def test_requires_potential_outcomes(self, tmp_path):
-        from modens import Dataset, run_experiment
+        from modens import Dataset, EnsembleModel, Head, run_experiment
+        from modens.mlp import init_params
 
         rng = np.random.default_rng(0)
         bare = Dataset(covariates=rng.normal(0, 1, (10, 2)),
                        treatments=rng.integers(0, 2, 10),
                        outcomes=rng.normal(0, 1, 10))
+        model = EnsembleModel(members=(init_params((3, 4, 2), Head.GAUSSIAN, rng),), seed=0)
+        prop = init_params((2, 4, 1), Head.PROPENSITY, rng)
         with pytest.raises(ValueError, match="y0/y1"):
-            run_experiment(bare, EvalConfig(target_coverage=0.9, alpha=0.1))
+            run_experiment(bare, EvalConfig(target_coverage=0.9, alpha=0.1),
+                           model=model, propensity=prop)
 
 
 class TestEvalConfigValidation:

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from modens import (ComponentDistribution, Dataset, EnsembleModel, Family, Head,
-                    ModelFileError, TrainConfig, fit_propensity,
-                    forward, load_model, predict_components,
-                    predict_components_batch, predict_propensity,
+from modens import (Dataset, EnsembleModel, Head, ModelFileError, TrainConfig,
+                    fit_propensity, load_model, predict_components_batch,
                     predict_propensity_batch, save_model, train_ensemble,
                     train_member)
 from modens.mlp import _sigmoid, init_params, nll, nll_and_grads
@@ -68,31 +66,39 @@ def small_data(rng, n=40, d=3):
     return Dataset(covariates=X, treatments=t, outcomes=y)
 
 
+def one(params):
+    return EnsembleModel(members=(params,), seed=0)
+
+
 class TestForward:
     def test_zero_gaussian_net_is_standard_normal(self):
-        p = zero_params((4, 5, 2), Head.GAUSSIAN)
-        d = forward(p, np.zeros(3), t=1)
-        assert isinstance(d, ComponentDistribution)
-        assert d.family is Family.GAUSSIAN
-        assert d.location == 0.0
-        assert d.scale == 1.0
+        model = one(zero_params((4, 5, 2), Head.GAUSSIAN))
+        locs, scales = predict_components_batch(model, np.zeros((1, 3)), [1])
+        assert model.head is Head.GAUSSIAN
+        assert locs[0, 0] == 0.0
+        assert scales[0, 0] == 1.0
 
     def test_zero_cauchy_net(self):
-        p = zero_params((3, 4, 2), Head.CAUCHY)
-        d = forward(p, np.ones(2), t=0)
-        assert d.family is Family.CAUCHY
-        assert (d.location, d.scale) == (0.0, 1.0)
+        model = one(zero_params((3, 4, 2), Head.CAUCHY))
+        locs, scales = predict_components_batch(model, np.ones((1, 2)), [0])
+        assert model.head is Head.CAUCHY
+        assert (locs[0, 0], scales[0, 0]) == (0.0, 1.0)
 
     def test_zero_propensity_net_is_half(self):
         p = zero_params((3, 4, 1), Head.PROPENSITY)
-        assert forward(p, np.zeros(3)) == pytest.approx(0.5)
+        assert predict_propensity_batch(p, np.zeros((1, 3)))[0] == pytest.approx(0.5)
 
     def test_dimension_mismatch_rejected(self):
-        p = zero_params((4, 5, 2), Head.GAUSSIAN)
-        with pytest.raises(ValueError):
-            forward(p, np.zeros(5), t=1)
-        with pytest.raises(ValueError):
-            forward(p, np.zeros(3))  # missing treatment
+        model = one(zero_params((4, 5, 2), Head.GAUSSIAN))
+        with pytest.raises(ValueError, match="expects 3 covariate columns, got 5"):
+            predict_components_batch(model, np.zeros((1, 5)), [1])
+        with pytest.raises(ValueError, match="expects 3 covariate columns, got 4"):
+            predict_components_batch(model, np.zeros((1, 4)), [1])  # treatment as a column
+        prop = zero_params((3, 4, 1), Head.PROPENSITY)
+        with pytest.raises(ValueError, match="expects 3 covariate columns, got 2"):
+            predict_propensity_batch(prop, np.zeros((6, 2)))
+        with pytest.raises(ValueError, match="expects 3 covariate columns"):
+            predict_propensity_batch(prop, np.zeros(3))  # one row, not a batch
 
 
 class TestSigmoid:
@@ -231,10 +237,11 @@ class TestTrainMember:
                        outcomes=np.full(n, c))
         cfg = TrainConfig(hidden=(8,), epochs=400, head=Head.GAUSSIAN)
         p = train_member(data, cfg, seed=5)
-        for i in range(10):
-            d = forward(p, data.covariates[i], int(data.treatments[i]))
-            assert abs(d.location - c) <= abs(c) * 0.01 + 0.01
-            assert d.scale > 0
+        locs, scales = predict_components_batch(one(p), data.covariates[:10],
+                                                data.treatments[:10])
+        for loc, scale in zip(locs[:, 0], scales[:, 0]):
+            assert abs(loc - c) <= abs(c) * 0.01 + 0.01
+            assert scale > 0
 
     def test_separable_propensity_reaches_auc_one(self):
         # logistic MLE on 20 linearly separable points orders them perfectly
@@ -275,7 +282,7 @@ class TestTrainMember:
         cfg = TrainConfig(hidden=(8,), epochs=250, head=Head.CAUCHY, warmup_epochs=150)
         p = train_member(data, cfg, seed=2)
         assert p.head is Head.CAUCHY
-        locs = np.array([forward(p, X[i], int(t[i])).location for i in range(n)])
+        locs = predict_components_batch(one(p), X, t)[0][:, 0]
         assert np.median(np.abs(locs - u)) < np.median(np.abs(np.median(y) - u))
 
 
@@ -362,16 +369,6 @@ class TestInPlaceKernels:
 
 
 class TestPredict:
-    def test_single_member_matches_forward(self, rng):
-        data = small_data(rng)
-        cfg = TrainConfig(hidden=(5,), epochs=30, head=Head.GAUSSIAN)
-        model = train_ensemble(data, cfg, seed=2, m=1)
-        x = data.covariates[0]
-        comps = predict_components(model, x, 1)
-        ref = forward(model.members[0], x, 1)
-        assert comps[0].location == ref.location
-        assert comps[0].scale == ref.scale
-
     def test_member_order_preserved_under_permutation(self, rng):
         data = small_data(rng)
         cfg = TrainConfig(hidden=(5,), epochs=30, head=Head.GAUSSIAN)
@@ -379,17 +376,17 @@ class TestPredict:
         perm = [2, 0, 3, 1]
         permuted = EnsembleModel(members=tuple(model.members[i] for i in perm),
                                  seed=model.seed)
-        x = data.covariates[1]
-        a = predict_components(model, x, 0)
-        b = predict_components(permuted, x, 0)
+        x = data.covariates[1:2]
+        a, _ = predict_components_batch(model, x, [0])
+        b, _ = predict_components_batch(permuted, x, [0])
         for i, j in enumerate(perm):
-            assert a[j].location == b[i].location
+            assert a[0, j] == b[0, i]
 
     def test_propensity_complement(self, rng):
         data = small_data(rng)
         cfg = TrainConfig(hidden=(4,), epochs=40, head=Head.GAUSSIAN)
         p = fit_propensity(data, cfg, seed=3)
-        e1 = predict_propensity(p, data.covariates[0])
+        e1 = float(predict_propensity_batch(p, data.covariates[:1])[0])
         assert 0.0 < e1 < 1.0
         # e0 is defined as the exact complement
         assert (1.0 - e1) + e1 == 1.0
@@ -428,10 +425,10 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        x = data.covariates[3]
-        for a, b in zip(predict_components(model, x, 1), predict_components(loaded, x, 1)):
-            assert a.location == b.location
-            assert a.scale == b.scale
+        x = data.covariates[3:4]
+        for a, b in zip(predict_components_batch(model, x, [1]),
+                        predict_components_batch(loaded, x, [1])):
+            assert np.array_equal(a, b)
 
     def test_truncated_file_is_parse_error(self, rng, tmp_path):
         data = small_data(rng)
