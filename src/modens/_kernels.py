@@ -21,6 +21,8 @@ is the threshold structure of sharp marginal-sensitivity weights (Tan 2006;
 Dorn & Guo, quantile balancing).  Both envelopes are inverted by the same
 root-finder as a plain mixture quantile: Chandrupatla's interpolation step
 kept inside ITP's bisection-rate radius, to within tol/2 of the crossing.
+Conversely, whether an outcome y lies in the interval follows from the
+two envelope values at y alone (:func:`covered_k`).
 """
 
 from __future__ import annotations
@@ -258,15 +260,32 @@ def extreme_quantile_k(fam, loc, scale, lower, upper, beta, tol, maximize):
     """Largest (``maximize``) or smallest beta-quantile of the mixture over
     weights in [lower, upper] with mean 1: the beta-crossing of the
     envelope G(q) = m^-1 sum_k p_k * sort(F_j(q))_k."""
-    m = len(fam)
-    p = _pattern(lower, upper, m, maximize)
+    p = _pattern(lower, upper, len(fam), maximize)
     members = list(zip(fam, loc, scale))
 
     def envelope(q):
-        masses = sorted([component_cdf_s(f, l, s, q) for f, l, s in members])
-        return math.fsum(map(mul, p, masses)) / m
+        return envelope_mass(p, sorted([component_cdf_s(f, l, s, q)
+                                        for f, l, s in members]))
 
     return _bracketed_quantile(envelope, fam, loc, scale, lower, beta, tol)
+
+
+def envelope_mass(p, masses):
+    """m^-1 sum_k p_k * masses_k: the envelope value of the rank pattern
+    ``p`` at a point where the member masses are ``masses``, ascending."""
+    return math.fsum(map(mul, p, masses)) / len(p)
+
+
+def covered_k(masses, lower, upper, alpha):
+    """Whether an outcome lies in ``interval_k``'s interval, decided from
+    its ascending member masses without solving the interval: the largest
+    mass over the weights reaches alpha/2 (the outcome is at or above the
+    min alpha/2-quantile) and the smallest stays at most 1-alpha/2 (at or
+    below the max (1-alpha/2)-quantile).  Agrees with the solved interval
+    unless the outcome lies within the solver's tol/2 of an endpoint."""
+    p = rank_pattern(lower, upper, len(masses))
+    return (envelope_mass(p[::-1], masses) >= alpha / 2.0
+            and envelope_mass(p, masses) <= 1.0 - alpha / 2.0)
 
 
 def rank_weights_k(fam, loc, scale, lower, upper, q, maximize):

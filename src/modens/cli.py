@@ -310,7 +310,9 @@ def _cmd_gamma_search(args) -> int:
                             report_json=out, points_csv=out.with_suffix(".points.csv"))
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "gamma-search",
                     {"model": str(model_path), "propensity_model": prop_path,
-                     "test": test_path, "seed": seed, **eval_cfg.to_dict()})
+                     "test": test_path, "seed": seed, **eval_cfg.to_dict()},
+                    extra={"solved_gammas": list(report.solved_gammas),
+                           "predicted_steps": report.predicted_steps})
     verdict = "FAILURE" if report.failed else f"gamma*={report.gamma_star:.4f}"
     print(f"{verdict} coverage={report.achieved_coverage:.4f} -> {out}")
     return 0

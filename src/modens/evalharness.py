@@ -11,7 +11,14 @@ competing method, or mass under the empirical outcome distribution.
 Intervals travel as ``(lo, hi)`` endpoint arrays: the search turns each
 probe's intervals into arrays once, the costs and ``ExperimentReport``
 read arrays, and ``run_experiment`` runs the protocol on an already
-loaded test set, ensemble and propensity model."""
+loaded test set, ensemble and propensity model.
+
+Whether row i is covered at gamma follows from the envelope masses of its
+members at the outcome y_i alone (``_kernels.covered_k``), so
+``run_experiment`` hands the search a coverage prediction
+(``modulated_coverage``) that needs no root-finding.  The bisection takes
+every step from it, and intervals are solved only at the gammas the
+answer rests on, whose solved coverage certifies it."""
 
 from __future__ import annotations
 
@@ -25,6 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import _kernels as K
 from . import mlp
 from .core import OutcomeInterval, modulated_intervals_batch
 from .data import Dataset
@@ -76,7 +84,10 @@ class ExperimentReport:
     """gamma_star is None on FAILURE (coverage at the top of the gamma range
     never reached the target); FAILURE reports carry no coverage cost.
     ``lo`` and ``hi`` are the endpoint arrays at gamma_star, or at the top
-    of the gamma range on FAILURE."""
+    of the gamma range on FAILURE.  ``solved_gammas`` are the gammas whose
+    intervals the search solved, in order, and ``predicted_steps`` counts
+    its decisions taken from predicted coverage; neither is written to the
+    report files."""
 
     gamma_star: float | None
     achieved_coverage: float
@@ -87,6 +98,8 @@ class ExperimentReport:
     config: dict
     seed: int | None = None
     runtime_seconds: float = 0.0
+    solved_gammas: tuple[float, ...] = ()
+    predicted_steps: int = 0
 
     def __post_init__(self):
         if self.gamma_star is None and self.coverage_cost is not None:
@@ -180,48 +193,88 @@ def _cost_at(lo: np.ndarray, hi: np.ndarray, outcomes: np.ndarray,
 
 def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
                       outcomes: Sequence[float], config: EvalConfig,
-                      seed: int | None = None) -> ExperimentReport:
+                      seed: int | None = None,
+                      predicted_coverage: Callable[[float], float] | None = None
+                      ) -> ExperimentReport:
     """Binary search for the smallest gamma in [1, 50] reaching the coverage
     target; reports the feasible (upper) endpoint of the final bracket.
+
+    Without ``predicted_coverage`` every bisection step solves the
+    pipeline's intervals at its gamma.  With it, each step is decided by
+    the predicted coverage, and only the gammas the answer rests on are
+    solved: both ends of the final bracket, gamma=1 alone when it already
+    reaches the target, or the top of the range alone on FAILURE.  Their
+    solved coverage certifies the answer; if it disagrees with the
+    prediction, the search runs again on solved coverage only, so the
+    report is the one the search without a prediction gives.
 
     Assumes the pipeline is deterministic in gamma and coverage is
     nondecreasing in gamma (guaranteed by interval nesting).
     """
     t0 = time.perf_counter()
     outcomes = np.asarray(outcomes, dtype=np.float64)
-    cache: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
+    target = config.target_coverage
+    solved: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
+    predicted_steps = 0
 
     def probe(gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
-        if gamma not in cache:
+        if gamma not in solved:
             intervals = list(pipeline(gamma))
             lo = np.array([iv.lo for iv in intervals], dtype=np.float64)
             hi = np.array([iv.hi for iv in intervals], dtype=np.float64)
-            cache[gamma] = (lo, hi, coverage(lo, hi, outcomes))
-        return cache[gamma]
+            solved[gamma] = (lo, hi, coverage(lo, hi, outcomes))
+        return solved[gamma]
 
-    def report(gamma_star: float | None) -> ExperimentReport:
-        lo, hi, cov = probe(g_hi if gamma_star is None else gamma_star)
-        return ExperimentReport(
-            gamma_star=gamma_star, achieved_coverage=cov,
-            coverage_cost=(None if gamma_star is None
-                           else _cost_at(lo, hi, outcomes, config.cost_kind)),
-            mean_length=float(np.mean(hi - lo)), lo=lo, hi=hi,
-            config=config.to_dict(), seed=seed,
-            runtime_seconds=time.perf_counter() - t0)
+    def reaches(gamma: float) -> bool:
+        nonlocal predicted_steps
+        if predicted_coverage is None:
+            return probe(gamma)[2] >= target
+        predicted_steps += 1
+        return predicted_coverage(gamma) >= target
 
     g_lo, g_hi = config.gamma_range
-    if probe(g_lo)[2] >= config.target_coverage:
-        return report(g_lo)
-    if probe(g_hi)[2] < config.target_coverage:
-        return report(None)
-    lo, hi = g_lo, g_hi
-    while hi - lo > config.gamma_tol:
-        mid = 0.5 * (lo + hi)
-        if probe(mid)[2] >= config.target_coverage:
-            hi = mid
+    while True:
+        if reaches(g_lo):
+            gamma_star, decided = g_lo, {g_lo: True}
+        elif not reaches(g_hi):
+            gamma_star, decided = None, {g_hi: False}
         else:
-            lo = mid
-    return report(hi)
+            lo, hi = g_lo, g_hi
+            while hi - lo > config.gamma_tol:
+                mid = 0.5 * (lo + hi)
+                if reaches(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            gamma_star, decided = hi, {lo: False, hi: True}
+        if all((probe(g)[2] >= target) == d for g, d in decided.items()):
+            break
+        predicted_coverage = None  # a certificate disagreed: search on solved probes
+
+    lo, hi, cov = probe(g_hi if gamma_star is None else gamma_star)
+    return ExperimentReport(
+        gamma_star=gamma_star, achieved_coverage=cov,
+        coverage_cost=(None if gamma_star is None
+                       else _cost_at(lo, hi, outcomes, config.cost_kind)),
+        mean_length=float(np.mean(hi - lo)), lo=lo, hi=hi,
+        config=config.to_dict(), seed=seed,
+        runtime_seconds=time.perf_counter() - t0,
+        solved_gammas=tuple(solved), predicted_steps=predicted_steps)
+
+
+def _scored_arm(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
+                covariates: np.ndarray, t: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Member families, the (n, m) member locations and scales for arm t[i]
+    of each row i, and that arm's clamped propensities."""
+    t = np.asarray(t, dtype=np.int64).ravel()
+    locs, scales = mlp.predict_components_batch(model, covariates, t)
+    fam_code = (Family.GAUSSIAN if model.head is mlp.Head.GAUSSIAN
+                else Family.CAUCHY).code
+    e1 = mlp.predict_propensity_batch(propensity, covariates)
+    e_t = np.clip(np.where(t == 1, e1, 1.0 - e1),
+                  PROPENSITY_CLAMP, 1.0 - PROPENSITY_CLAMP)
+    return np.full(model.m, fam_code, dtype=np.int64), locs, scales, e_t
 
 
 def modulated_interval_arrays(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
@@ -229,20 +282,42 @@ def modulated_interval_arrays(model: mlp.EnsembleModel, propensity: mlp.MlpParam
                               ) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
     """Precompute member predictions and clamped propensities for arm t[i]
     of each row i, and return the gamma -> (lo, hi) endpoint-array map."""
-    t = np.asarray(t, dtype=np.int64).ravel()
-    locs, scales = mlp.predict_components_batch(model, covariates, t)
-    fam_code = (Family.GAUSSIAN if model.head is mlp.Head.GAUSSIAN
-                else Family.CAUCHY).code
-    fam = np.full(model.m, fam_code, dtype=np.int64)
-    e1 = mlp.predict_propensity_batch(propensity, covariates)
-    e_t = np.clip(np.where(t == 1, e1, 1.0 - e1),
-                  PROPENSITY_CLAMP, 1.0 - PROPENSITY_CLAMP)
+    fam, locs, scales, e_t = _scored_arm(model, propensity, covariates, t)
 
     def intervals(gamma: float) -> tuple[np.ndarray, np.ndarray]:
         lowers, uppers = msm_bounds_arrays(e_t, gamma)
         return modulated_intervals_batch(fam, locs, scales, lowers, uppers, alpha)
 
     return intervals
+
+
+def modulated_coverage(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
+                       covariates: np.ndarray, t: np.ndarray,
+                       outcomes: Sequence[float], alpha: float
+                       ) -> Callable[[float], float]:
+    """The gamma -> coverage map of ``modulated_interval_arrays``'s
+    intervals, predicted without solving them.  Each row's member masses
+    F_j(y_i) are computed once; at each gamma the row counts as covered by
+    ``_kernels.covered_k`` under its MSM weight bounds.  Equal to the
+    coverage of the solved intervals unless an outcome lies within the
+    solver tolerance of an endpoint."""
+    fam, locs, scales, e_t = _scored_arm(model, propensity, covariates, t)
+    y = np.asarray(outcomes, dtype=np.float64).ravel()
+    if len(y) != len(e_t):
+        raise ValueError(f"{len(e_t)} rows vs {len(y)} outcomes")
+    if len(y) == 0:
+        raise ValueError("empty inputs")
+    fam = fam.tolist()
+    masses = [sorted([K.component_cdf_s(f, l, s, y_i) for f, l, s in zip(fam, loc, scale)])
+              for loc, scale, y_i in zip(locs.tolist(), scales.tolist(), y.tolist())]
+
+    def predicted(gamma: float) -> float:
+        lowers, uppers = msm_bounds_arrays(e_t, gamma)
+        covered = sum(K.covered_k(row, lower, upper, alpha) for row, lower, upper
+                      in zip(masses, lowers.tolist(), uppers.tolist()))
+        return covered / len(masses)
+
+    return predicted
 
 
 def modulated_pipeline(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
@@ -268,14 +343,19 @@ def run_experiment(test_data: Dataset, eval_config: EvalConfig, *,
                    points_csv: str | Path | None = None) -> ExperimentReport:
     """End-to-end protocol on loaded objects: per-point components and MSM
     bounds for the scored arm from the trained ensemble and propensity
-    model, then the gamma* search, optionally writing the report JSON and
-    the per-point CSV."""
+    model, then the gamma* search guided by ``modulated_coverage``,
+    optionally writing the report JSON and the per-point CSV.  The report
+    is the one the search without the prediction gives."""
     t0 = time.perf_counter()
     if test_data.potential_outcomes is None:
         raise ValueError("test data must carry y0/y1 potential-outcome columns")
     outcomes = test_data.potential_outcomes[:, eval_config.arm]
     pipeline = modulated_pipeline(model, propensity, test_data, eval_config)
-    report = gamma_star_search(pipeline, outcomes, eval_config, seed=seed)
+    predicted = modulated_coverage(model, propensity, test_data.covariates,
+                                   np.full(test_data.n, eval_config.arm), outcomes,
+                                   eval_config.alpha)
+    report = gamma_star_search(pipeline, outcomes, eval_config, seed=seed,
+                               predicted_coverage=predicted)
     report.runtime_seconds = time.perf_counter() - t0
     if report_json is not None:
         report.write_json(report_json)

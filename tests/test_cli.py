@@ -477,6 +477,19 @@ class TestGammaSearch:
         assert doc["gamma_star"] == "FAILURE"
         assert "coverage_cost" not in doc
 
+    def test_manifest_records_the_solved_gammas(self, bench_dir, trained_model, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["gamma-search", "--model", trained_model, "--test",
+                    bench_dir / "test.csv", "--target", 1.0, "--alpha", 0.5,
+                    "--out", out]) == 0
+        manifest = json.loads(out.with_suffix(".json.manifest.json").read_text())
+        # FAILURE rests on the intervals solved at the top of the range alone
+        assert manifest["solved_gammas"] == [50.0]
+        assert manifest["predicted_steps"] == 2
+        for key in ("solved_gammas", "predicted_steps"):
+            assert key not in manifest["config"]
+            assert key not in json.loads(out.read_text())
+
 
 class TestOracleCheck:
     def test_m2_passes(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,207 @@ class TestEvalConfigValidation:
     def test_bad_arm(self):
         with pytest.raises(ValueError):
             EvalConfig(target_coverage=0.9, alpha=0.1, arm=2)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """Small trained ensembles on one generated split, a Cauchy head and a
+    Gaussian head, with the propensity model and the test rows."""
+    from modens import (GeneratorConfig, Head, TrainConfig, fit_propensity,
+                        generate_dataset, train_ensemble)
+
+    gen = GeneratorConfig(seed=17, n_train=200, n_valid=40, n_test=80,
+                          noise_family="gaussian", noise_scale=4.0)
+    train, _, test = generate_dataset(None, gen)
+    prop = fit_propensity(train, TrainConfig(hidden=(6,), epochs=60), 3)
+    return test, {head.value: (train_ensemble(train, TrainConfig(hidden=(6,), epochs=60,
+                                                                 head=head), 3, m=3), prop)
+                  for head in (Head.CAUCHY, Head.GAUSSIAN)}
+
+
+def visited_gammas(model, prop, test, cfg):
+    """Every gamma the search visits with and without the prediction."""
+    from modens.evalharness import modulated_coverage, modulated_pipeline
+
+    pipeline = modulated_pipeline(model, prop, test, cfg)
+    outcomes = test.potential_outcomes[:, cfg.arm]
+    predicted = modulated_coverage(model, prop, test.covariates,
+                                   np.full(test.n, cfg.arm), outcomes, cfg.alpha)
+    seen = list(gamma_star_search(pipeline, outcomes, cfg).solved_gammas)
+    gamma_star_search(pipeline, outcomes, cfg,
+                      predicted_coverage=lambda g: seen.append(g) or predicted(g))
+    return sorted(set(seen)), predicted
+
+
+class TestPredictedCoverage:
+    """``modulated_coverage`` predicts, from envelope masses at the
+    outcomes, exactly the coverage of the intervals the solver returns."""
+
+    def assert_agrees(self, model, prop, test, alpha, extra=(1.0, 3.0, 12.0, 50.0)):
+        """At every gamma a search with a target between the coverages at
+        gamma 1 and 50 visits, and at ``extra``."""
+        from modens.evalharness import modulated_interval_arrays
+
+        arrays = modulated_interval_arrays(model, prop, test.covariates,
+                                           np.ones(test.n), alpha)
+        y = test.potential_outcomes[:, 1]
+        cov_1, cov_50 = coverage(*arrays(1.0), y), coverage(*arrays(50.0), y)
+        assert cov_1 < cov_50  # so the bisection runs inside the range
+        cfg = EvalConfig(target_coverage=0.5 * (cov_1 + cov_50), alpha=alpha)
+        gammas, predicted = visited_gammas(model, prop, test, cfg)
+        assert len(gammas) > 2
+        for g in [*gammas, *extra]:
+            assert predicted(g) == coverage(*arrays(g), y), g
+
+    @pytest.mark.parametrize("head", ["cauchy", "gaussian"])
+    def test_trained_heads(self, trained, head):
+        test, models = trained
+        self.assert_agrees(*models[head], test, alpha=0.3)
+
+    @pytest.mark.parametrize("alpha, spread", [(0.02, 3.0), (0.98, 1.0)])
+    def test_extreme_alpha(self, trained, alpha, spread):
+        # at alpha 0.02 the intervals cover every test outcome at gamma 1;
+        # spreading the outcomes out leaves some to the bisection
+        test, models = trained
+        spread_test = dataclasses.replace(
+            test, potential_outcomes=spread * test.potential_outcomes)
+        self.assert_agrees(*models["cauchy"], spread_test, alpha=alpha)
+
+    @pytest.mark.parametrize("head", ["cauchy", "gaussian"])
+    def test_identical_members(self, trained, head):
+        from modens import EnsembleModel
+
+        test, models = trained
+        model, prop = models[head]
+        a, b = model.members[:2]
+        pairs = EnsembleModel(members=(a, a, b, b), seed=model.seed)
+        self.assert_agrees(pairs, prop, test, alpha=0.3)
+        # all tied: the modulated mixture is the member, whatever the weights
+        tied = EnsembleModel(members=(a,) * 4, seed=model.seed)
+        from modens.evalharness import modulated_coverage, modulated_interval_arrays
+
+        t, y = np.ones(test.n), test.potential_outcomes[:, 1]
+        arrays = modulated_interval_arrays(tied, prop, test.covariates, t, 0.3)
+        predicted = modulated_coverage(tied, prop, test.covariates, t, y, 0.3)
+        for g in (1.0, 4.0, 50.0):
+            assert predicted(g) == coverage(*arrays(g), y) == predicted(1.0), g
+
+    def test_propensity_at_clamp_and_gamma_50(self, trained):
+        from modens import PROPENSITY_CLAMP, predict_propensity_batch
+        from modens.evalharness import modulated_coverage, modulated_interval_arrays
+
+        test, models = trained
+        model, prop = models["cauchy"]
+        saturated = dataclasses.replace(
+            prop, biases=[*prop.biases[:-1], prop.biases[-1] + 60.0])
+        e1 = predict_propensity_batch(saturated, test.covariates)
+        assert np.all(1.0 - e1 < PROPENSITY_CLAMP)  # arm 0 sits at the clamp
+        t = np.zeros(test.n)
+        y = test.potential_outcomes[:, 0]
+        arrays = modulated_interval_arrays(model, saturated, test.covariates, t, 0.3)
+        predicted = modulated_coverage(model, saturated, test.covariates, t, y, 0.3)
+        for g in (1.0, 2.0, 49.9, 50.0):
+            assert predicted(g) == coverage(*arrays(g), y), g
+
+    def test_outcome_count_mismatch_and_empty_rejected(self, trained):
+        from modens.evalharness import modulated_coverage
+
+        test, models = trained
+        with pytest.raises(ValueError, match="outcomes"):
+            modulated_coverage(*models["cauchy"], test.covariates, np.ones(test.n),
+                               np.zeros(test.n + 1), 0.3)
+        with pytest.raises(ValueError, match="empty"):
+            modulated_coverage(*models["cauchy"], test.covariates[:0], np.ones(0),
+                               np.zeros(0), 0.3)
+
+
+class TestPredictedSearch:
+    """``run_experiment`` decides the bisection from the predicted coverage
+    and reports what the search without a prediction reports."""
+
+    @staticmethod
+    def plain(model, prop, test, cfg):
+        from modens.evalharness import modulated_pipeline
+
+        return gamma_star_search(modulated_pipeline(model, prop, test, cfg),
+                                 test.potential_outcomes[:, cfg.arm], cfg, seed=0)
+
+    @staticmethod
+    def assert_same_report(a, b):
+        assert a.gamma_star == b.gamma_star
+        assert a.achieved_coverage == b.achieved_coverage
+        assert a.coverage_cost == b.coverage_cost
+        assert a.mean_length == b.mean_length
+        assert a.lo.tobytes() == b.lo.tobytes()
+        assert a.hi.tobytes() == b.hi.tobytes()
+        a_doc, b_doc = a.to_json_dict(), b.to_json_dict()
+        a_doc.pop("runtime_seconds")
+        b_doc.pop("runtime_seconds")
+        assert a_doc == b_doc
+
+    @pytest.mark.parametrize("head", ["cauchy", "gaussian"])
+    def test_paths_match_plain_search(self, trained, head):
+        from modens import run_experiment
+        from modens.evalharness import modulated_interval_arrays
+
+        test, models = trained
+        model, prop = models[head]
+        alpha = 0.6
+        arrays = modulated_interval_arrays(model, prop, test.covariates, np.ones(test.n),
+                                           alpha)
+        y = test.potential_outcomes[:, 1]
+        cov_1, cov_50 = coverage(*arrays(1.0), y), coverage(*arrays(50.0), y)
+        assert 0.0 < cov_1 < cov_50 < 1.0
+        for target, outcome in ((0.5 * (cov_1 + cov_50), "interior"), (cov_1, "gamma one"),
+                                (0.5 * (cov_50 + 1.0), "failure")):
+            cfg = EvalConfig(target_coverage=target, alpha=alpha)
+            plain = self.plain(model, prop, test, cfg)
+            fast = run_experiment(test, cfg, model=model, propensity=prop, seed=0)
+            self.assert_same_report(fast, plain)
+            assert fast.predicted_steps > 0 and plain.predicted_steps == 0
+            if outcome == "interior":
+                assert 1.0 < plain.gamma_star < 50.0 and len(plain.solved_gammas) > 2
+                below = max(g for g in plain.solved_gammas if g < plain.gamma_star)
+                assert fast.solved_gammas == (below, plain.gamma_star)
+            elif outcome == "gamma one":
+                assert plain.gamma_star == 1.0 and fast.solved_gammas == (1.0,)
+            else:
+                assert plain.failed and fast.solved_gammas == (50.0,)
+
+    @pytest.mark.parametrize("wrong", [lambda real, g: 1.0, lambda real, g: 0.0,
+                                       lambda real, g: real(g + 1.0),
+                                       lambda real, g: real(max(1.0, g - 1.0))],
+                             ids=["always-covered", "never-covered", "shifted-down",
+                                  "shifted-up"])
+    def test_wrong_prediction_falls_back_to_plain_search(self, trained, wrong):
+        from modens.evalharness import modulated_coverage, modulated_pipeline
+
+        test, models = trained
+        model, prop = models["cauchy"]
+        cfg = EvalConfig(target_coverage=0.76, alpha=0.2)
+        y = test.potential_outcomes[:, 1]
+        real = modulated_coverage(model, prop, test.covariates, np.ones(test.n), y, 0.2)
+        plain = self.plain(model, prop, test, cfg)
+        assert 1.0 < plain.gamma_star < 50.0
+        guided = gamma_star_search(modulated_pipeline(model, prop, test, cfg), y, cfg,
+                                   seed=0, predicted_coverage=lambda g: wrong(real, g))
+        self.assert_same_report(guided, plain)
+        assert guided.predicted_steps > 0
+        assert set(plain.solved_gammas) <= set(guided.solved_gammas)
+
+    @pytest.mark.parametrize("threshold", [1.0, 7.0, 60.0])
+    def test_scripted_prediction_solves_only_the_ends(self, threshold):
+        outcomes = np.linspace(4.0, 6.0, 20)
+        cfg = EvalConfig(target_coverage=0.9, alpha=0.1)
+        plain = gamma_star_search(step_pipeline(threshold), outcomes, cfg)
+        fast = gamma_star_search(step_pipeline(threshold), outcomes, cfg,
+                                 predicted_coverage=lambda g: float(g >= threshold))
+        TestPredictedSearch.assert_same_report(fast, plain)
+        assert plain.predicted_steps == 0
+        if threshold == 7.0:
+            assert plain.solved_gammas[:2] == (1.0, 50.0) and len(plain.solved_gammas) == 12
+            assert fast.predicted_steps == 12
+            below = max(g for g in plain.solved_gammas if g < plain.gamma_star)
+            assert fast.solved_gammas == (below, plain.gamma_star)
+        else:
+            assert fast.solved_gammas == ((1.0,) if threshold == 1.0 else (50.0,))

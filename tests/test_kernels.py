@@ -183,3 +183,20 @@ def test_random_ensembles_within_budget_and_half_tol(monkeypatch):
         assert_certificate_and_budget(*rec.solves[-1])
         w = K.rank_weights_k(fam, loc, scale, bounds.lower, bounds.upper, q, maximize)
         assert abs(q - oracles.mixture_quantile_ref(comps, w, beta)) <= tol / 2 + 1e-12
+
+
+def test_covered_k_matches_the_solved_interval():
+    # one tolerance away from an endpoint, the envelope masses at the
+    # outcome decide its coverage as the solved interval does
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        comps = oracles.random_components(rng, int(rng.integers(1, 9)))
+        bounds = oracles.random_bounds(rng, float(rng.uniform(1.0, 50.0)))
+        fam, loc, scale = pack_components(comps)
+        tol = default_quantile_tol(comps)
+        alpha = float(rng.uniform(0.02, 0.98))
+        lo, hi = K.interval_k(fam, loc, scale, bounds.lower, bounds.upper, alpha, tol)
+        for y, inside in ((lo - tol, False), (lo + tol, True), (0.5 * (lo + hi), True),
+                          (hi - tol, True), (hi + tol, False)):
+            masses = sorted(K.component_cdf_s(f, l, s, y) for f, l, s in zip(fam, loc, scale))
+            assert K.covered_k(masses, bounds.lower, bounds.upper, alpha) == inside
