@@ -21,8 +21,24 @@ is the threshold structure of sharp marginal-sensitivity weights (Tan 2006;
 Dorn & Guo, quantile balancing).  Both envelopes are inverted by the same
 root-finder as a plain mixture quantile: Chandrupatla's interpolation step
 kept inside ITP's bisection-rate radius, to within tol/2 of the crossing.
-Conversely, whether an outcome y lies in the interval follows from the
-two envelope values at y alone (:func:`covered_k`).
+
+Brackets.  Every pattern weight is at least ``lower`` > 0 and the weights
+have mean 1, so G is a convex combination of the sorted member CDFs, and
+G(q) - beta changes sign between the smallest and the largest member
+quantile Q_j(beta).  Each envelope solve starts there, padded by
+max(tol/2, 2 ulp) against rounding in Q_j (which also opens the bracket
+of identical members).  A plain mixture quantile, the path of the test
+oracles, keeps its own bracket at tail ranks of the members.
+
+Upper tails.  Near beta = 1 the CDF F_j = 1 - S_j is a multiple of
+ulp(1), which resolves a quantile at 1 - 1e-6 only to about 4e-5 * scale
+in a Cauchy tail.  So for beta > 1/2 every solver works on survival
+masses S_j(q) = F_std((l - q)/s) instead: 1 - G(q) is the reversed
+pattern applied to the ascending S_j, its target is the tail mass
+1 - beta (exact for beta >= 1/2), and the bracket is the members'
+inverse-survival points.  :func:`interval_k` passes alpha/2 itself as the
+upper tail mass.  Conversely, whether an outcome y lies in the interval
+follows from the two envelope masses at y alone (:func:`covered_k`).
 """
 
 from __future__ import annotations
@@ -109,10 +125,26 @@ def component_cdf_s(fam, loc, scale, y):
     return cauchy_cdf(z)
 
 
+def component_sf_s(fam, loc, scale, y):
+    # both families are symmetric: S(y) = F_std((loc - y)/scale), which keeps
+    # upper-tail masses accurate where 1 - F(y) would round to ulp(1)
+    z = (loc - y) / scale
+    if fam == GAUSSIAN:
+        return 0.5 * math.erfc(-z / _SQRT2)
+    return cauchy_cdf(z)
+
+
 def component_ppf_s(fam, loc, scale, p):
     if fam == GAUSSIAN:
         return loc + scale * norm_ppf(p)
     return loc + scale * cauchy_ppf(p)
+
+
+def component_isf_s(fam, loc, scale, p):
+    """The point with upper-tail mass p, by symmetry of the family."""
+    if fam == GAUSSIAN:
+        return loc - scale * norm_ppf(p)
+    return loc - scale * cauchy_ppf(p)
 
 
 def component_pdf_s(fam, loc, scale, y):
@@ -136,6 +168,13 @@ def mixture_cdf_k(fam, loc, scale, w, y):
     return acc / len(fam)
 
 
+def mixture_sf_k(fam, loc, scale, w, y):
+    acc = 0.0
+    for f, l, s, w_j in zip(fam, loc, scale, w):
+        acc += w_j * component_sf_s(f, l, s, y)
+    return acc / len(fam)
+
+
 def mixture_pdf_k(fam, loc, scale, w, y):
     acc = 0.0
     for f, l, s, w_j in zip(fam, loc, scale, w):
@@ -143,13 +182,18 @@ def mixture_pdf_k(fam, loc, scale, w, y):
     return acc / len(fam)
 
 
-def _bracketed_quantile(cdf, fam, loc, scale, w_floor, beta, tol):
-    """beta-quantile of a nondecreasing ``cdf``, to within tol/2.
+def _bracketed_quantile(cdf, lo, hi, beta, tol):
+    """The beta-crossing of a nondecreasing ``cdf``, to within tol/2,
+    starting from the caller's bracket [lo, hi].
 
-    The bracket spans the component quantiles at ranks eps_q and 1-eps_q
-    with eps_q = min(beta, 1-beta) * w_floor / m.  It straddles beta for
-    any mixture whose weights have mean 1, and so for either envelope;
-    geometric widening backs that up against floating-point edge cases.
+    Callers pass a bracket that straddles beta in exact arithmetic: an
+    envelope lies between its members' quantiles at beta, because it is a
+    convex combination of their sorted CDFs, and a plain mixture with
+    weights >= w_floor lies between its members' points at tail rank
+    min(beta, 1-beta) * w_floor / m.  Upper tails come as the negated
+    survival mass against the negated tail mass, which keeps ``cdf``
+    nondecreasing and the tie rule below.  Geometric widening about the
+    bracket's centre backs that up against floating-point edge cases.
 
     Inside it, each step takes Chandrupatla's (1997) point: inverse
     quadratic interpolation through the last three points when they pass
@@ -161,18 +205,6 @@ def _bracketed_quantile(cdf, fam, loc, scale, w_floor, beta, tol):
     stops at width <= tol and returns the midpoint, within tol/2 of the
     crossing.
     """
-    m = len(fam)
-    eps_q = min(beta, 1.0 - beta) * w_floor / m
-    if eps_q < 1e-12:
-        eps_q = 1e-12
-    lo = math.inf
-    hi = -math.inf
-    for f, l, s in zip(fam, loc, scale):
-        lo = min(lo, component_ppf_s(f, l, s, eps_q))
-        hi = max(hi, component_ppf_s(f, l, s, 1.0 - eps_q))
-    if hi <= lo:
-        hi = lo + tol
-        lo = lo - tol
     flo = cdf(lo)
     fhi = cdf(hi)
     widened = 0
@@ -203,7 +235,11 @@ def _bracketed_quantile(cdf, fam, loc, scale, w_floor, beta, tol):
             break
         x = x1 + t * (x2 - x1)
         x = min(max(x, lo + half_tol), hi - half_tol)
-        r = math.ldexp(half_tol, n_max - j) - 0.5 * width
+        # the radius holds back two ulps of the bracket's larger end per
+        # remaining halving: once the bound is tight, rounding of the later
+        # midpoints would otherwise leave the bracket an ulp wider than tol
+        # after n_max steps
+        r = math.ldexp(half_tol - 2.0 * math.ulp(max(-lo, hi)), n_max - j) - 0.5 * width
         x = min(max(x, mid - r), mid + r) if r > 0.0 else mid
         if not lo < x < hi:
             x = mid
@@ -233,9 +269,22 @@ def _bracketed_quantile(cdf, fam, loc, scale, w_floor, beta, tol):
 
 def mixture_quantile_k(fam, loc, scale, w, w_floor, beta, tol):
     """beta-quantile of the weighted mixture (mean weight 1); ``w_floor``
-    is the smallest weight, which sets the bracket."""
-    return _bracketed_quantile(lambda y: mixture_cdf_k(fam, loc, scale, w, y),
-                               fam, loc, scale, w_floor, beta, tol)
+    is the smallest weight, which sets the bracket: the component points
+    with lower- and upper-tail mass eps_q = min(beta, 1-beta) * w_floor / m
+    (at least 1e-12), between which any such mixture crosses beta.  For
+    beta > 1/2 the solve runs on the mixture's upper-tail mass."""
+    eps_q = max(min(beta, 1.0 - beta) * w_floor / len(fam), 1e-12)
+    members = list(zip(fam, loc, scale))
+    lo = min(component_ppf_s(f, l, s, eps_q) for f, l, s in members)
+    hi = max(component_isf_s(f, l, s, eps_q) for f, l, s in members)
+    if hi <= lo:
+        hi = lo + tol
+        lo = lo - tol
+    if beta <= 0.5:
+        return _bracketed_quantile(lambda y: mixture_cdf_k(fam, loc, scale, w, y),
+                                   lo, hi, beta, tol)
+    return _bracketed_quantile(lambda y: -mixture_sf_k(fam, loc, scale, w, y),
+                               lo, hi, -(1.0 - beta), tol)
 
 
 def rank_pattern(lower, upper, m):
@@ -256,18 +305,48 @@ def _pattern(lower, upper, m, maximize):
     return p if maximize else p[::-1]
 
 
+def _member_bracket(points, tol):
+    # the envelope is a convex combination of the sorted member masses, so
+    # it crosses its target between the members' own crossings; the pad
+    # covers their rounding and opens the bracket of identical members
+    lo = min(points)
+    hi = max(points)
+    return (lo - max(0.5 * tol, 2.0 * math.ulp(lo)),
+            hi + max(0.5 * tol, 2.0 * math.ulp(hi)))
+
+
+def _lower_tail_quantile(members, p, mass, tol):
+    # where m^-1 sum_k p_k * sort(F_j(q))_k rises through ``mass``
+    lo, hi = _member_bracket([component_ppf_s(f, l, s, mass) for f, l, s in members], tol)
+
+    def envelope(q):
+        return envelope_mass(p, sorted([component_cdf_s(f, l, s, q) for f, l, s in members]))
+
+    return _bracketed_quantile(envelope, lo, hi, mass, tol)
+
+
+def _upper_tail_quantile(members, p, mass, tol):
+    # where m^-1 sum_k p_k * sort(S_j(q))_k falls through ``mass``, solved
+    # as its negation rising through -mass so that the root-finder's tie
+    # rule still leaves the lower end below the crossing
+    lo, hi = _member_bracket([component_isf_s(f, l, s, mass) for f, l, s in members], tol)
+
+    def envelope(q):
+        return -envelope_mass(p, sorted([component_sf_s(f, l, s, q) for f, l, s in members]))
+
+    return _bracketed_quantile(envelope, lo, hi, -mass, tol)
+
+
 def extreme_quantile_k(fam, loc, scale, lower, upper, beta, tol, maximize):
     """Largest (``maximize``) or smallest beta-quantile of the mixture over
     weights in [lower, upper] with mean 1: the beta-crossing of the
-    envelope G(q) = m^-1 sum_k p_k * sort(F_j(q))_k."""
+    envelope G(q) = m^-1 sum_k p_k * sort(F_j(q))_k, or for beta > 1/2 the
+    (1-beta)-crossing of 1 - G(q) = m^-1 sum_k p_{m-1-k} * sort(S_j(q))_k."""
     p = _pattern(lower, upper, len(fam), maximize)
     members = list(zip(fam, loc, scale))
-
-    def envelope(q):
-        return envelope_mass(p, sorted([component_cdf_s(f, l, s, q)
-                                        for f, l, s in members]))
-
-    return _bracketed_quantile(envelope, fam, loc, scale, lower, beta, tol)
+    if beta <= 0.5:
+        return _lower_tail_quantile(members, p, beta, tol)
+    return _upper_tail_quantile(members, p[::-1], 1.0 - beta, tol)
 
 
 def envelope_mass(p, masses):
@@ -276,16 +355,18 @@ def envelope_mass(p, masses):
     return math.fsum(map(mul, p, masses)) / len(p)
 
 
-def covered_k(masses, lower, upper, alpha):
+def covered_k(masses, sf_masses, lower, upper, alpha):
     """Whether an outcome lies in ``interval_k``'s interval, decided from
-    its ascending member masses without solving the interval: the largest
-    mass over the weights reaches alpha/2 (the outcome is at or above the
-    min alpha/2-quantile) and the smallest stays at most 1-alpha/2 (at or
-    below the max (1-alpha/2)-quantile).  Agrees with the solved interval
-    unless the outcome lies within the solver's tol/2 of an endpoint."""
-    p = rank_pattern(lower, upper, len(masses))
-    return (envelope_mass(p[::-1], masses) >= alpha / 2.0
-            and envelope_mass(p, masses) <= 1.0 - alpha / 2.0)
+    its ascending member masses F_j(y) and S_j(y) = 1 - F_j(y) without
+    solving the interval: the largest lower-tail mass over the weights
+    reaches alpha/2 (the outcome is at or above the min alpha/2-quantile)
+    and so does the largest upper-tail mass (at or below the max
+    (1-alpha/2)-quantile).  These are the masses and targets the solver
+    inverts, so the two agree unless the outcome lies within the solver's
+    tol/2 of an endpoint."""
+    p = rank_pattern(lower, upper, len(masses))[::-1]
+    half = alpha / 2.0
+    return envelope_mass(p, masses) >= half and envelope_mass(p, sf_masses) >= half
 
 
 def rank_weights_k(fam, loc, scale, lower, upper, q, maximize):
@@ -301,9 +382,13 @@ def rank_weights_k(fam, loc, scale, lower, upper, q, maximize):
 
 
 def interval_k(fam, loc, scale, lower, upper, alpha, tol):
-    """(min quantile(alpha/2), max quantile(1-alpha/2)) of one ensemble."""
-    lo = extreme_quantile_k(fam, loc, scale, lower, upper, alpha / 2.0, tol, False)
-    hi = extreme_quantile_k(fam, loc, scale, lower, upper, 1.0 - alpha / 2.0, tol, True)
+    """(min quantile(alpha/2), max quantile(1-alpha/2)) of one ensemble.
+    Both ends invert the largest tail mass over the weights, lower and
+    upper, at the tail mass alpha/2 itself."""
+    p = rank_pattern(lower, upper, len(fam))[::-1]
+    members = list(zip(fam, loc, scale))
+    lo = _lower_tail_quantile(members, p, alpha / 2.0, tol)
+    hi = _upper_tail_quantile(members, p, alpha / 2.0, tol)
     if lo > hi:  # identical degenerate setups can cross by solver noise
         lo = hi = 0.5 * (lo + hi)
     return lo, hi

@@ -2,9 +2,12 @@
 
 A ``WeightedMixture`` is the ensemble predictive law at one query point:
 ``F(y) = m^-1 * sum_i w_i * F_i(y)`` with nonnegative weights of mean 1,
-so it stays a proper probability distribution.  Quantiles are solved on the
-exact CDF by the bracketed root-finder of ``_kernels`` (Chandrupatla's
-interpolation with ITP's worst-case bound), to within tol/2.
+so it stays a proper probability distribution.  Quantiles are solved by
+the bracketed root-finder of ``_kernels`` (Chandrupatla's interpolation
+with ITP's worst-case bound), to within tol/2: on the exact CDF for
+beta <= 1/2, and on the exact upper-tail mass against 1 - beta above it,
+where 1 - CDF would round to a multiple of ulp(1).  The bracket spans the
+members' points at tail rank min(beta, 1 - beta) * min(w) / m.
 """
 
 from __future__ import annotations

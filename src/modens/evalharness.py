@@ -297,10 +297,10 @@ def modulated_coverage(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
                        ) -> Callable[[float], float]:
     """The gamma -> coverage map of ``modulated_interval_arrays``'s
     intervals, predicted without solving them.  Each row's member masses
-    F_j(y_i) are computed once; at each gamma the row counts as covered by
-    ``_kernels.covered_k`` under its MSM weight bounds.  Equal to the
-    coverage of the solved intervals unless an outcome lies within the
-    solver tolerance of an endpoint."""
+    F_j(y_i) and S_j(y_i) = 1 - F_j(y_i) are computed once; at each gamma
+    the row counts as covered by ``_kernels.covered_k`` under its MSM
+    weight bounds.  Equal to the coverage of the solved intervals unless
+    an outcome lies within the solver tolerance of an endpoint."""
     fam, locs, scales, e_t = _scored_arm(model, propensity, covariates, t)
     y = np.asarray(outcomes, dtype=np.float64).ravel()
     if len(y) != len(e_t):
@@ -308,12 +308,15 @@ def modulated_coverage(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
     if len(y) == 0:
         raise ValueError("empty inputs")
     fam = fam.tolist()
-    masses = [sorted([K.component_cdf_s(f, l, s, y_i) for f, l, s in zip(fam, loc, scale)])
-              for loc, scale, y_i in zip(locs.tolist(), scales.tolist(), y.tolist())]
+    masses = []
+    for loc, scale, y_i in zip(locs.tolist(), scales.tolist(), y.tolist()):
+        members = list(zip(fam, loc, scale))
+        masses.append((sorted([K.component_cdf_s(f, l, s, y_i) for f, l, s in members]),
+                       sorted([K.component_sf_s(f, l, s, y_i) for f, l, s in members])))
 
     def predicted(gamma: float) -> float:
         lowers, uppers = msm_bounds_arrays(e_t, gamma)
-        covered = sum(K.covered_k(row, lower, upper, alpha) for row, lower, upper
+        covered = sum(K.covered_k(cdf, sf, lower, upper, alpha) for (cdf, sf), lower, upper
                       in zip(masses, lowers.tolist(), uppers.tolist()))
         return covered / len(masses)
 

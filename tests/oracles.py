@@ -42,6 +42,23 @@ def mixture_quantile_ref(components, weights, beta: float, xtol: float = 1e-12) 
         lambda y: mixture_cdf_ref(components, weights, y) - beta, lo, hi, xtol=xtol)
 
 
+def mixture_sf_ref(components, weights, y: float) -> float:
+    m = len(components)
+    return sum(w * scipy_dist(c).sf(y) for c, w in zip(components, weights)) / m
+
+
+def mixture_quantile_sf_ref(components, weights, beta: float, xtol: float = 1e-12) -> float:
+    """The beta-quantile (beta > 1/2) from upper-tail masses, which stay
+    accurate where 1 - cdf rounds to a multiple of ulp(1): brentq on the
+    weighted survival mass against 1 - beta, bracketed by the components'
+    points with upper-tail mass 2(1 - beta) and (1 - beta)/2."""
+    tail = 1.0 - beta
+    lo = min(scipy_dist(c).isf(2.0 * tail) for c in components)
+    hi = max(scipy_dist(c).isf(0.5 * tail) for c in components)
+    return optimize.brentq(
+        lambda y: mixture_sf_ref(components, weights, y) - tail, lo, hi, xtol=xtol)
+
+
 def empirical_cdf(test_outcomes):
     """The empirical outcome CDF of `evalharness.cost_mass`, one point at a
     time: piecewise-linear between order statistics (the k-th of n at

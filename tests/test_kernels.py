@@ -39,14 +39,14 @@ class Recorder:
         self.solves = []
         solve = K._bracketed_quantile
 
-        def recording(cdf, fam, loc, scale, w_floor, beta, tol):
+        def recording(cdf, lo, hi, beta, tol):
             xs = []
 
             def counted(x):
                 xs.append(x)
                 return cdf(x)
 
-            q = solve(counted, fam, loc, scale, w_floor, beta, tol)
+            q = solve(counted, lo, hi, beta, tol)
             self.solves.append((cdf, xs, beta, tol, q))
             return q
 
@@ -102,12 +102,72 @@ def test_envelope_quantile_edges(monkeypatch, name, maximize):
     for beta in betas:
         q = K.extreme_quantile_k(fam, loc, scale, bounds.lower, bounds.upper, beta, tol,
                                  maximize)
-        cdf, xs, _, _, q_solved = rec.solves[-1]
+        cdf, xs, target, _, q_solved = rec.solves[-1]
         assert q == q_solved
-        assert_certificate_and_budget(cdf, xs, beta, tol, q)
+        assert_certificate_and_budget(cdf, xs, target, tol, q)
         w = K.rank_weights_k(fam, loc, scale, bounds.lower, bounds.upper, q, maximize)
         ref = oracles.mixture_quantile_ref(comps, w, beta)
         assert abs(q - ref) <= tol / 2 + oracle_slack(comps, w, q, beta)
+
+
+UPPER_TAIL_CASES = {
+    "cauchy-tails": CASES["cauchy-tails"][0],
+    "mixed": [g(0.0, 1.0), c(1.0, 0.5), g(-2.0, 2.0), c(3.0, 2.0)],
+}
+
+
+@pytest.mark.parametrize("name", list(UPPER_TAIL_CASES))
+def test_upper_tail_quantiles_match_the_survival_oracle(name):
+    # solved on survival masses, the quantile at 1 - 1e-6 is resolved to
+    # the solver tolerance, with no allowance for the CDF's rounding near 1
+    comps = UPPER_TAIL_CASES[name]
+    fam, loc, scale = pack_components(comps)
+    tol = default_quantile_tol(comps)
+    beta = 1.0 - 1e-6
+    for maximize in (True, False):
+        q = K.extreme_quantile_k(fam, loc, scale, MID.lower, MID.upper, beta, tol, maximize)
+        w = K.rank_weights_k(fam, loc, scale, MID.lower, MID.upper, q, maximize)
+        ref = oracles.mixture_quantile_sf_ref(comps, w, beta)
+        assert abs(q - ref) <= tol / 2 + 1e-12 * (1.0 + abs(q))
+    w = K.rank_pattern(MID.lower, MID.upper, len(comps))
+    q = K.mixture_quantile_k(fam, loc, scale, w, min(w), beta, tol)
+    ref = oracles.mixture_quantile_sf_ref(comps, w, beta)
+    assert abs(q - ref) <= tol / 2 + 1e-12 * (1.0 + abs(q))
+
+
+def bracket_corpus(rng, n):
+    """Ensembles of 1 to 10 mixed members, in turn plain, with a member at
+    the 1e-6 scale floor, all members identical, all at the floor, and
+    located near 1e8; each with MSM bounds at a propensity on either clamp
+    or inside, under a gamma of 1, 50 or in between."""
+    for i in range(n):
+        m = int(rng.integers(1, 11))
+        comps = oracles.random_components(rng, m)
+        kind = i % 5
+        if kind == 1:
+            comps[0] = ComponentDistribution(comps[0].family, comps[0].location, 1e-6)
+        elif kind == 2:
+            comps = [comps[0]] * m
+        elif kind == 3:
+            comps = [ComponentDistribution(d.family, d.location, 1e-6) for d in comps]
+        elif kind == 4:
+            comps = [ComponentDistribution(d.family, d.location + 1e8, d.scale) for d in comps]
+        e = (clamp_propensity(0.0), clamp_propensity(1.0), float(rng.uniform()))[i % 3]
+        gamma = (1.0, 50.0, float(rng.uniform(1.0, 50.0)))[(i // 3) % 3]
+        yield comps, msm_bounds(e, SensitivityConfig(gamma))
+
+
+def test_envelope_brackets_straddle_without_widening(monkeypatch):
+    rng = np.random.default_rng(2024)
+    rec = Recorder(monkeypatch)
+    for comps, bounds in bracket_corpus(rng, 200):
+        fam, loc, scale = pack_components(comps)
+        tol = default_quantile_tol(comps)
+        for beta in (1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6):
+            for maximize in (True, False):
+                K.extreme_quantile_k(fam, loc, scale, bounds.lower, bounds.upper, beta, tol,
+                                     maximize)
+                assert_certificate_and_budget(*rec.solves[-1])
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -116,14 +176,22 @@ def test_plain_mixture_quantile_edges(monkeypatch, name):
     fam, loc, scale = pack_components(comps)
     tol = default_quantile_tol(comps)
     m = len(comps)
-    # one member at the upper bound, one fractional, the rest at the lower
-    w = [bounds.upper, m - bounds.upper - (m - 2) * bounds.lower] + [bounds.lower] * (m - 2)
+    # a vertex of the admissible weights: k members at the upper bound, one
+    # fractional, the rest at the lower
+    w = K.rank_pattern(bounds.lower, bounds.upper, m)
+    assert all(bounds.lower <= w_j <= bounds.upper for w_j in w)
+    assert math.fsum(w) / m == pytest.approx(1.0, abs=1e-12)
     rec = Recorder(monkeypatch)
     for beta in betas:
         q = K.mixture_quantile_k(fam, loc, scale, w, min(w), beta, tol)
         assert_certificate_and_budget(*rec.solves[-1])
         ref = oracles.mixture_quantile_ref(comps, w, beta)
         assert abs(q - ref) <= tol / 2 + oracle_slack(comps, w, q, beta)
+
+
+def gauss_10_bracket(beta):
+    """The Gaussian(0, 10) quantiles at beta and 1 - beta (beta < 1/2)."""
+    return 10.0 * K.norm_ppf(beta), 10.0 * K.norm_ppf(1.0 - beta)
 
 
 @pytest.mark.parametrize("crossing", [0.123456789, -2.5, 2.2])
@@ -136,7 +204,7 @@ def test_step_cdf_closes_within_budget(crossing):
         return 0.0 if x < crossing else 1.0
 
     tol = 1e-9
-    q = K._bracketed_quantile(step, [K.GAUSSIAN], [0.0], [10.0], 1.0, 0.4, tol)
+    q = K._bracketed_quantile(step, *gauss_10_bracket(0.4), 0.4, tol)
     assert_certificate_and_budget(step, xs, 0.4, tol, q)
     assert abs(q - crossing) <= tol / 2
 
@@ -149,7 +217,7 @@ def test_staircase_cdf_closes_within_budget():
         return min(max(math.floor(4.0 * x) / 40.0 + 0.5, 0.0), 1.0)
 
     tol = 1e-9
-    q = K._bracketed_quantile(stairs, [K.GAUSSIAN], [0.0], [10.0], 1.0, 0.3, tol)
+    q = K._bracketed_quantile(stairs, *gauss_10_bracket(0.3), 0.3, tol)
     assert_certificate_and_budget(stairs, xs, 0.3, tol, q)
     assert abs(q - (-2.0)) <= tol / 2
 
@@ -157,8 +225,7 @@ def test_staircase_cdf_closes_within_budget():
 def test_open_bracket_raises(monkeypatch):
     monkeypatch.setattr(K, "_MAX_STEPS", 3)
     with pytest.raises(RuntimeError, match="still open"):
-        K._bracketed_quantile(lambda x: float(x >= 0.1), [K.GAUSSIAN], [0.0], [10.0], 1.0,
-                           0.4, 1e-9)
+        K._bracketed_quantile(lambda x: float(x >= 0.1), *gauss_10_bracket(0.4), 0.4, 1e-9)
 
 
 def test_exhausted_spacing_returns_without_error():
@@ -185,6 +252,18 @@ def test_random_ensembles_within_budget_and_half_tol(monkeypatch):
         assert abs(q - oracles.mixture_quantile_ref(comps, w, beta)) <= tol / 2 + 1e-12
 
 
+def assert_covered_k_agrees(comps, bounds, alpha):
+    fam, loc, scale = pack_components(comps)
+    tol = default_quantile_tol(comps)
+    lo, hi = K.interval_k(fam, loc, scale, bounds.lower, bounds.upper, alpha, tol)
+    for y, inside in ((lo - tol, False), (lo + tol, True), (0.5 * (lo + hi), True),
+                      (hi - tol, True), (hi + tol, False)):
+        members = list(zip(fam, loc, scale))
+        masses = sorted(K.component_cdf_s(f, l, s, y) for f, l, s in members)
+        sf_masses = sorted(K.component_sf_s(f, l, s, y) for f, l, s in members)
+        assert K.covered_k(masses, sf_masses, bounds.lower, bounds.upper, alpha) == inside
+
+
 def test_covered_k_matches_the_solved_interval():
     # one tolerance away from an endpoint, the envelope masses at the
     # outcome decide its coverage as the solved interval does
@@ -192,11 +271,11 @@ def test_covered_k_matches_the_solved_interval():
     for _ in range(60):
         comps = oracles.random_components(rng, int(rng.integers(1, 9)))
         bounds = oracles.random_bounds(rng, float(rng.uniform(1.0, 50.0)))
-        fam, loc, scale = pack_components(comps)
-        tol = default_quantile_tol(comps)
-        alpha = float(rng.uniform(0.02, 0.98))
-        lo, hi = K.interval_k(fam, loc, scale, bounds.lower, bounds.upper, alpha, tol)
-        for y, inside in ((lo - tol, False), (lo + tol, True), (0.5 * (lo + hi), True),
-                          (hi - tol, True), (hi + tol, False)):
-            masses = sorted(K.component_cdf_s(f, l, s, y) for f, l, s in zip(fam, loc, scale))
-            assert K.covered_k(masses, bounds.lower, bounds.upper, alpha) == inside
+        assert_covered_k_agrees(comps, bounds, float(rng.uniform(0.02, 0.98)))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 4.0, 50.0])
+def test_covered_k_matches_the_solved_interval_in_far_tails(gamma):
+    # at alpha/2 = 1e-6 the upper end sits where 1 - F_j rounds to ulp(1)
+    comps = CASES["cauchy-tails"][0]
+    assert_covered_k_agrees(comps, msm_bounds(0.3, SensitivityConfig(gamma)), 2e-6)
