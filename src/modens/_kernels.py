@@ -22,13 +22,13 @@ Dorn & Guo, quantile balancing).  Both envelopes are inverted by the same
 root-finder as a plain mixture quantile: Chandrupatla's interpolation step
 kept inside ITP's bisection-rate radius, to within tol/2 of the crossing.
 
-Brackets.  Every pattern weight is at least ``lower`` > 0 and the weights
-have mean 1, so G is a convex combination of the sorted member CDFs, and
-G(q) - beta changes sign between the smallest and the largest member
-quantile Q_j(beta).  Each envelope solve starts there, padded by
-max(tol/2, 2 ulp) against rounding in Q_j (which also opens the bracket
-of identical members).  A plain mixture quantile, the path of the test
-oracles, keeps its own bracket at tail ranks of the members.
+Brackets.  Weights that are nonnegative with mean 1 make any mixture mass
+m^-1 sum_j w_j F_j(q) a convex combination of the member CDFs, zero
+weights included; an envelope is one too, of the sorted member CDFs.  So
+every solve, envelope or plain mixture, starts between the smallest and
+the largest member quantile Q_j(beta), padded by max(tol/2, 2 ulp)
+against rounding in Q_j (which also opens the bracket of identical
+members).  One routine, :func:`_tail_quantile`, runs all of them.
 
 Upper tails.  Near beta = 1 the CDF F_j = 1 - S_j is a multiple of
 ulp(1), which resolves a quantile at 1 - 1e-6 only to about 4e-5 * scale
@@ -161,20 +161,6 @@ def component_logpdf_s(fam, loc, scale, y):
     return -math.log(math.pi * scale) - math.log1p(z * z)
 
 
-def mixture_cdf_k(fam, loc, scale, w, y):
-    acc = 0.0
-    for f, l, s, w_j in zip(fam, loc, scale, w):
-        acc += w_j * component_cdf_s(f, l, s, y)
-    return acc / len(fam)
-
-
-def mixture_sf_k(fam, loc, scale, w, y):
-    acc = 0.0
-    for f, l, s, w_j in zip(fam, loc, scale, w):
-        acc += w_j * component_sf_s(f, l, s, y)
-    return acc / len(fam)
-
-
 def mixture_pdf_k(fam, loc, scale, w, y):
     acc = 0.0
     for f, l, s, w_j in zip(fam, loc, scale, w):
@@ -186,14 +172,14 @@ def _bracketed_quantile(cdf, lo, hi, beta, tol):
     """The beta-crossing of a nondecreasing ``cdf``, to within tol/2,
     starting from the caller's bracket [lo, hi].
 
-    Callers pass a bracket that straddles beta in exact arithmetic: an
-    envelope lies between its members' quantiles at beta, because it is a
-    convex combination of their sorted CDFs, and a plain mixture with
-    weights >= w_floor lies between its members' points at tail rank
-    min(beta, 1-beta) * w_floor / m.  Upper tails come as the negated
-    survival mass against the negated tail mass, which keeps ``cdf``
-    nondecreasing and the tie rule below.  Geometric widening about the
-    bracket's centre backs that up against floating-point edge cases.
+    Callers pass a bracket that straddles beta in exact arithmetic: the
+    members' own quantiles at beta, between which any mixture with
+    nonnegative mean-1 weights crosses, because its CDF is a convex
+    combination of theirs (of the sorted ones, for an envelope).  Upper
+    tails come as the negated survival mass against the negated tail
+    mass, which keeps ``cdf`` nondecreasing and the tie rule below.
+    Geometric widening about the bracket's centre backs that up against
+    floating-point edge cases.
 
     Inside it, each step takes Chandrupatla's (1997) point: inverse
     quadratic interpolation through the last three points when they pass
@@ -267,26 +253,6 @@ def _bracketed_quantile(cdf, lo, hi, beta, tol):
     return 0.5 * (lo + hi)
 
 
-def mixture_quantile_k(fam, loc, scale, w, w_floor, beta, tol):
-    """beta-quantile of the weighted mixture (mean weight 1); ``w_floor``
-    is the smallest weight, which sets the bracket: the component points
-    with lower- and upper-tail mass eps_q = min(beta, 1-beta) * w_floor / m
-    (at least 1e-12), between which any such mixture crosses beta.  For
-    beta > 1/2 the solve runs on the mixture's upper-tail mass."""
-    eps_q = max(min(beta, 1.0 - beta) * w_floor / len(fam), 1e-12)
-    members = list(zip(fam, loc, scale))
-    lo = min(component_ppf_s(f, l, s, eps_q) for f, l, s in members)
-    hi = max(component_isf_s(f, l, s, eps_q) for f, l, s in members)
-    if hi <= lo:
-        hi = lo + tol
-        lo = lo - tol
-    if beta <= 0.5:
-        return _bracketed_quantile(lambda y: mixture_cdf_k(fam, loc, scale, w, y),
-                                   lo, hi, beta, tol)
-    return _bracketed_quantile(lambda y: -mixture_sf_k(fam, loc, scale, w, y),
-                               lo, hi, -(1.0 - beta), tol)
-
-
 def rank_pattern(lower, upper, m):
     """Weights by ascending rank of member mass that minimise the mixture
     mass: k = floor(m(1-lower)/(upper-lower)) entries at ``upper``, one
@@ -306,35 +272,51 @@ def _pattern(lower, upper, m, maximize):
 
 
 def _member_bracket(points, tol):
-    # the envelope is a convex combination of the sorted member masses, so
-    # it crosses its target between the members' own crossings; the pad
-    # covers their rounding and opens the bracket of identical members
+    # a mixture with nonnegative mean-1 weights is a convex combination of
+    # the member masses (the sorted ones, for an envelope), so it crosses
+    # its target between the members' own crossings; the pad covers their
+    # rounding and opens the bracket of identical members
     lo = min(points)
     hi = max(points)
     return (lo - max(0.5 * tol, 2.0 * math.ulp(lo)),
             hi + max(0.5 * tol, 2.0 * math.ulp(hi)))
 
 
-def _lower_tail_quantile(members, p, mass, tol):
-    # where m^-1 sum_k p_k * sort(F_j(q))_k rises through ``mass``
-    lo, hi = _member_bracket([component_ppf_s(f, l, s, mass) for f, l, s in members], tol)
-
-    def envelope(q):
-        return envelope_mass(p, sorted([component_cdf_s(f, l, s, q) for f, l, s in members]))
-
-    return _bracketed_quantile(envelope, lo, hi, mass, tol)
+def weighted_mass(weights, masses):
+    """m^-1 sum_j weights_j * masses_j: the mixture mass of member masses
+    lined up with their weights (ascending, under a rank pattern)."""
+    return math.fsum(map(mul, weights, masses)) / len(weights)
 
 
-def _upper_tail_quantile(members, p, mass, tol):
-    # where m^-1 sum_k p_k * sort(S_j(q))_k falls through ``mass``, solved
-    # as its negation rising through -mass so that the root-finder's tie
-    # rule still leaves the lower end below the crossing
-    lo, hi = _member_bracket([component_isf_s(f, l, s, mass) for f, l, s in members], tol)
+def _tail_quantile(members, weights, order, mass, tol, upper):
+    """Where the mixture's tail mass m^-1 sum_k weights_k * order(masses)_k
+    reaches ``mass``: the lower-tail masses F_j(q) rising through it, or
+    (``upper``) the survival masses S_j(q) falling through it, solved as
+    their negation rising through -mass so that the root-finder's tie rule
+    still leaves the lower end below the crossing.  ``order`` lines the
+    member masses up with ``weights``: ``sorted`` for a rank pattern,
+    ``list`` (member order) for a plain mixture.  The bracket is the
+    members' own points with that tail mass."""
+    if upper:
+        point, tail, sign = component_isf_s, component_sf_s, -1.0
+    else:
+        point, tail, sign = component_ppf_s, component_cdf_s, 1.0
+    lo, hi = _member_bracket([point(f, l, s, mass) for f, l, s in members], tol)
 
-    def envelope(q):
-        return -envelope_mass(p, sorted([component_sf_s(f, l, s, q) for f, l, s in members]))
+    def signed_mass(q):
+        return sign * weighted_mass(weights, order([tail(f, l, s, q) for f, l, s in members]))
 
-    return _bracketed_quantile(envelope, lo, hi, -mass, tol)
+    return _bracketed_quantile(signed_mass, lo, hi, sign * mass, tol)
+
+
+def mixture_quantile_k(fam, loc, scale, w, beta, tol):
+    """beta-quantile of the mixture with nonnegative weights ``w`` of mean
+    1, in member order; for beta > 1/2 the solve runs on the mixture's
+    upper-tail mass 1 - beta."""
+    members = list(zip(fam, loc, scale))
+    if beta <= 0.5:
+        return _tail_quantile(members, w, list, beta, tol, upper=False)
+    return _tail_quantile(members, w, list, 1.0 - beta, tol, upper=True)
 
 
 def extreme_quantile_k(fam, loc, scale, lower, upper, beta, tol, maximize):
@@ -345,14 +327,8 @@ def extreme_quantile_k(fam, loc, scale, lower, upper, beta, tol, maximize):
     p = _pattern(lower, upper, len(fam), maximize)
     members = list(zip(fam, loc, scale))
     if beta <= 0.5:
-        return _lower_tail_quantile(members, p, beta, tol)
-    return _upper_tail_quantile(members, p[::-1], 1.0 - beta, tol)
-
-
-def envelope_mass(p, masses):
-    """m^-1 sum_k p_k * masses_k: the envelope value of the rank pattern
-    ``p`` at a point where the member masses are ``masses``, ascending."""
-    return math.fsum(map(mul, p, masses)) / len(p)
+        return _tail_quantile(members, p, sorted, beta, tol, upper=False)
+    return _tail_quantile(members, p[::-1], sorted, 1.0 - beta, tol, upper=True)
 
 
 def covered_k(masses, sf_masses, lower, upper, alpha):
@@ -366,7 +342,7 @@ def covered_k(masses, sf_masses, lower, upper, alpha):
     tol/2 of an endpoint."""
     p = rank_pattern(lower, upper, len(masses))[::-1]
     half = alpha / 2.0
-    return envelope_mass(p, masses) >= half and envelope_mass(p, sf_masses) >= half
+    return weighted_mass(p, masses) >= half and weighted_mass(p, sf_masses) >= half
 
 
 def rank_weights_k(fam, loc, scale, lower, upper, q, maximize):
@@ -387,8 +363,8 @@ def interval_k(fam, loc, scale, lower, upper, alpha, tol):
     upper, at the tail mass alpha/2 itself."""
     p = rank_pattern(lower, upper, len(fam))[::-1]
     members = list(zip(fam, loc, scale))
-    lo = _lower_tail_quantile(members, p, alpha / 2.0, tol)
-    hi = _upper_tail_quantile(members, p, alpha / 2.0, tol)
+    lo = _tail_quantile(members, p, sorted, alpha / 2.0, tol, upper=False)
+    hi = _tail_quantile(members, p, sorted, alpha / 2.0, tol, upper=True)
     if lo > hi:  # identical degenerate setups can cross by solver noise
         lo = hi = 0.5 * (lo + hi)
     return lo, hi

@@ -2,8 +2,8 @@
 oracle-check / report.
 
 Config precedence is CLI flags over --config file over built-in defaults.
-Every run writes a manifest echoing the resolved configuration with its
-hash.  Exit codes: 0 success (a FAILURE verdict is still a success), 1
+Every subcommand but oracle-check, which only prints, writes a manifest
+echoing the resolved configuration with its hash.  Exit codes: 0 success (a FAILURE verdict is still a success), 1
 operational error, 2 usage or configuration error.
 """
 

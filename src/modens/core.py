@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .dist import pack_components, resolve_quantile_tol
+from .dist import QUANTILE_TOL_REL, WEIGHT_MEAN_TOL, pack_components, resolve_quantile_tol
 from .sensitivity import WeightBounds
 
-WEIGHT_MEAN_TOL = 1e-9
 _BOUND_SLACK = 1e-12
 
 
@@ -179,7 +178,6 @@ def brute_force_extreme_quantile(components, bounds: WeightBounds, beta: float,
     tol = resolve_quantile_tol(components, tol)
     fam, loc, scale = pack_components(components)
     lower, upper = bounds.lower, bounds.upper
-    w_floor = lower
 
     best = None
     w = [0.0] * m
@@ -201,7 +199,7 @@ def brute_force_extreme_quantile(components, bounds: WeightBounds, beta: float,
             if f >= 0:
                 saved = w[f]
                 w[f] = frac
-            q = K.mixture_quantile_k(fam, loc, scale, w, w_floor, beta, tol)
+            q = K.mixture_quantile_k(fam, loc, scale, w, beta, tol)
             if f >= 0:
                 w[f] = saved
             if best is None or (q > best if maximize else q < best):
@@ -220,7 +218,7 @@ def check_optimality(components, weights: WeightVector, bounds: WeightBounds,
     fam, loc, scale = pack_components(components)
     w = weights.as_array() if isinstance(weights, WeightVector) else \
         np.asarray(weights, dtype=np.float64)
-    q = K.mixture_quantile_k(fam, loc, scale, w, bounds.lower, float(beta), tol)
+    q = K.mixture_quantile_k(fam, loc, scale, w, float(beta), tol)
     sender_mass = -np.inf
     receiver_mass = np.inf
     for i in range(len(w)):
@@ -234,13 +232,12 @@ def check_optimality(components, weights: WeightVector, bounds: WeightBounds,
 
 def modulated_intervals_batch(fam: np.ndarray, locs: np.ndarray,
                               scales: np.ndarray, lowers: np.ndarray,
-                              uppers: np.ndarray, alpha: float,
-                              tol_rel: float = 1e-9
+                              uppers: np.ndarray, alpha: float
                               ) -> tuple[np.ndarray, np.ndarray]:
     """One outcome interval per row of (locs, scales) under per-row weight
-    bounds, at tolerance tol_rel * (1 + max row scale).  With the default
-    tol_rel, row i equals ``outcome_interval`` on that row's members and
-    bounds bit for bit."""
+    bounds, at the default quantile tolerance of the row's members: row i
+    equals ``outcome_interval`` on that row's members and bounds bit for
+    bit."""
     fam = np.asarray(fam, dtype=np.int64)
     locs = np.asarray(locs, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
@@ -259,5 +256,5 @@ def modulated_intervals_batch(fam: np.ndarray, locs: np.ndarray,
     hi_out = np.empty(n)
     for i, (loc, scale, lower, upper) in enumerate(rows):
         lo_out[i], hi_out[i] = K.interval_k(fam, loc, scale, lower, upper, alpha,
-                                            tol_rel * (1.0 + max(scale)))
+                                            QUANTILE_TOL_REL * (1.0 + max(scale)))
     return lo_out, hi_out

@@ -6,8 +6,9 @@ so it stays a proper probability distribution.  Quantiles are solved by
 the bracketed root-finder of ``_kernels`` (Chandrupatla's interpolation
 with ITP's worst-case bound), to within tol/2: on the exact CDF for
 beta <= 1/2, and on the exact upper-tail mass against 1 - beta above it,
-where 1 - CDF would round to a multiple of ulp(1).  The bracket spans the
-members' points at tail rank min(beta, 1 - beta) * min(w) / m.
+where 1 - CDF would round to a multiple of ulp(1).  The mixture CDF is a
+convex combination of the member CDFs, so the bracket spans the members'
+own quantiles, the same rule as for the envelopes of ``core``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from . import _kernels as K
 
 WEIGHT_MEAN_TOL = 1e-9
+# the default quantile tolerance is this times (1 + the largest member scale)
+QUANTILE_TOL_REL = 1e-9
 
 
 class Family(enum.Enum):
@@ -127,7 +130,7 @@ def default_quantile_tol(components) -> float:
     """Scale-relative quantile tolerance: 1e-9 * (1 + max component scale).
     The root-finder closes its bracket to this width and returns the
     midpoint, within tol/2 of the crossing."""
-    return 1e-9 * (1.0 + max(c.scale for c in components))
+    return QUANTILE_TOL_REL * (1.0 + max(c.scale for c in components))
 
 
 def resolve_quantile_tol(components, tol: float | None) -> float:
@@ -158,9 +161,8 @@ def component_logpdf(d: ComponentDistribution, y: float) -> float:
 
 
 def mixture_cdf(mix: WeightedMixture, y: float) -> float:
-    y = _require_finite("y", y)
-    fam, loc, scale, w = mix._packed()
-    return K.mixture_cdf_k(fam, loc, scale, w, y)
+    # component_cdf checks y
+    return K.weighted_mass(mix.weights, [component_cdf(d, y) for d in mix.components])
 
 
 def mixture_pdf(mix: WeightedMixture, y: float) -> float:
@@ -175,5 +177,4 @@ def mixture_quantile(mix: WeightedMixture, beta: float, tol: float | None = None
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     tol = resolve_quantile_tol(mix.components, tol)
     fam, loc, scale, w = mix._packed()
-    w_floor = min(w)
-    return K.mixture_quantile_k(fam, loc, scale, w, w_floor, beta, tol)
+    return K.mixture_quantile_k(fam, loc, scale, w, beta, tol)

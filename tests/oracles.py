@@ -10,6 +10,7 @@ c08 checks the backpropagation it shares.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,11 @@ from modens import ComponentDistribution, Family, SensitivityConfig, WeightBound
 from modens import mlp
 
 
+@functools.lru_cache(maxsize=4096)
 def scipy_dist(c: ComponentDistribution):
+    # cached: building a frozen scipy distribution costs more than the
+    # cdf call that follows, and the root-finding oracles call it per member
+    # at every step
     if c.family is Family.GAUSSIAN:
         return stats.norm(loc=c.location, scale=c.scale)
     return stats.cauchy(loc=c.location, scale=c.scale)

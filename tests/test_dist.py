@@ -161,6 +161,17 @@ class TestMixtureQuantile:
             ref = oracles.mixture_quantile_ref(comps, w, beta)
             assert mixture_quantile(mix, beta) == pytest.approx(ref, abs=4 * tol)
 
+    def test_zero_weight_matches_brentq_oracle(self):
+        # a zero-weight member still widens the bracket, which stays valid:
+        # the mixture CDF is a convex combination of the member CDFs
+        comps = [cauchy(-3.0, 0.5), g(1.0, 2.0), cauchy(4.0, 1.0)]
+        mix = WeightedMixture(comps, [0.0, 1.5, 1.5])
+        tol = default_quantile_tol(comps)
+        for beta in (0.01, 0.3, 0.5, 0.7, 0.99):
+            ref = (oracles.mixture_quantile_ref if beta <= 0.5
+                   else oracles.mixture_quantile_sf_ref)(comps, mix.weights, beta)
+            assert mixture_quantile(mix, beta) == pytest.approx(ref, abs=tol)
+
     def test_domain_errors(self):
         mix = WeightedMixture([g(0, 1)])
         with pytest.raises(ValueError):

@@ -130,7 +130,7 @@ def test_upper_tail_quantiles_match_the_survival_oracle(name):
         ref = oracles.mixture_quantile_sf_ref(comps, w, beta)
         assert abs(q - ref) <= tol / 2 + 1e-12 * (1.0 + abs(q))
     w = K.rank_pattern(MID.lower, MID.upper, len(comps))
-    q = K.mixture_quantile_k(fam, loc, scale, w, min(w), beta, tol)
+    q = K.mixture_quantile_k(fam, loc, scale, w, beta, tol)
     ref = oracles.mixture_quantile_sf_ref(comps, w, beta)
     assert abs(q - ref) <= tol / 2 + 1e-12 * (1.0 + abs(q))
 
@@ -168,6 +168,33 @@ def test_envelope_brackets_straddle_without_widening(monkeypatch):
                 K.extreme_quantile_k(fam, loc, scale, bounds.lower, bounds.upper, beta, tol,
                                      maximize)
                 assert_certificate_and_budget(*rec.solves[-1])
+    # the same bracket holds for a plain mixture with any nonnegative mean-1
+    # weights: the LP vertex, and weights with a zero entry, drawn off round
+    # values whose partial sums would leave the CDF flat at beta = 1/2 and
+    # the oracle's root anywhere on the flat stretch.  One cycle of the
+    # corpus's kinds, propensities and gammas.  Near 1e8 adjacent doubles
+    # are wider than tol, so q may differ from the oracle by one spacing
+    # more, plus brentq's relative tolerance 4 eps |q|.
+    rng = np.random.default_rng(2024)
+    weight_rng = np.random.default_rng(5)
+    for comps, bounds in bracket_corpus(rng, 45):
+        fam, loc, scale = pack_components(comps)
+        tol = default_quantile_tol(comps)
+        m = len(comps)
+        weightings = [K.rank_pattern(bounds.lower, bounds.upper, m)]
+        if m > 1:
+            w = weight_rng.uniform(0.5, 1.5, m)
+            w[0] = 0.0
+            weightings.append((w * (m / w.sum())).tolist())
+        for beta in (1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6):
+            ref_quantile = (oracles.mixture_quantile_ref if beta <= 0.5
+                            else oracles.mixture_quantile_sf_ref)
+            for w in weightings:
+                q = K.mixture_quantile_k(fam, loc, scale, w, beta, tol)
+                assert_certificate_and_budget(*rec.solves[-1])
+                spacing = math.ulp(q) + 4.0 * math.ulp(1.0) * abs(q)
+                assert (abs(q - ref_quantile(comps, w, beta))
+                        <= tol / 2 + oracle_slack(comps, w, q, beta) + spacing)
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -183,7 +210,7 @@ def test_plain_mixture_quantile_edges(monkeypatch, name):
     assert math.fsum(w) / m == pytest.approx(1.0, abs=1e-12)
     rec = Recorder(monkeypatch)
     for beta in betas:
-        q = K.mixture_quantile_k(fam, loc, scale, w, min(w), beta, tol)
+        q = K.mixture_quantile_k(fam, loc, scale, w, beta, tol)
         assert_certificate_and_budget(*rec.solves[-1])
         ref = oracles.mixture_quantile_ref(comps, w, beta)
         assert abs(q - ref) <= tol / 2 + oracle_slack(comps, w, q, beta)
@@ -231,7 +258,7 @@ def test_open_bracket_raises(monkeypatch):
 def test_exhausted_spacing_returns_without_error():
     # near 1e8 adjacent doubles are 1.5e-8 apart, wider than tol
     loc = 1e8
-    q = K.mixture_quantile_k([K.GAUSSIAN], [loc], [1.0], [1.0], 1.0, 0.3, 2e-9)
+    q = K.mixture_quantile_k([K.GAUSSIAN], [loc], [1.0], [1.0], 0.3, 2e-9)
     assert abs(q - (loc + K.norm_ppf(0.3))) <= 2 * math.ulp(loc)
 
 
