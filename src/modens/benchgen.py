@@ -13,8 +13,8 @@ block is withheld from every emitted covariate matrix.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,16 @@ class GeneratorConfig:
     zero_hidden: bool = False
 
     def __post_init__(self):
+        # JSON configs arrive unchecked (a string "false" is truthy): each
+        # field has its default's type, and a float field takes a finite int
+        # or float, so bools, NaN and infinities fail
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            ok = (type(value) in (int, float) and math.isfinite(value) if kind is float
+                  else type(value) is kind)
+            if not ok:
+                want = "a finite number" if kind is float else kind.__name__
+                raise ValueError(f"{f.name} must be {want}, got {value!r}")
         if self.n_visible < 1 or self.n_hidden < 1:
             raise ValueError("n_visible and n_hidden must be >= 1")
         if not 0.0 < self.treatment_threshold < 1.0:
@@ -228,22 +238,10 @@ def config_from_dict(obj: dict) -> GeneratorConfig:
 
 def write_benchmark(features: np.ndarray | None, config: GeneratorConfig,
                     out_dir: str | Path) -> dict[str, Path]:
-    """Write train/valid/test CSVs plus a manifest echoing the config."""
+    """Write the train/valid/test CSVs; `modens generate` adds the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, valid, test = generate_dataset(features, config)
-    paths = {
-        "train": out_dir / "train.csv",
-        "valid": out_dir / "valid.csv",
-        "test": out_dir / "test.csv",
-    }
-    save_dataset_csv(train, paths["train"])
-    save_dataset_csv(valid, paths["valid"])
-    save_dataset_csv(test, paths["test"])
-    manifest = {"generator": config_to_dict(config), "seed": config.seed,
-                "files": {k: p.name for k, p in paths.items()}}
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
-    paths["manifest"] = manifest_path
+    paths = {split: out_dir / f"{split}.csv" for split in ("train", "valid", "test")}
+    for dataset, path in zip(generate_dataset(features, config), paths.values()):
+        save_dataset_csv(dataset, path)
     return paths

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import benchgen, mlp
-from .core import brute_force_extreme_quantile, maximize_quantile, minimize_quantile
+from .core import (BRUTE_FORCE_MAX_M, brute_force_extreme_quantile, maximize_quantile,
+                   minimize_quantile)
 from .data import DatasetFormatError, load_dataset_csv
 from .dist import ComponentDistribution, Family
 from .evalharness import (CostKind, EvalConfig, cost_mass, cost_relative, coverage,
@@ -140,8 +141,7 @@ def _cmd_generate(args) -> int:
     paths = benchgen.write_benchmark(features, config, out_dir)
     _write_manifest(out_dir / "manifest.json", "generate",
                     {"generator": benchgen.config_to_dict(config)},
-                    extra={"files": {k: p.name for k, p in paths.items()
-                                     if k != "manifest"}})
+                    extra={"files": {k: p.name for k, p in paths.items()}})
     print(f"wrote {paths['train']}, {paths['valid']}, {paths['test']}")
     return 0
 
@@ -191,9 +191,7 @@ def _cmd_train(args) -> int:
     if head is mlp.Head.PROPENSITY:
         raise ConfigError("train fits outcome heads; the propensity model is fitted alongside")
     config = _train_config_from(args, section, head)
-    # --members has a parser default, so it wins only when it was given
-    members = _setting(args.members if args.members_given else None,
-                       section, "members", int, args.members)
+    members = _setting(args.members, section, "members", int, 16)
     if members < 1:
         raise ConfigError(f"members must be an integer >= 1, got {members!r}")
     seed = _setting(args.seed, section, "seed", int, 0)
@@ -354,10 +352,10 @@ def _cmd_oracle_check(args) -> int:
     m = _setting(args.m, cfg, "m", int)
     trials = _setting(args.trials, cfg, "trials", int, 50)
     seed = _setting(args.seed, cfg, "seed", int, 0)
-    if m > 10:
+    if m > BRUTE_FORCE_MAX_M:
         raise ConfigError(
             f"m={m} refused: the brute-force oracle costs m * 2^m quantile "
-            f"solves and is capped at m <= 10")
+            f"solves and is capped at m <= {BRUTE_FORCE_MAX_M}")
     if m < 1 or trials < 1:
         raise ConfigError("m and trials must be >= 1")
     worst, ok = run_oracle_check(m, trials, seed)
@@ -433,15 +431,6 @@ def _cmd_report(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-class _StoreGiven(argparse.Action):
-    """Stores the value and sets `<dest>_given`, so that a config file can
-    still fill an option that has a parser default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, self.dest + "_given", True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -456,6 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=lambda **kw: argparse.ArgumentParser(
                                     parents=[common], **kw))
 
+    # Options a config file can set have no parser default; each command
+    # resolves them as flag, then config file, then the default in its help.
     p = sub.add_parser("generate", help="write semi-synthetic benchmark CSVs")
     p.add_argument("--features", default="none",
                    help="feature CSV or 'none' for the built-in surrogate")
@@ -466,16 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--head", choices=("gaussian", "cauchy"), default=None,
                    help="outcome head (default gaussian)")
-    p.add_argument("--members", type=int, default=16, action=_StoreGiven)
+    p.add_argument("--members", type=int, default=None, help="ensemble size (default 16)")
     p.add_argument("--out", required=True)
     p.add_argument("--propensity-out", default=None)
     p.add_argument("--hidden", default=None, help="comma-separated widths, e.g. 64,64")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--step", type=float, default=None)
-    p.set_defaults(func=_cmd_train, members_given=False)
+    p.set_defaults(func=_cmd_train)
 
-    # Options a config file can set have no parser default; each command
-    # resolves them as flag, then config file, then the default in its help.
     p = sub.add_parser("intervals", help="per-row outcome intervals at fixed gamma")
     p.add_argument("--model", default=None, help="ensemble JSON (required)")
     p.add_argument("--propensity-model", default=None)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .benchgen import rank_normalize
 from .data import Dataset
 
 SCALE_FLOOR = 1e-6
@@ -279,10 +280,10 @@ def _adam_fit(params: MlpParams, X: np.ndarray, target: np.ndarray,
     """Full-batch Adam keeping the best-NLL parameter snapshot, so the
     returned NLL never exceeds the initial one (epoch 1's loss); `counts`
     and `target_var` as in `_head_loss_grad`."""
-    mw = [np.zeros_like(w) for w in params.weights]
-    vw = [np.zeros_like(w) for w in params.weights]
-    mb = [np.zeros_like(b) for b in params.biases]
-    vb = [np.zeros_like(b) for b in params.biases]
+    # params' own arrays: the in-place steps below update params itself
+    arrays = params.weights + params.biases
+    m1 = [np.zeros_like(a) for a in arrays]
+    m2 = [np.zeros_like(a) for a in arrays]
     best, best_loss = params, math.inf
     for epoch in range(1, epochs + 1):
         loss, gw, gb = nll_and_grads(params, X, target, counts, target_var)
@@ -297,26 +298,14 @@ def _adam_fit(params: MlpParams, X: np.ndarray, target: np.ndarray,
             best = params.copy()
         c1 = 1.0 - _ADAM_B1 ** epoch
         c2 = 1.0 - _ADAM_B2 ** epoch
-        for l in range(len(params.weights)):
-            mw[l] = _ADAM_B1 * mw[l] + (1 - _ADAM_B1) * gw[l]
-            vw[l] = _ADAM_B2 * vw[l] + (1 - _ADAM_B2) * gw[l] ** 2
-            params.weights[l] -= step * (mw[l] / c1) / (np.sqrt(vw[l] / c2) + _ADAM_EPS)
-            mb[l] = _ADAM_B1 * mb[l] + (1 - _ADAM_B1) * gb[l]
-            vb[l] = _ADAM_B2 * vb[l] + (1 - _ADAM_B2) * gb[l] ** 2
-            params.biases[l] -= step * (mb[l] / c1) / (np.sqrt(vb[l] / c2) + _ADAM_EPS)
+        for k, (a, g) in enumerate(zip(arrays, gw + gb)):
+            m1[k] = _ADAM_B1 * m1[k] + (1 - _ADAM_B1) * g
+            m2[k] = _ADAM_B2 * m2[k] + (1 - _ADAM_B2) * g ** 2
+            a -= step * (m1[k] / c1) / (np.sqrt(m2[k] / c2) + _ADAM_EPS)
     final_loss = nll(params, X, target, counts, target_var)
     if math.isfinite(final_loss) and final_loss < best_loss:
         return params
     return best
-
-
-def _rank_unit(y: np.ndarray) -> np.ndarray:
-    # rank k (stable ties) -> k/n, a Uniform[0,1) grid
-    n = y.shape[0]
-    order = np.argsort(y, kind="stable")
-    out = np.empty(n)
-    out[order] = np.arange(n) / n
-    return out
 
 
 def _outcome_design(data: Dataset) -> np.ndarray:
@@ -371,7 +360,7 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     # each unique row carries their mean and their variance.
     params = init_params(sizes, Head.GAUSSIAN, rng)
     y_boot = data.outcomes[idx]
-    ranks = _rank_unit(y_boot)
+    ranks = rank_normalize(y_boot)
     rank_mean = np.bincount(copy_row, weights=ranks) / counts
     dev = ranks - rank_mean[copy_row]   # from deviations, not E[r^2] - mean^2
     rank_var = np.bincount(copy_row, weights=dev * dev) / counts
@@ -384,8 +373,9 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     r25, r50, r75 = np.percentile(r_hat, [25.0, 50.0, 75.0])
     slope = (q75 - q25) / max(r75 - r25, 0.05)
     slope = max(slope, 1e-6)
-    params.weights[-1][:, 0] *= slope
-    params.biases[-1][0] = params.biases[-1][0] * slope + (q50 - slope * r50)
+    _fold_affine(params, slope, q50 - slope * r50)
+    # the log-scale column is reset, the fold's log(slope) shift with it: the
+    # Cauchy fine-tuning starts from a constant scale of half the IQR
     params.weights[-1][:, 1] = 0.0
     params.biases[-1][1] = math.log(max((q75 - q25) / 2.0, 1e-3))
     params.head = Head.CAUCHY

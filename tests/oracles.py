@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate, optimize, stats
 
 from modens import ComponentDistribution, Family, SensitivityConfig, WeightBounds, msm_bounds
-from modens import mlp
+from modens import benchgen, mlp
 
 
 @functools.lru_cache(maxsize=4096)
@@ -144,8 +144,8 @@ def replicated_train_member(data, config, seed: int):
         else:
             params = mlp._adam_fit(params, X, y, config.epochs, config.step)
         return params
-    params = mlp._adam_fit(params, X, mlp._rank_unit(y), config.resolved_warmup_epochs(),
-                           config.step)
+    params = mlp._adam_fit(params, X, benchgen.rank_normalize(y),
+                           config.resolved_warmup_epochs(), config.step)
     out, _ = mlp._net_forward(params, X)
     q25, q50, q75 = np.percentile(y, [25.0, 50.0, 75.0])
     r25, r50, r75 = np.percentile(out[:, 0], [25.0, 50.0, 75.0])

@@ -179,7 +179,7 @@ class TestGenerateDataset:
         b = tmp_path / "b"
         write_benchmark(None, cfg, a)
         write_benchmark(None, cfg, b)
-        for name in ("train.csv", "valid.csv", "test.csv", "manifest.json"):
+        for name in ("train.csv", "valid.csv", "test.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_potential_outcome_distribution_matches_observed(self):

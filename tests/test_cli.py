@@ -59,10 +59,16 @@ class TestGenerate:
         code = run(["generate", "--out-dir", blocker / "sub"])
         assert code == 2
 
-    def test_bad_config_field_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("field", [
+        {"not_a_field": 1}, {"zero_hidden": "false"}, {"noiseless": 1},
+        {"n_train": 40.5}, {"seed": 2.5}, {"n_test": True}, {"noise_scale": float("nan")},
+        {"treatment_boost": float("inf")}, {"noise_scale": True}, {"noise_family": 0}],
+        ids=lambda field: "-".join(f"{k}={v!r}" for k, v in field.items()))
+    def test_bad_config_field_exits_2(self, tmp_path, field, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"not_a_field": 1}))
+        cfg_path.write_text(json.dumps(field))
         assert run(["generate", "--config", cfg_path, "--out-dir", tmp_path / "o"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_default_config_row_counts(self, tmp_path):
@@ -74,12 +80,12 @@ class TestGenerate:
 
 
 class TestParserDefaults:
-    def test_train_members_default_is_16(self):
-        from modens.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["train", "--data", "d.csv", "--out", "m.json"])
-        assert args.members == 16
+    def test_train_members_default_is_16(self, bench_dir, tmp_path):
+        out = tmp_path / "m.json"
+        assert run(["train", "--data", bench_dir / "train.csv", "--hidden", 2,
+                    "--epochs", 1, "--out", out]) == 0
+        manifest = json.loads(out.with_suffix(".json.manifest.json").read_text())
+        assert manifest["config"]["members"] == 16
 
     def test_flag_overrides_config_file(self, bench_dir, tmp_path):
         cfg = tmp_path / "train.json"

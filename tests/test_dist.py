@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from modens import (ComponentDistribution, Family, WeightedMixture, component_cdf,
                     component_logpdf, component_quantile, default_quantile_tol,
@@ -63,6 +64,11 @@ class TestComponentQuantile:
             for p in (0.001, 0.3, 0.5, 0.9, 0.999):
                 q = component_quantile(d, p)
                 assert component_cdf(d, q) == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-100, 1e-20, 1e-8, 0.3, 1 - 1e-8])
+    def test_gaussian_tail_quantile(self, p):
+        ref = stats.norm.ppf(p)
+        assert component_quantile(g(0, 1), p) == pytest.approx(ref, rel=4e-15, abs=0)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
     def test_domain_error(self, p):

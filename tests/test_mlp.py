@@ -196,8 +196,8 @@ class TestMemberExactness:
     a plain bootstrap on the n replicated rows."""
 
     @pytest.mark.parametrize("case", [
-        "gaussian-standardized", "gaussian-raw", "cauchy", "cauchy-tied-outcomes",
-        "two-rows-one-drawn"])
+        "gaussian-standardized", "gaussian-raw", "cauchy", "cauchy-standardized",
+        "cauchy-tied-outcomes", "two-rows-one-drawn"])
     def test_matches_replicated_reference(self, case):
         rng = np.random.default_rng(31)
         data = heavy_tailed_data(rng, 2 if case == "two-rows-one-drawn" else 120,
@@ -208,6 +208,8 @@ class TestMemberExactness:
                                         standardize=False),
             "cauchy": TrainConfig(hidden=(6, 5), epochs=40, head=Head.CAUCHY,
                                   warmup_epochs=20),
+            "cauchy-standardized": TrainConfig(hidden=(6, 5), epochs=40, head=Head.CAUCHY,
+                                               standardize=True, warmup_epochs=20),
             "cauchy-tied-outcomes": TrainConfig(hidden=(6,), epochs=40, head=Head.CAUCHY,
                                                 warmup_epochs=20),
             "two-rows-one-drawn": TrainConfig(hidden=(4,), epochs=30, head=Head.CAUCHY),
