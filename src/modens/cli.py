@@ -125,7 +125,10 @@ def _command_config(args) -> dict:
 
 def _cmd_generate(args) -> int:
     cfg_file = _load_config_file(args.config)
-    gen_cfg = cfg_file.get("generator", cfg_file)
+    features_path = _setting(args.features, cfg_file, "features", str, "none")
+    # `features` sits beside the generator section (a manifest) or its fields
+    rest = {k: v for k, v in cfg_file.items() if k != "features"}
+    gen_cfg = rest.get("generator", rest)
     if args.seed is not None:
         gen_cfg = {**gen_cfg, "seed": args.seed}
     try:
@@ -134,25 +137,17 @@ def _cmd_generate(args) -> int:
         raise ConfigError(f"generator config: {exc}") from None
     out_dir = Path(args.out_dir)
     _check_writable_dir(out_dir)
-    features = None
-    if args.features and args.features.lower() != "none":
-        features = load_dataset_csv(args.features).covariates \
-            if _looks_like_dataset(args.features) else _load_matrix_csv(args.features)
+    features = None if features_path.lower() == "none" else _load_matrix_csv(features_path)
     paths = benchgen.write_benchmark(features, config, out_dir)
     _write_manifest(out_dir / "manifest.json", "generate",
-                    {"generator": benchgen.config_to_dict(config)},
+                    {"generator": benchgen.config_to_dict(config), "features": features_path},
                     extra={"files": {k: p.name for k, p in paths.items()}})
     print(f"wrote {paths['train']}, {paths['valid']}, {paths['test']}")
     return 0
 
 
-def _looks_like_dataset(path: str) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    return "t" in header and "y" in header
-
-
 def _load_matrix_csv(path: str) -> np.ndarray:
+    """A numeric CSV with one header row; every column is a feature."""
     try:
         return np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
     except ValueError as exc:
@@ -174,7 +169,6 @@ def _train_config_from(args, section: dict, head: mlp.Head) -> mlp.TrainConfig:
             epochs=_setting(args.epochs, section, "epochs", int, 2000),
             step=_setting(args.step, section, "step", float, 1e-2),
             head=head,
-            standardize=section.get("standardize"),
             warmup_epochs=section.get("warmup_epochs"),
         )
     except (TypeError, ValueError) as exc:
@@ -190,6 +184,7 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"unknown head {head_name!r}") from None
     if head is mlp.Head.PROPENSITY:
         raise ConfigError("train fits outcome heads; the propensity model is fitted alongside")
+    _check_standardize_record(section, head)
     config = _train_config_from(args, section, head)
     members = _setting(args.members, section, "members", int, 16)
     if members < 1:
@@ -205,11 +200,22 @@ def _cmd_train(args) -> int:
     mlp.save_propensity(prop, prop_path, seed=seed)
     resolved = {"data": str(args.data), "head": head.value, "members": members,
                 "seed": seed, "hidden": list(config.hidden), "epochs": config.epochs,
-                "step": config.step, "standardize": config.resolved_standardize(),
-                "warmup_epochs": config.resolved_warmup_epochs()}
+                "step": config.step, "warmup_epochs": config.resolved_warmup_epochs()}
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train", resolved)
     print(f"wrote {out} and {prop_path}")
     return 0
+
+
+def _check_standardize_record(section: dict, head: mlp.Head) -> None:
+    """``standardize`` is not a setting: Gaussian heads train on
+    standardized outcomes and Cauchy heads on raw ones.  Older manifests
+    record that rule for the head they name, so a matching value replays;
+    a ``--head`` flag that changes the head brings its own rule."""
+    value = section.get("standardize")
+    named = section.get("head", head.value)
+    if value is not None and value is not (named == mlp.Head.GAUSSIAN.value):
+        raise ConfigError(f"standardize={value!r} cannot be set: Gaussian heads train on "
+                          f"standardized outcomes, Cauchy heads on raw outcomes")
 
 
 def _propensity_path_for(model_path: Path, explicit: str | None) -> Path:
@@ -276,26 +282,12 @@ def _cmd_gamma_search(args) -> int:
     arm = _setting(args.arm, cfg, "arm", int, 1)
     cost = _setting(args.cost, cfg, "cost_kind", str, "abs_std", flag="--cost")
     seed = _setting(args.seed, cfg, "seed", int, 0)
-    if not 0.0 < target <= 1.0:
-        raise ConfigError(f"target must be in (0, 1], got {target}")
+    if alpha is None and target == 1.0:
+        raise ConfigError("--target 1.0 needs an explicit --alpha")
     try:
-        cost_kind = CostKind(cost)
-    except ValueError:
-        raise ConfigError(f"unknown cost kind {cost!r}") from None
-    if alpha is None:
-        if target >= 1.0:
-            raise ConfigError("--target 1.0 needs an explicit --alpha")
-        alpha = 1.0 - target
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    if target >= 1.0:
-        # coverage of a closed target of 1.0 is unattainable at finite gamma
-        # on unbounded outcome laws; keep it representable so the FAILURE
-        # path is reachable by scripted checks
-        target = 1.0 - 1e-12
-    try:
-        eval_cfg = EvalConfig(target_coverage=target, alpha=alpha, gamma_tol=gamma_tol,
-                              arm=arm, cost_kind=cost_kind)
+        eval_cfg = EvalConfig(target_coverage=target,
+                              alpha=1.0 - target if alpha is None else alpha,
+                              gamma_tol=gamma_tol, arm=arm, cost_kind=CostKind(cost))
     except ValueError as exc:
         raise ConfigError(f"gamma-search config: {exc}") from None
     out = Path(args.out)
@@ -318,11 +310,13 @@ def _cmd_gamma_search(args) -> int:
 
 # ------------------------------------------------------------- oracle-check
 
-def run_oracle_check(m: int, trials: int, seed: int, tol: float = 1e-6
-                     ) -> tuple[float, bool]:
+ORACLE_TOL = 1e-6   # largest scale-normalized deviation oracle-check passes
+
+
+def run_oracle_check(m: int, trials: int, seed: int) -> tuple[float, bool]:
     """Envelope solver against the brute-force oracle on random instances;
     returns the max scale-normalized deviation and whether every trial
-    stayed within tol."""
+    stayed within ``ORACLE_TOL``."""
     rng = np.random.default_rng(seed)
     gammas = (1.5, 3.0, 10.0)
     betas = (0.05, 0.5, 0.975)
@@ -344,7 +338,7 @@ def run_oracle_check(m: int, trials: int, seed: int, tol: float = 1e-6
         bf_max = brute_force_extreme_quantile(comps, bounds, beta, maximize=True)
         bf_min = brute_force_extreme_quantile(comps, bounds, beta, maximize=False)
         worst = max(worst, abs(q_max - bf_max) / norm, abs(q_min - bf_min) / norm)
-    return worst, worst <= tol
+    return worst, worst <= ORACLE_TOL
 
 
 def _cmd_oracle_check(args) -> int:
@@ -359,8 +353,8 @@ def _cmd_oracle_check(args) -> int:
     if m < 1 or trials < 1:
         raise ConfigError("m and trials must be >= 1")
     worst, ok = run_oracle_check(m, trials, seed)
-    print(f"oracle-check m={m} trials={trials} max deviation={worst:.3e} "
-          f"{'OK' if ok else 'FAILED (tolerance 1e-6)'}")
+    verdict = "OK" if ok else f"FAILED (tolerance {ORACLE_TOL:g})"
+    print(f"oracle-check m={m} trials={trials} max deviation={worst:.3e} {verdict}")
     return 0 if ok else 1
 
 
@@ -399,9 +393,8 @@ def _cmd_report(args) -> int:
             raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
         if arm not in (0, 1):
             raise ConfigError(f"arm must be 0 or 1, got {arm}")
-        for g in gammas:
-            if not (math.isfinite(g) and g >= 1.0):
-                raise ConfigError(f"gamma must be finite and >= 1, got {g}")
+        if not gammas or not all(math.isfinite(g) and g >= 1.0 for g in gammas):
+            raise ConfigError(f"gammas must be finite numbers >= 1, got {gammas_arg!r}")
         model, prop, propensity_model = _load_models(Path(model_path), propensity_model)
         test = load_dataset_csv(test_path)
         if test.potential_outcomes is None:
@@ -448,8 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     # Options a config file can set have no parser default; each command
     # resolves them as flag, then config file, then the default in its help.
     p = sub.add_parser("generate", help="write semi-synthetic benchmark CSVs")
-    p.add_argument("--features", default="none",
-                   help="feature CSV or 'none' for the built-in surrogate")
+    p.add_argument("--features", default=None,
+                   help="numeric CSV with one header row, every column a feature, "
+                        "or 'none' for the built-in surrogate (default none)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_generate)
 

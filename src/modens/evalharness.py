@@ -4,9 +4,10 @@ Given a pipeline mapping a sensitivity budget gamma to per-point outcome
 intervals, binary-search the smallest gamma* in [1, 50] whose coverage of
 the de-confounded test outcomes reaches the target (gamma*=1 when no
 budget is needed; FAILURE when even gamma=50 falls short), then score the
-interval size at gamma* with one of three cost functions: absolute length
-scaled to the outcome standard deviation, length relative to the best
-competing method, or mass under the empirical outcome distribution.
+interval size at gamma* with one of two cost functions: absolute length
+scaled to the outcome standard deviation, or mass under the empirical
+outcome distribution.  ``cost_relative`` compares the mean lengths of
+competing methods for ``report``; no search scores with it.
 
 Intervals travel as ``(lo, hi)`` endpoint arrays: the search turns each
 probe's intervals into arrays once, the costs and ``ExperimentReport``
@@ -39,10 +40,11 @@ from .data import Dataset
 from .dist import Family
 from .sensitivity import PROPENSITY_CLAMP, msm_bounds_arrays
 
+GAMMA_MAX = 50.0   # top of the gamma* search range [1, GAMMA_MAX]
+
 
 class CostKind(enum.Enum):
     ABS_STD = "abs_std"        # mean length / empirical outcome std
-    RELATIVE = "relative"      # length relative to the best method in the setting
     MASS = "mass"              # mean empirical-CDF mass inside the interval
 
 
@@ -50,19 +52,16 @@ class CostKind(enum.Enum):
 class EvalConfig:
     target_coverage: float
     alpha: float
-    gamma_range: tuple[float, float] = (1.0, 50.0)
     gamma_tol: float = 0.05
     arm: int = 1
     cost_kind: CostKind = CostKind.ABS_STD
 
     def __post_init__(self):
-        if not 0.0 < self.target_coverage < 1.0:
-            raise ValueError("target_coverage must be in (0, 1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
         # written so that NaN fails each check
-        if self.gamma_range[0] != 1.0 or not 1.0 < self.gamma_range[1] < math.inf:
-            raise ValueError("gamma_range must be (1, upper) with finite upper > 1")
+        if not 0.0 < self.target_coverage <= 1.0:
+            raise ValueError(f"target_coverage must be in (0, 1], got {self.target_coverage}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.gamma_tol < math.inf:
             raise ValueError("gamma_tol must be finite and > 0")
         if self.arm not in (0, 1):
@@ -72,7 +71,6 @@ class EvalConfig:
         return {
             "target_coverage": self.target_coverage,
             "alpha": self.alpha,
-            "gamma_range": list(self.gamma_range),
             "gamma_tol": self.gamma_tol,
             "arm": self.arm,
             "cost_kind": self.cost_kind.value,
@@ -185,10 +183,7 @@ def _cost_at(lo: np.ndarray, hi: np.ndarray, outcomes: np.ndarray,
              kind: CostKind) -> float:
     if kind is CostKind.ABS_STD:
         return cost_abs_std(lo, hi, float(np.std(outcomes)))
-    if kind is CostKind.MASS:
-        return cost_mass(lo, hi, outcomes)
-    # RELATIVE needs competing methods; report the raw mean length instead
-    return float(np.mean(hi - lo))
+    return cost_mass(lo, hi, outcomes)
 
 
 def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
@@ -232,7 +227,7 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
         predicted_steps += 1
         return predicted_coverage(gamma) >= target
 
-    g_lo, g_hi = config.gamma_range
+    g_lo, g_hi = 1.0, GAMMA_MAX
     while True:
         if reaches(g_lo):
             gamma_star, decided = g_lo, {g_lo: True}

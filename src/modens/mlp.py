@@ -7,6 +7,9 @@ bootstrap resample, computed as the count-weighted likelihood of the
 resample's unique rows: the same objective as on the replicated rows, with
 about 37% fewer rows per epoch.  Outcome heads emit (location, log-scale)
 for a Gaussian or Cauchy predictive; the propensity head emits a logit.
+Gaussian members train on standardized outcomes (y - mean) / std, folded
+back into the output layer; Cauchy members, whose outcome moments may not
+exist, train on raw outcomes.
 The treatment enters outcome nets as one appended input scalar.
 Prediction works on row batches only: ``predict_components_batch`` gives
 the (n, m) member location and scale arrays, ``predict_propensity_batch``
@@ -58,8 +61,6 @@ class TrainConfig:
     epochs: int = 2000
     step: float = 1e-2
     head: Head = Head.GAUSSIAN
-    # None = head default: standardize outcomes for Gaussian, not for Cauchy
-    standardize: bool | None = None
     # Gaussian-on-ranks warm-up epochs before Cauchy fine-tuning; None = epochs // 2
     warmup_epochs: int | None = None
 
@@ -70,13 +71,6 @@ class TrainConfig:
         w = self.warmup_epochs
         if w is not None and (type(w) is not int or w < 1):
             raise ValueError(f"warmup_epochs must be None or an integer >= 1, got {w!r}")
-        if self.standardize is not None and type(self.standardize) is not bool:
-            raise ValueError(f"standardize must be None or a boolean, got {self.standardize!r}")
-
-    def resolved_standardize(self) -> bool:
-        if self.standardize is not None:
-            return self.standardize
-        return self.head is Head.GAUSSIAN
 
     def resolved_warmup_epochs(self) -> int:
         if self.warmup_epochs is not None:
@@ -188,35 +182,22 @@ def _head_loss_grad(head: Head, out: np.ndarray, target: np.ndarray,
                     target_var: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Mean NLL and its gradient wrt the raw network outputs.
 
-    With `counts`, row i stands for counts[i] copies of itself: the loss is
-    sum(c_i * l_i) / sum(c_i) and row i's gradient is scaled by
-    c_i / sum(c_i), the same values as on the replicated rows.  With
+    Row i carries the weight w_i = c_i / sum(c), or 1/n without `counts`:
+    the loss is sum(w_i * l_i) and row i's gradient is scaled by w_i.  With
+    `counts`, row i stands for counts[i] copies of itself, so these are the
+    values on the replicated rows.  With
     `target_var` (Gaussian head only), row i's copies carry targets of mean
     target[i] and variance target_var[i]; the Gaussian NLL of such copies is
     0.5 * ((target - mu)^2 + var) / s^2 + log s per copy."""
-    if counts is None:
-        n = out.shape[0]
-
-        def mean(loss_rows):
-            return float(np.mean(loss_rows))
-
-        def per_row(g):
-            return g / n
-    else:
-        w = counts / counts.sum()
-
-        def mean(loss_rows):
-            return float(w @ loss_rows)
-
-        def per_row(g):
-            return g * w
+    n = out.shape[0]
+    w = np.full(n, 1.0 / n) if counts is None else counts / counts.sum()
     dout = np.empty_like(out)
     if head is Head.PROPENSITY:
         z = out[:, 0]
-        loss = mean(np.logaddexp(0.0, z) - target * z)
+        loss = float(w @ (np.logaddexp(0.0, z) - target * z))
         d = _sigmoid(z, out=dout[:, 0])
         d -= target
-        dout[:, 0] = per_row(d)
+        d *= w
         return loss, dout
     if target_var is not None and head is not Head.GAUSSIAN:
         raise ValueError("target_var needs the Gaussian head")
@@ -230,13 +211,13 @@ def _head_loss_grad(head: Head, out: np.ndarray, target: np.ndarray,
     if head is Head.GAUSSIAN:
         if target_var is not None:
             z2 += target_var / s ** 2
-        loss = mean(0.5 * z2 + np.log(s) + 0.5 * math.log(2.0 * math.pi))
-        dout[:, 0] = per_row(-r / s ** 2)
-        dout[:, 1] = per_row(np.where(live, 1.0 - z2, 0.0))
+        loss = float(w @ (0.5 * z2 + np.log(s) + 0.5 * math.log(2.0 * math.pi)))
+        dout[:, 0] = -r / s ** 2 * w
+        dout[:, 1] = np.where(live, 1.0 - z2, 0.0) * w
     elif head is Head.CAUCHY:
-        loss = mean(np.log(math.pi * s) + np.log1p(z2))
-        dout[:, 0] = per_row(-2.0 * r / (s ** 2 + r ** 2))
-        dout[:, 1] = per_row(np.where(live, (s ** 2 - r ** 2) / (s ** 2 + r ** 2), 0.0))
+        loss = float(w @ (np.log(math.pi * s) + np.log1p(z2)))
+        dout[:, 0] = -2.0 * r / (s ** 2 + r ** 2) * w
+        dout[:, 1] = np.where(live, (s ** 2 - r ** 2) / (s ** 2 + r ** 2), 0.0) * w
     else:  # pragma: no cover
         raise ValueError(f"unknown head {head}")
     return loss, dout
@@ -327,10 +308,11 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     The member maximises the likelihood of its bootstrap resample, written
     as the count-weighted likelihood of the resample's unique rows (the
     weighted likelihood bootstrap): the same objective, on about 63% of the
-    rows.  Cauchy heads train in two phases: a Gaussian warm-up on
+    rows.  Gaussian heads train on standardized outcomes, folded back to
+    outcome units.  Cauchy heads train in two phases: a Gaussian warm-up on
     rank-normalized outcomes to place the body away from the heavy tails,
     then an affine re-map of the location head to outcome units
-    (quartile-matched) and Cauchy fine-tuning.
+    (quartile-matched) and Cauchy fine-tuning on the raw outcomes.
     """
     if data.n < 2:
         raise ValueError("need at least 2 training rows")
@@ -341,24 +323,18 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     rows, copy_row, counts = np.unique(idx, return_inverse=True, return_counts=True)
     X = _outcome_design(data)[rows]
     y = data.outcomes[rows]
-    sizes = (X.shape[1], *config.hidden, 2)
+    params = init_params((X.shape[1], *config.hidden, 2), Head.GAUSSIAN, rng)
 
     if config.head is Head.GAUSSIAN:
-        params = init_params(sizes, Head.GAUSSIAN, rng)
-        if config.resolved_standardize():
-            mu_y = float(np.mean(data.outcomes))
-            sd_y = max(float(np.std(data.outcomes)), 1e-12)
-            params = _adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step,
-                               counts)
-            _fold_affine(params, sd_y, mu_y)
-        else:
-            params = _adam_fit(params, X, y, config.epochs, config.step, counts)
+        mu_y = float(np.mean(data.outcomes))
+        sd_y = max(float(np.std(data.outcomes)), 1e-12)
+        params = _adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step, counts)
+        _fold_affine(params, sd_y, mu_y)
         return params
 
     # Cauchy head.  The warm-up targets are the stable-tie ranks of the n
     # resampled outcomes, so the copies of one row hold distinct ranks:
     # each unique row carries their mean and their variance.
-    params = init_params(sizes, Head.GAUSSIAN, rng)
     y_boot = data.outcomes[idx]
     ranks = rank_normalize(y_boot)
     rank_mean = np.bincount(copy_row, weights=ranks) / counts
@@ -379,15 +355,7 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     params.weights[-1][:, 1] = 0.0
     params.biases[-1][1] = math.log(max((q75 - q25) / 2.0, 1e-3))
     params.head = Head.CAUCHY
-    if config.resolved_standardize():
-        # rarely useful for Cauchy data (moments may not exist) but honored
-        mu_y = float(np.median(data.outcomes))
-        _fold_affine(params, 1.0, -mu_y)
-        params = _adam_fit(params, X, y - mu_y, config.epochs, config.step, counts)
-        _fold_affine(params, 1.0, mu_y)
-    else:
-        params = _adam_fit(params, X, y, config.epochs, config.step, counts)
-    return params
+    return _adam_fit(params, X, y, config.epochs, config.step, counts)
 
 
 def train_ensemble(data: Dataset, config: TrainConfig, seed: int,

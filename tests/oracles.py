@@ -136,13 +136,10 @@ def replicated_train_member(data, config, seed: int):
     sizes = (X.shape[1], *config.hidden, 2)
     params = mlp.init_params(sizes, Head.GAUSSIAN, rng)
     if config.head is Head.GAUSSIAN:
-        if config.resolved_standardize():
-            mu_y = float(np.mean(data.outcomes))
-            sd_y = max(float(np.std(data.outcomes)), 1e-12)
-            params = mlp._adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step)
-            mlp._fold_affine(params, sd_y, mu_y)
-        else:
-            params = mlp._adam_fit(params, X, y, config.epochs, config.step)
+        mu_y = float(np.mean(data.outcomes))
+        sd_y = max(float(np.std(data.outcomes)), 1e-12)
+        params = mlp._adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step)
+        mlp._fold_affine(params, sd_y, mu_y)
         return params
     params = mlp._adam_fit(params, X, benchgen.rank_normalize(y),
                            config.resolved_warmup_epochs(), config.step)
@@ -155,11 +152,4 @@ def replicated_train_member(data, config, seed: int):
     params.weights[-1][:, 1] = 0.0
     params.biases[-1][1] = math.log(max((q75 - q25) / 2.0, 1e-3))
     params.head = Head.CAUCHY
-    if config.resolved_standardize():
-        mu_y = float(np.median(data.outcomes))
-        mlp._fold_affine(params, 1.0, -mu_y)
-        params = mlp._adam_fit(params, X, y - mu_y, config.epochs, config.step)
-        mlp._fold_affine(params, 1.0, mu_y)
-    else:
-        params = mlp._adam_fit(params, X, y, config.epochs, config.step)
-    return params
+    return mlp._adam_fit(params, X, y, config.epochs, config.step)

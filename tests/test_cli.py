@@ -70,6 +70,43 @@ class TestGenerate:
         assert run(["generate", "--config", cfg_path, "--out-dir", tmp_path / "o"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    SIZES = {"n_train": 50, "n_valid": 10, "n_test": 10}
+
+    def features_csv(self, tmp_path, rows):
+        matrix = np.random.default_rng(2).normal(size=(rows, 5))
+        path = tmp_path / "features.csv"
+        # columns named t and y are features like any other
+        np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header="a,t,y,b,c", comments="")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.SIZES))
+        return matrix, path, cfg
+
+    def test_features_csv_matches_write_benchmark(self, tmp_path):
+        matrix, features, cfg = self.features_csv(tmp_path, 90)
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert run(["generate", "--seed", 3, "--config", cfg, "--features", features,
+                    "--out-dir", out]) == 0
+        write_benchmark(matrix, GeneratorConfig(seed=3, **self.SIZES), ref)
+        for name in ("train.csv", "valid.csv", "test.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_features_manifest_replay_is_byte_identical(self, tmp_path):
+        _, features, cfg = self.features_csv(tmp_path, 90)
+        first, replay = tmp_path / "a", tmp_path / "b"
+        assert run(["generate", "--seed", 3, "--config", cfg, "--features", features,
+                    "--out-dir", first]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["config"]["features"] == str(features)
+        assert run(["generate", "--config", first / "manifest.json", "--out-dir", replay]) == 0
+        for name in ("train.csv", "valid.csv", "test.csv", "manifest.json"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+    def test_features_with_too_few_rows_exit_1(self, tmp_path, capsys):
+        _, features, cfg = self.features_csv(tmp_path, 69)   # 70 rows requested
+        assert run(["generate", "--config", cfg, "--features", features,
+                    "--out-dir", tmp_path / "out"]) == 1
+        assert "features provide only 69" in capsys.readouterr().err
+
     @pytest.mark.slow
     def test_default_config_row_counts(self, tmp_path):
         out = tmp_path / "full"
@@ -110,7 +147,10 @@ class TestConfigErrors:
          "--out", "{tmp}/m.json"],
         ["report", "--model", "{model}", "--test", "{data}/test.csv",
          "--gammas", "1,nan", "--out-dir", "{tmp}/rep"],
-    ], ids=["gamma-tol-0", "gamma-tol-nan", "members-0", "step-nan", "gamma-nan"])
+        ["report", "--model", "{model}", "--test", "{data}/test.csv",
+         "--gammas", ",", "--out-dir", "{tmp}/rep"],
+    ], ids=["gamma-tol-0", "gamma-tol-nan", "members-0", "step-nan", "gamma-nan",
+            "gammas-empty"])
     def test_config_error_exits_2(self, bench_dir, trained_model, tmp_path, argv, capsys):
         paths = {"model": trained_model, "data": bench_dir, "tmp": tmp_path}
         assert run([a.format(**paths) for a in argv]) == 2
@@ -260,6 +300,14 @@ class TestSubcommandConfigFiles:
         for name in ("coverage_curve.csv", "report.manifest.json"):
             assert (replay / name).read_bytes() == (first / name).read_bytes()
 
+    def test_relative_cost_kind_exits_2(self, bench_dir, trained_model, tmp_path, capsys):
+        cfg = tmp_path / "gs.json"
+        cfg.write_text(json.dumps({"gamma-search": {"cost_kind": "relative"}}))
+        assert run(["gamma-search", "--model", trained_model, "--test", bench_dir / "test.csv",
+                    "--target", 0.8, "--config", cfg, "--out", tmp_path / "r.json"]) == 2
+        assert "relative" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_oracle_check_reads_its_settings_from_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "oc.json"
         cfg.write_text(json.dumps({"oracle-check": {"m": 3, "trials": 2}}))
@@ -328,6 +376,32 @@ class TestTrain:
         config = json.loads(replay.with_suffix(".json.manifest.json").read_text())["config"]
         assert (config["head"], config["seed"], config["members"]) == ("gaussian", 4, 1)
         assert (config["hidden"], config["epochs"]) == ([4], 4)
+
+    @pytest.mark.parametrize("head", ["gaussian", "cauchy"])
+    def test_manifest_recording_the_standardize_rule_replays(self, bench_dir, tmp_path,
+                                                             head, capsys):
+        # manifests written while standardize was a setting record the
+        # head's rule (standardized Gaussian, raw Cauchy) and still replay
+        first, replay = tmp_path / "a" / "m.json", tmp_path / "b" / "m.json"
+        first.parent.mkdir()
+        replay.parent.mkdir()
+        assert run(["train", "--data", bench_dir / "train.csv", "--head", head, "--seed", 3,
+                    "--members", 2, "--hidden", "4", "--epochs", 6, "--out", first]) == 0
+        manifest = first.with_suffix(".json.manifest.json")
+        doc = json.loads(manifest.read_text())
+        assert "standardize" not in doc["config"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"config": {**doc["config"],
+                                              "standardize": head == "gaussian"}}))
+        assert run(["train", "--data", bench_dir / "train.csv", "--config", old,
+                    "--out", replay]) == 0
+        for name in ("m.json", "m.propensity.json", "m.json.manifest.json"):
+            assert (replay.parent / name).read_bytes() == (first.parent / name).read_bytes()
+        old.write_text(json.dumps({"config": {**doc["config"],
+                                              "standardize": head != "gaussian"}}))
+        assert run(["train", "--data", bench_dir / "train.csv", "--config", old,
+                    "--out", tmp_path / "x.json"]) == 2
+        assert "Gaussian heads train on standardized outcomes" in capsys.readouterr().err
 
     def test_corrupt_csv_row_named_in_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -482,6 +556,7 @@ class TestGammaSearch:
         doc = json.loads(out.read_text())
         assert doc["gamma_star"] == "FAILURE"
         assert "coverage_cost" not in doc
+        assert doc["config"]["target_coverage"] == 1.0
 
     def test_manifest_records_the_solved_gammas(self, bench_dir, trained_model, tmp_path):
         out = tmp_path / "r.json"

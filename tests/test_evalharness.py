@@ -297,9 +297,11 @@ class TestEvalConfigValidation:
         with pytest.raises(ValueError):
             EvalConfig(target_coverage=0.0, alpha=0.1)
 
-    def test_gamma_range_must_start_at_one(self):
-        with pytest.raises(ValueError):
-            EvalConfig(target_coverage=0.9, alpha=0.1, gamma_range=(2.0, 50.0))
+    def test_target_one_is_accepted(self):
+        assert EvalConfig(target_coverage=1.0, alpha=0.1).target_coverage == 1.0
+        for bad in (1.0 + 1e-12, float("nan")):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                EvalConfig(target_coverage=bad, alpha=0.1)
 
     def test_bad_arm(self):
         with pytest.raises(ValueError):

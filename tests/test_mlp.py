@@ -9,7 +9,7 @@ from modens import (Dataset, EnsembleModel, Head, ModelFileError, TrainConfig,
                     fit_propensity, load_model, predict_components_batch,
                     predict_propensity_batch, save_model, train_ensemble,
                     train_member)
-from modens.mlp import _sigmoid, init_params, nll, nll_and_grads
+from modens.mlp import _fold_affine, _sigmoid, init_params, nll, nll_and_grads
 
 
 def zero_params(layer_sizes, head):
@@ -196,20 +196,15 @@ class TestMemberExactness:
     a plain bootstrap on the n replicated rows."""
 
     @pytest.mark.parametrize("case", [
-        "gaussian-standardized", "gaussian-raw", "cauchy", "cauchy-standardized",
-        "cauchy-tied-outcomes", "two-rows-one-drawn"])
+        "gaussian-standardized", "cauchy", "cauchy-tied-outcomes", "two-rows-one-drawn"])
     def test_matches_replicated_reference(self, case):
         rng = np.random.default_rng(31)
         data = heavy_tailed_data(rng, 2 if case == "two-rows-one-drawn" else 120,
                                  rounded=case == "cauchy-tied-outcomes")
         config = {
             "gaussian-standardized": TrainConfig(hidden=(6, 5), epochs=40, head=Head.GAUSSIAN),
-            "gaussian-raw": TrainConfig(hidden=(6,), epochs=40, head=Head.GAUSSIAN,
-                                        standardize=False),
             "cauchy": TrainConfig(hidden=(6, 5), epochs=40, head=Head.CAUCHY,
                                   warmup_epochs=20),
-            "cauchy-standardized": TrainConfig(hidden=(6, 5), epochs=40, head=Head.CAUCHY,
-                                               standardize=True, warmup_epochs=20),
             "cauchy-tied-outcomes": TrainConfig(hidden=(6,), epochs=40, head=Head.CAUCHY,
                                                 warmup_epochs=20),
             "two-rows-one-drawn": TrainConfig(hidden=(4,), epochs=30, head=Head.CAUCHY),
@@ -265,11 +260,14 @@ class TestTrainMember:
 
     def test_final_nll_not_worse_than_initial(self, rng):
         data = small_data(rng, n=50)
-        cfg = TrainConfig(hidden=(6,), epochs=30, head=Head.GAUSSIAN, standardize=False)
+        cfg = TrainConfig(hidden=(6,), epochs=30, head=Head.GAUSSIAN)
         p = train_member(data, cfg, seed=9)
         rng_replay = np.random.default_rng(9)
         idx = rng_replay.integers(0, data.n, size=data.n)  # the bootstrap draw
         init = init_params((4, 6, 2), Head.GAUSSIAN, rng_replay)
+        # in outcome units, as train_member folds its standardized fit
+        _fold_affine(init, max(float(np.std(data.outcomes)), 1e-12),
+                     float(np.mean(data.outcomes)))
         X = np.column_stack([data.covariates, data.treatments.astype(float)])[idx]
         y = data.outcomes[idx]
         assert nll(p, X, y) <= nll(init, X, y) + 1e-12
@@ -320,8 +318,7 @@ class TestTrainEnsemble:
         gen = GeneratorConfig(seed=13, n_train=256, n_valid=128, n_test=32,
                               noise_family="gaussian", noise_scale=4.0)
         train, valid, _ = generate_dataset(None, gen)
-        cfg = TrainConfig(hidden=(8,), epochs=120, head=Head.GAUSSIAN,
-                          standardize=False)
+        cfg = TrainConfig(hidden=(8,), epochs=120, head=Head.GAUSSIAN)
         seed = 30
         model = train_ensemble(train, cfg, seed=seed, m=16)
         X_val = np.column_stack([valid.covariates, valid.treatments.astype(float)])
@@ -330,6 +327,8 @@ class TestTrainEnsemble:
             replay = np.random.default_rng(seed + j)
             replay.integers(0, train.n, size=train.n)  # the bootstrap draw
             init = init_params(member.layer_sizes, Head.GAUSSIAN, replay)
+            _fold_affine(init, max(float(np.std(train.outcomes)), 1e-12),
+                         float(np.mean(train.outcomes)))
             if nll(member, X_val, valid.outcomes) < nll(init, X_val, valid.outcomes):
                 better += 1
         assert better >= 15
