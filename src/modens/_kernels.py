@@ -53,7 +53,6 @@ GAUSSIAN = 0
 CAUCHY = 1
 
 _SQRT2 = math.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # The ITP projection closes a bracket in n_max steps, which stays below this
@@ -120,13 +119,6 @@ def component_pdf_s(fam, loc, scale, y):
     if fam == GAUSSIAN:
         return _INV_SQRT_2PI * math.exp(-0.5 * z * z) / scale
     return 1.0 / (math.pi * scale * (1.0 + z * z))
-
-
-def component_logpdf_s(fam, loc, scale, y):
-    z = (y - loc) / scale
-    if fam == GAUSSIAN:
-        return -0.5 * z * z - math.log(scale) - _LOG_SQRT_2PI
-    return -math.log(math.pi * scale) - math.log1p(z * z)
 
 
 def mixture_pdf_k(fam, loc, scale, w, y):

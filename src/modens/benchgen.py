@@ -21,6 +21,10 @@ import numpy as np
 
 from .data import Dataset, save_dataset_csv
 
+# shape of the fallback feature matrix: columns, and the factor-model rank
+SYNTHETIC_FEATURES = 128
+SYNTHETIC_RANK = 8
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -88,18 +92,14 @@ class GeneratedPanel:
     y: np.ndarray             # (n,) observed outcome
     u_potential: np.ndarray   # (n, 2) pre-noise outcome per forced arm
     y_potential: np.ndarray   # (n, 2) noisy potential outcome per arm
-    config: GeneratorConfig
 
 
-def synthetic_features(n: int, n_features: int = 128, rank: int = 8,
-                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """Fallback feature matrix: a rank-8 factor model with signed,
-    heavy-tailed log-normal loadings, so projected columns end up with
-    nontrivial cross-correlations like real expression data."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    factors = rng.standard_normal((n, rank))
-    loadings = np.exp(rng.standard_normal((rank, n_features)))
+def synthetic_features(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Fallback feature matrix: n x 128 from a rank-8 factor model with
+    signed, heavy-tailed log-normal loadings, so projected columns end up
+    with nontrivial cross-correlations like real expression data."""
+    factors = rng.standard_normal((n, SYNTHETIC_RANK))
+    loadings = np.exp(rng.standard_normal((SYNTHETIC_RANK, SYNTHETIC_FEATURES)))
     loadings *= rng.choice((-1.0, 1.0), size=loadings.shape)
     return factors @ loadings
 
@@ -135,14 +135,6 @@ def binarize_treatment(column: np.ndarray, threshold: float) -> np.ndarray:
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     return (np.asarray(column, dtype=np.float64) >= threshold).astype(np.int64)
-
-
-def quadratic_outcome(V: np.ndarray, M: np.ndarray) -> float:
-    """u = V' M V."""
-    V = np.asarray(V, dtype=np.float64)
-    if M.shape != (V.shape[0], V.shape[0]):
-        raise ValueError(f"M shape {M.shape} does not match V length {V.shape[0]}")
-    return float(V @ M @ V)
 
 
 def outcome_link_matrix(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
@@ -201,7 +193,7 @@ def generate_panel(features: np.ndarray | None, config: GeneratorConfig) -> Gene
     y_pot = np.column_stack([u0, u1]) + _noise(config, rng, (n, 2))
     return GeneratedPanel(visible=visible, hidden=hidden, t=t, u=u, y=y,
                           u_potential=np.column_stack([u0, u1]),
-                          y_potential=y_pot, config=config)
+                          y_potential=y_pot)
 
 
 def generate_dataset(features: np.ndarray | None, config: GeneratorConfig

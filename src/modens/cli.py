@@ -129,6 +129,8 @@ def _cmd_generate(args) -> int:
     # `features` sits beside the generator section (a manifest) or its fields
     rest = {k: v for k, v in cfg_file.items() if k != "features"}
     gen_cfg = rest.get("generator", rest)
+    if not isinstance(gen_cfg, dict):
+        raise ConfigError(f"config file {args.config}: 'generator' must be an object")
     if args.seed is not None:
         gen_cfg = {**gen_cfg, "seed": args.seed}
     try:
@@ -377,6 +379,11 @@ def _cmd_report(args) -> int:
             lengths = json.loads(Path(lengths_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"lengths file: {exc}") from None
+        # bools are ints to json; NaN and Infinity parse as floats
+        if not (isinstance(lengths, dict) and lengths and all(
+                type(v) in (int, float) and 0.0 < v < math.inf for v in lengths.values())):
+            raise ConfigError(f"lengths file {lengths_path}: expected a JSON object "
+                              f"mapping method names to finite positive numbers")
         rel = cost_relative({str(k): float(v) for k, v in lengths.items()})
         lines = ["method,mean_length,relative_cost,excess"]
         for name in sorted(rel):

@@ -4,11 +4,13 @@ The admissible weights form the polytope {w : w_i in [lower, upper],
 mean(w) = 1}.  At a fixed q the extremal mixture mass is attained at a
 vertex that depends only on the rank order of the member masses F_j(q)
 (see ``_kernels``), so each extreme quantile is one bracketed root search
-on the sorted-rank envelope, to within tol/2.  ``maximize_quantile``, ``minimize_quantile``,
+on the sorted-rank envelope.  ``maximize_quantile``, ``minimize_quantile``,
 ``outcome_interval`` and the row loop ``modulated_intervals_batch`` all run
 that one kernel.  ``brute_force_extreme_quantile`` enumerates every vertex
 as a test oracle, and ``check_optimality`` certifies a solution via the
-no-improving-pair condition.
+no-improving-pair condition.  Every solve here runs at the one quantile
+tolerance tol = 1e-9 * (1 + the largest member scale)
+(``dist.default_quantile_tol``) and lands within tol/2 of the crossing.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .dist import QUANTILE_TOL_REL, WEIGHT_MEAN_TOL, pack_components, resolve_quantile_tol
+from .dist import QUANTILE_TOL_REL, WEIGHT_MEAN_TOL, default_quantile_tol, pack_components
 from .sensitivity import WeightBounds
 
 _BOUND_SLACK = 1e-12
+# a member-mass gap above this at the quantile is an improving transfer
+OPTIMALITY_TOL_MASS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,46 +115,43 @@ def empirical_coverage_bound(cb: CoverageBound) -> tuple[float, float]:
 
 
 def _extreme_quantile(components, bounds: WeightBounds, beta: float,
-                      tol: float | None, maximize: bool
-                      ) -> tuple[float, WeightVector]:
+                      maximize: bool) -> tuple[float, WeightVector]:
     if not isinstance(bounds, WeightBounds):
         raise ValueError("bounds must be a WeightBounds instance")
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    tol = resolve_quantile_tol(components, tol)
     fam, loc, scale = pack_components(components)
     args = (fam, loc, scale, bounds.lower, bounds.upper)
-    q = K.extreme_quantile_k(*args, beta, tol, maximize)
+    q = K.extreme_quantile_k(*args, beta, default_quantile_tol(components), maximize)
     return q, WeightVector(K.rank_weights_k(*args, q, maximize), bounds)
 
 
-def maximize_quantile(components, bounds: WeightBounds, beta: float,
-                      tol: float | None = None) -> tuple[float, WeightVector]:
+def maximize_quantile(components, bounds: WeightBounds, beta: float
+                      ) -> tuple[float, WeightVector]:
     """Supremum of the weighted-mixture beta-quantile over admissible weight
     vectors, with the attaining weights."""
-    return _extreme_quantile(components, bounds, beta, tol, maximize=True)
+    return _extreme_quantile(components, bounds, beta, maximize=True)
 
 
-def minimize_quantile(components, bounds: WeightBounds, beta: float,
-                      tol: float | None = None) -> tuple[float, WeightVector]:
+def minimize_quantile(components, bounds: WeightBounds, beta: float
+                      ) -> tuple[float, WeightVector]:
     """Infimum of the weighted-mixture beta-quantile over admissible weight
     vectors, with the attaining weights."""
-    return _extreme_quantile(components, bounds, beta, tol, maximize=False)
+    return _extreme_quantile(components, bounds, beta, maximize=False)
 
 
 def outcome_interval(components, bounds: WeightBounds, alpha: float,
-                     tol: float | None = None, gamma: float = float("nan")
-                     ) -> OutcomeInterval:
+                     gamma: float = float("nan")) -> OutcomeInterval:
     """[min quantile(alpha/2), max quantile(1-alpha/2)] under the bounds."""
     if not isinstance(bounds, WeightBounds):
         raise ValueError("bounds must be a WeightBounds instance")
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    tol = resolve_quantile_tol(components, tol)
     fam, loc, scale = pack_components(components)
-    lo, hi = K.interval_k(fam, loc, scale, bounds.lower, bounds.upper, alpha, tol)
+    lo, hi = K.interval_k(fam, loc, scale, bounds.lower, bounds.upper, alpha,
+                          default_quantile_tol(components))
     return OutcomeInterval(lo=lo, hi=hi, alpha=alpha, gamma=gamma)
 
 
@@ -158,8 +159,7 @@ BRUTE_FORCE_MAX_M = 10
 
 
 def brute_force_extreme_quantile(components, bounds: WeightBounds, beta: float,
-                                 maximize: bool = True,
-                                 tol: float | None = None) -> float:
+                                 maximize: bool = True) -> float:
     """Exhaustive vertex enumeration oracle.
 
     Every extremal assignment puts a subset S at the upper bound, one
@@ -175,7 +175,7 @@ def brute_force_extreme_quantile(components, bounds: WeightBounds, beta: float,
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    tol = resolve_quantile_tol(components, tol)
+    tol = default_quantile_tol(components)
     fam, loc, scale = pack_components(components)
     lower, upper = bounds.lower, bounds.upper
 
@@ -209,16 +209,15 @@ def brute_force_extreme_quantile(components, bounds: WeightBounds, beta: float,
 
 
 def check_optimality(components, weights: WeightVector, bounds: WeightBounds,
-                     beta: float, tol_mass: float = 1e-9,
-                     tol: float | None = None) -> bool:
+                     beta: float) -> bool:
     """True iff no pair (j, k) with w_j > lower and w_k < upper has
-    F_j(q) > F_k(q) + tol_mass at the current beta-quantile q, i.e. no
-    single weight transfer can push the quantile further up."""
-    tol = resolve_quantile_tol(components, tol)
+    F_j(q) > F_k(q) + OPTIMALITY_TOL_MASS at the current beta-quantile q,
+    i.e. no single weight transfer can push the quantile further up."""
     fam, loc, scale = pack_components(components)
     w = weights.as_array() if isinstance(weights, WeightVector) else \
         np.asarray(weights, dtype=np.float64)
-    q = K.mixture_quantile_k(fam, loc, scale, w, float(beta), tol)
+    q = K.mixture_quantile_k(fam, loc, scale, w, float(beta),
+                             default_quantile_tol(components))
     sender_mass = -np.inf
     receiver_mass = np.inf
     for i in range(len(w)):
@@ -227,7 +226,7 @@ def check_optimality(components, weights: WeightVector, bounds: WeightBounds,
             sender_mass = mass
         if w[i] < bounds.upper and mass < receiver_mass:
             receiver_mass = mass
-    return not sender_mass > receiver_mass + tol_mass
+    return not sender_mass > receiver_mass + OPTIMALITY_TOL_MASS
 
 
 def modulated_intervals_batch(fam: np.ndarray, locs: np.ndarray,

@@ -4,7 +4,8 @@ A ``WeightedMixture`` is the ensemble predictive law at one query point:
 ``F(y) = m^-1 * sum_i w_i * F_i(y)`` with nonnegative weights of mean 1,
 so it stays a proper probability distribution.  Quantiles are solved by
 the bracketed root-finder of ``_kernels`` (Chandrupatla's interpolation
-with ITP's worst-case bound), to within tol/2: on the exact CDF for
+with ITP's worst-case bound), to within half the scale-relative
+tolerance of :func:`default_quantile_tol`: on the exact CDF for
 beta <= 1/2, and on the exact upper-tail mass against 1 - beta above it,
 where 1 - CDF would round to a multiple of ulp(1).  The mixture CDF is a
 convex combination of the member CDFs, so the bracket spans the members'
@@ -60,16 +61,8 @@ class ComponentDistribution:
             raise ValueError(f"scale must be > 0, got {self.scale}")
 
     def cdf(self, y: float) -> float:
-        return component_cdf(self, y)
-
-    def quantile(self, p: float) -> float:
-        return component_quantile(self, p)
-
-    def pdf(self, y: float) -> float:
-        return math.exp(component_logpdf(self, y))
-
-    def logpdf(self, y: float) -> float:
-        return component_logpdf(self, y)
+        y = _require_finite("y", y)
+        return K.component_cdf_s(self.family.code, self.location, self.scale, y)
 
 
 def pack_components(components) -> tuple[list[int], list[float], list[float]]:
@@ -108,22 +101,9 @@ class WeightedMixture:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def m(self) -> int:
-        return len(self.components)
-
     def _packed(self):
         fam, loc, scale = pack_components(self.components)
         return fam, loc, scale, list(self.weights)
-
-    def cdf(self, y: float) -> float:
-        return mixture_cdf(self, y)
-
-    def pdf(self, y: float) -> float:
-        return mixture_pdf(self, y)
-
-    def quantile(self, beta: float, tol: float | None = None) -> float:
-        return mixture_quantile(self, beta, tol)
 
 
 def default_quantile_tol(components) -> float:
@@ -133,48 +113,16 @@ def default_quantile_tol(components) -> float:
     return QUANTILE_TOL_REL * (1.0 + max(c.scale for c in components))
 
 
-def resolve_quantile_tol(components, tol: float | None) -> float:
-    """``tol`` as a float, or the default tolerance when it is None."""
-    if tol is None:
-        return default_quantile_tol(components)
-    tol = float(tol)
-    if not 0.0 < tol < math.inf:  # NaN fails too
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    return tol
-
-
-def component_cdf(d: ComponentDistribution, y: float) -> float:
-    y = _require_finite("y", y)
-    return K.component_cdf_s(d.family.code, d.location, d.scale, y)
-
-
-def component_quantile(d: ComponentDistribution, p: float) -> float:
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    return K.component_ppf_s(d.family.code, d.location, d.scale, p)
-
-
-def component_logpdf(d: ComponentDistribution, y: float) -> float:
-    y = _require_finite("y", y)
-    return K.component_logpdf_s(d.family.code, d.location, d.scale, y)
-
-
-def mixture_cdf(mix: WeightedMixture, y: float) -> float:
-    # component_cdf checks y
-    return K.weighted_mass(mix.weights, [component_cdf(d, y) for d in mix.components])
-
-
 def mixture_pdf(mix: WeightedMixture, y: float) -> float:
     y = _require_finite("y", y)
     fam, loc, scale, w = mix._packed()
     return K.mixture_pdf_k(fam, loc, scale, w, y)
 
 
-def mixture_quantile(mix: WeightedMixture, beta: float, tol: float | None = None) -> float:
+def mixture_quantile(mix: WeightedMixture, beta: float) -> float:
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    tol = resolve_quantile_tol(mix.components, tol)
     fam, loc, scale, w = mix._packed()
-    return K.mixture_quantile_k(fam, loc, scale, w, beta, tol)
+    return K.mixture_quantile_k(fam, loc, scale, w, beta,
+                                default_quantile_tol(mix.components))

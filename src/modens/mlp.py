@@ -408,8 +408,8 @@ def predict_components_batch(model: EnsembleModel, X: np.ndarray, t: np.ndarray
 
 def predict_propensity_batch(params: MlpParams, X: np.ndarray) -> np.ndarray:
     """e_1(x) for n rows of covariates X, in [0, 1] (exactly 0 or 1 once
-    |logit| exceeds about 37; `sensitivity.clamp_propensity` keeps it away
-    from both); e_0 is its complement."""
+    |logit| exceeds about 37; callers clamp it `sensitivity.PROPENSITY_CLAMP`
+    away from both); e_0 is its complement."""
     if params.head is not Head.PROPENSITY:
         raise ValueError("model is not propensity-headed")
     out, _ = _net_forward(params, _covariate_matrix(X, params.input_dim))

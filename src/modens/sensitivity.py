@@ -52,9 +52,9 @@ class WeightBounds:
 def msm_bounds(e: float, cfg: SensitivityConfig) -> WeightBounds:
     """MSM weight bounds at nominal propensity ``e`` of the queried arm.
 
-    ``e`` must already lie in [0, 1]; use :func:`clamp_propensity` to keep
-    estimated propensities away from the endpoints where the bounds
-    degenerate to (1, 1).
+    ``e`` must already lie in [0, 1]; clamp estimated propensities to
+    [PROPENSITY_CLAMP, 1 - PROPENSITY_CLAMP] first, away from the endpoints
+    where the bounds degenerate to (1, 1).
     """
     e = float(e)
     if not 0.0 <= e <= 1.0:
@@ -66,10 +66,6 @@ def msm_bounds(e: float, cfg: SensitivityConfig) -> WeightBounds:
 def identity_bounds() -> WeightBounds:
     """The gamma=1 / ignorability case: modulation is pinned to weight 1."""
     return WeightBounds(1.0, 1.0)
-
-
-def clamp_propensity(e: float, eps: float = PROPENSITY_CLAMP) -> float:
-    return min(max(float(e), eps), 1.0 - eps)
 
 
 def msm_bounds_arrays(e_clamped, gamma: float):

@@ -4,8 +4,8 @@ from scipy import stats
 
 from modens import (GeneratorConfig, TrainConfig, binarize_treatment, fit_propensity,
                     generate_dataset, generate_panel, predict_propensity_batch,
-                    quadratic_outcome, random_projection, rank_normalize,
-                    synthetic_features, write_benchmark)
+                    random_projection, rank_normalize, synthetic_features,
+                    write_benchmark)
 from modens.benchgen import outcome_link_matrix
 from modens.mlp import Head
 
@@ -50,16 +50,6 @@ class TestBinarizeTreatment:
 
 
 class TestQuadraticOutcome:
-    def test_zero_vector(self):
-        M = np.eye(4)
-        assert quadratic_outcome(np.zeros(4), M) == 0.0
-
-    def test_identity_unit_vector(self):
-        M = np.eye(4)
-        e1 = np.zeros(4)
-        e1[0] = 1.0
-        assert quadratic_outcome(e1, M) == 1.0
-
     def test_boosted_treatment_diagonal(self):
         cfg = small_config(n_visible=3, n_hidden=2, treatment_boost=64.0)
         rng = np.random.default_rng(cfg.seed)
@@ -69,11 +59,7 @@ class TestQuadraticOutcome:
         assert M[ti, ti] == pytest.approx(64.0 * M_ref[ti, ti])
         e_t = np.zeros(6)
         e_t[ti] = 1.0
-        assert quadratic_outcome(e_t, M) == pytest.approx(M[ti, ti])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            quadratic_outcome(np.zeros(3), np.eye(4))
+        assert e_t @ M @ e_t == pytest.approx(M[ti, ti])
 
 
 class TestRandomProjection:
@@ -125,7 +111,7 @@ class TestGeneratePanel:
         i = 5
         for arm in (0, 1):
             V = np.concatenate([panel.visible[i], [float(arm)], panel.hidden[i]])
-            assert quadratic_outcome(V, M) == pytest.approx(panel.u_potential[i, arm])
+            assert V @ M @ V == pytest.approx(panel.u_potential[i, arm])
 
     def test_confounder_marginals_are_uniform_grid(self):
         cfg = small_config()

@@ -70,6 +70,13 @@ class TestGenerate:
         assert run(["generate", "--config", cfg_path, "--out-dir", tmp_path / "o"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_non_object_generator_section_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"generator": 5}))
+        assert run(["generate", "--seed", 1, "--config", cfg_path,
+                    "--out-dir", tmp_path / "o"]) == 2
+        assert "'generator' must be an object" in capsys.readouterr().err
+
     SIZES = {"n_train": 50, "n_valid": 10, "n_test": 10}
 
     def features_csv(self, tmp_path, rows):
@@ -464,8 +471,8 @@ class TestIntervals:
     def test_rows_match_scalar_outcome_interval(self, bench_dir, trained_model,
                                                 tmp_path, arm):
         # the batch path must give the scalar library answer on every row
-        from modens import (ComponentDistribution, Family, SensitivityConfig,
-                            clamp_propensity, load_model, load_propensity, msm_bounds,
+        from modens import (PROPENSITY_CLAMP, ComponentDistribution, Family,
+                            SensitivityConfig, load_model, load_propensity, msm_bounds,
                             outcome_interval, predict_components_batch,
                             predict_propensity_batch)
 
@@ -493,7 +500,8 @@ class TestIntervals:
                      for loc, scale in zip(locs[i].tolist(), scales[i].tolist())]
             e1 = float(e1s[i])
             e_t = e1 if int(t) == 1 else 1.0 - e1
-            bounds = msm_bounds(clamp_propensity(e_t), SensitivityConfig(gamma))
+            e_t = float(np.clip(e_t, PROPENSITY_CLAMP, 1.0 - PROPENSITY_CLAMP))
+            bounds = msm_bounds(e_t, SensitivityConfig(gamma))
             ref = outcome_interval(comps, bounds, alpha)
             tol = 1e-9 * (1.0 + max(c.scale for c in comps))
             assert abs(float(lo) - ref.lo) <= tol
@@ -603,6 +611,16 @@ class TestReport:
         rows = {line.split(",")[0]: line.split(",") for line in text[1:]}
         assert float(rows["ours"][2]) == 1.0
         assert float(rows["baseline"][3]) == 1.0
+
+    @pytest.mark.parametrize("doc", ['[2.0]', '{"a": null}', '{"a": "x"}', '{"a": true}',
+                                     '{"a": Infinity}', '{}'])
+    def test_malformed_lengths_exit_2(self, tmp_path, doc, capsys):
+        lengths = tmp_path / "lengths.json"
+        lengths.write_text(doc)
+        out = tmp_path / "rep"
+        assert run(["report", "--lengths", lengths, "--out-dir", out]) == 2
+        assert "finite positive numbers" in capsys.readouterr().err
+        assert not (out / "relative_costs.csv").exists()
 
     def test_coverage_curve(self, bench_dir, trained_model, tmp_path):
         out = tmp_path / "rep"

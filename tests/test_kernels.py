@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from modens import (ComponentDistribution, Family, SensitivityConfig, clamp_propensity,
+from modens import (PROPENSITY_CLAMP, ComponentDistribution, Family, SensitivityConfig,
                     default_quantile_tol, msm_bounds)
 from modens import _kernels as K
 from modens.dist import pack_components
@@ -67,7 +67,7 @@ def assert_certificate_and_budget(cdf, xs, beta, tol, q):
 
 
 MID = msm_bounds(0.3, SensitivityConfig(4.0))
-CLAMPED_50 = msm_bounds(clamp_propensity(0.0), SensitivityConfig(50.0))
+CLAMPED_50 = msm_bounds(PROPENSITY_CLAMP, SensitivityConfig(50.0))
 CASES = {
     "scale-floor-next-to-1e3": ([g(0.0, 1e-6), c(0.5, 1e3), g(-1.0, 1e3), c(2.0, 1.0)],
                                 MID, (0.3, 0.5, 0.9)),
@@ -152,7 +152,7 @@ def bracket_corpus(rng, n):
             comps = [ComponentDistribution(d.family, d.location, 1e-6) for d in comps]
         elif kind == 4:
             comps = [ComponentDistribution(d.family, d.location + 1e8, d.scale) for d in comps]
-        e = (clamp_propensity(0.0), clamp_propensity(1.0), float(rng.uniform()))[i % 3]
+        e = (PROPENSITY_CLAMP, 1.0 - PROPENSITY_CLAMP, float(rng.uniform()))[i % 3]
         gamma = (1.0, 50.0, float(rng.uniform(1.0, 50.0)))[(i // 3) % 3]
         yield comps, msm_bounds(e, SensitivityConfig(gamma))
 

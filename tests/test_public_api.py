@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import modens
 
 
@@ -11,3 +14,13 @@ def test_star_import():
     namespace = {}
     exec("from modens import *", namespace)
     assert set(modens.__all__) <= set(namespace)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    iv = namespace["iv"]
+    assert iv.lo < iv.hi

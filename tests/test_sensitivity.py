@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from modens import (SensitivityConfig, WeightBounds, clamp_propensity,
-                    identity_bounds, msm_bounds, msm_bounds_arrays)
+from modens import (SensitivityConfig, WeightBounds, identity_bounds, msm_bounds,
+                    msm_bounds_arrays)
 
 
 class TestWeightBounds:
@@ -84,11 +84,6 @@ class TestInvariants:
 
 
 class TestHelpers:
-    def test_clamp(self):
-        assert clamp_propensity(0.0) == pytest.approx(1e-3)
-        assert clamp_propensity(1.0) == pytest.approx(0.999)
-        assert clamp_propensity(0.4) == 0.4
-
     def test_array_bounds_match_scalar(self):
         e = np.array([0.1, 0.5, 0.9])
         lo, hi = msm_bounds_arrays(e, 3.0)
