@@ -5,18 +5,23 @@ through the package's own kernels, so agreement between the two is a real
 check rather than a tautology.  The one exception is
 `replicated_train_member`, which trains on the n replicated bootstrap rows
 through the unweighted training path: it checks the count weighting, and
-c08 checks the backpropagation it shares.
+c08 checks the backpropagation it shares.  The dataset CSV writer and
+reader are the plain `csv` row loops the bulk implementations in
+`modens.data` must match byte for byte and bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, optimize, stats
 
-from modens import ComponentDistribution, Family, SensitivityConfig, WeightBounds, msm_bounds
+from modens import (ComponentDistribution, Dataset, DatasetFormatError, Family,
+                    SensitivityConfig, WeightBounds, msm_bounds)
 from modens import benchgen, mlp
 
 
@@ -153,3 +158,82 @@ def replicated_train_member(data, config, seed: int):
     params.biases[-1][1] = math.log(max((q75 - q25) / 2.0, 1e-3))
     params.head = Head.CAUCHY
     return mlp._adam_fit(params, X, y, config.epochs, config.step)
+
+
+def _dataset_header(d: int, with_potential: bool) -> list[str]:
+    return [f"x{i}" for i in range(1, d + 1)] + ["t", "y"] + (
+        ["y0", "y1"] if with_potential else [])
+
+
+def reference_save_dataset_csv(ds: Dataset, path) -> None:
+    """One `csv.writer` row per data row, every float through `repr`."""
+    with_potential = ds.potential_outcomes is not None
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_dataset_header(ds.d, with_potential))
+        for i in range(ds.n):
+            row = [repr(float(v)) for v in ds.covariates[i]]
+            row.append(str(int(ds.treatments[i])))
+            row.append(repr(float(ds.outcomes[i])))
+            if with_potential:
+                row.append(repr(float(ds.potential_outcomes[i, 0])))
+                row.append(repr(float(ds.potential_outcomes[i, 1])))
+            writer.writerow(row)
+
+
+def reference_load_dataset_csv(path) -> Dataset:
+    """`csv.reader` records parsed field by field with `float()`; rows are
+    numbered as records, the header being row 1 and blank records counted.
+    Plain UTF-8: a byte-order mark stays in the first header name."""
+    path = Path(path)
+    with path.open("r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetFormatError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        d = 0
+        while d < len(header) and header[d] == f"x{d + 1}":
+            d += 1
+        if d == 0:
+            raise DatasetFormatError(f"{path}: header must start with x1..xd, got {header[:3]}")
+        rest = header[d:]
+        if rest == ["t", "y"]:
+            with_potential = False
+        elif rest == ["t", "y", "y0", "y1"]:
+            with_potential = True
+        else:
+            raise DatasetFormatError(
+                f"{path}: expected columns t,y[,y0,y1] after x{d}, got {rest}")
+        width = len(header)
+
+        cov_rows: list[list[float]] = []
+        t_rows: list[int] = []
+        y_rows: list[float] = []
+        po_rows: list[tuple[float, float]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DatasetFormatError(
+                    f"{path}: row {lineno}: expected {width} fields, got {len(row)}")
+            try:
+                cov_rows.append([float(v) for v in row[:d]])
+                t_val = row[d].strip()
+                if t_val not in ("0", "1"):
+                    raise ValueError(f"treatment must be 0 or 1, got {t_val!r}")
+                t_rows.append(int(t_val))
+                y_rows.append(float(row[d + 1]))
+                if with_potential:
+                    po_rows.append((float(row[d + 2]), float(row[d + 3])))
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}: row {lineno}: {exc}") from None
+    if not cov_rows:
+        raise DatasetFormatError(f"{path}: no data rows")
+    return Dataset(
+        covariates=np.asarray(cov_rows, dtype=np.float64),
+        treatments=np.asarray(t_rows, dtype=np.int64),
+        outcomes=np.asarray(y_rows, dtype=np.float64),
+        potential_outcomes=np.asarray(po_rows, dtype=np.float64) if with_potential else None,
+    )

@@ -419,6 +419,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "row 3" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "Infinity"])
+    def test_non_finite_csv_value_named_in_error(self, tmp_path, capsys, value):
+        bad = tmp_path / "nan.csv"
+        bad.write_text(f"x1,t,y\n0.5,1,{value}\n")
+        code = run(["train", "--data", bad, "--members", 1, "--hidden", "4",
+                    "--epochs", 5, "--out", tmp_path / "m.json"])
+        assert code == 1
+        assert f"{bad}: row 2: y must be finite, got '{value}'" in capsys.readouterr().err
+
 
 class TestIntervals:
     def test_gamma_one_and_nesting(self, bench_dir, trained_model, tmp_path):
