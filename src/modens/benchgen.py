@@ -9,6 +9,10 @@ the treatment diagonal of M boosted by 64 and heavy-tailed Cauchy
 observation noise.  Test sets carry both-arm potential outcomes obtained by
 forcing the treatment coordinate and drawing fresh noise, while the hidden
 block is withheld from every emitted covariate matrix.
+
+Outputs are byte-reproducible for a seed on one machine with one numpy and
+BLAS build: the projection and the outcome's quadratic form are matrix
+products, whose last bits may differ between BLAS kernels.
 """
 
 from __future__ import annotations
@@ -118,12 +122,20 @@ def random_projection(features: np.ndarray, config: GeneratorConfig,
 
 def rank_normalize(column: np.ndarray) -> np.ndarray:
     """Map the value at rank k (0-based, ties broken by index) to k/n, so
-    the output marginal is exactly the grid {0, 1/n, ..., (n-1)/n}."""
+    the output marginal is exactly the grid {0, 1/n, ..., (n-1)/n}.
+
+    The order comes from numpy's default unstable sort, which is several
+    times faster; when the sorted column is not strictly increasing (ties,
+    -0.0 beside 0.0, or NaN) it is recomputed with a stable sort, so the
+    result is always the stable sort's."""
     column = np.asarray(column, dtype=np.float64)
     n = column.shape[0]
     if n == 0:
         raise ValueError("empty column")
-    order = np.argsort(column, kind="stable")
+    order = np.argsort(column)
+    ranked = column[order]
+    if not (ranked[1:] > ranked[:-1]).all():
+        order = np.argsort(column, kind="stable")
     out = np.empty(n)
     out[order] = np.arange(n) / n
     return out
@@ -155,7 +167,9 @@ def _noise(config: GeneratorConfig, rng: np.random.Generator, size) -> np.ndarra
 
 def generate_panel(features: np.ndarray | None, config: GeneratorConfig) -> GeneratedPanel:
     """Generate all n_train + n_valid + n_test units from one seeded RNG
-    stream (fixed draw order, so outputs are byte-reproducible)."""
+    stream.  The draw order is fixed, so outputs are byte-reproducible on
+    one machine and one numpy/BLAS build; the confounder ranks and t do not
+    depend on BLAS, while u and y come from matrix products."""
     rng = np.random.default_rng(config.seed)
     n = config.n_total
     if features is None:
@@ -169,31 +183,29 @@ def generate_panel(features: np.ndarray | None, config: GeneratorConfig) -> Gene
     features = features[perm]
 
     projected = random_projection(features, config, rng)
-    vis_idx = np.arange(config.n_visible)
-    hid_idx = np.arange(config.n_visible + 1, config.n_projected)
-    visible = np.column_stack([rank_normalize(projected[:, j]) for j in vis_idx])
-    hidden = np.column_stack([rank_normalize(projected[:, j]) for j in hid_idx])
-    if config.zero_hidden:
-        hidden = np.zeros_like(hidden)
-    t = binarize_treatment(rank_normalize(projected[:, config.treatment_index]),
-                           config.treatment_threshold)
+    del features
+    # V0 holds every rank-normalized column (zero_hidden leaves the hidden
+    # block at 0), with the treatment column's ranks replaced by the forced
+    # arm value 0 once t is read from them
+    ti = config.treatment_index
+    V0 = np.zeros((n, config.n_projected))
+    for j in range(ti + 1 if config.zero_hidden else config.n_projected):
+        V0[:, j] = rank_normalize(projected[:, j])
+    del projected
+    t = binarize_treatment(V0[:, ti], config.treatment_threshold)
+    V0[:, ti] = 0.0
 
     M = outcome_link_matrix(config, rng)
-    # u per arm with the treatment coordinate forced to the binarized value
-    V0 = np.empty((n, config.n_projected))
-    V0[:, vis_idx] = visible
-    V0[:, hid_idx] = hidden
-    V0[:, config.treatment_index] = 0.0
-    V1 = V0.copy()
-    V1[:, config.treatment_index] = 1.0
-    u0 = np.einsum("ni,ij,nj->n", V0, M, V0)
-    u1 = np.einsum("ni,ij,nj->n", V1, M, V1)
+    # u = V' M V per arm.  V0[:, ti] is 0, so forcing it to 1 adds the
+    # treatment row and column of M and its diagonal entry.
+    u0 = np.einsum("ij,ij->i", V0 @ M, V0)
+    u1 = u0 + V0 @ (M[ti] + M[:, ti]) + M[ti, ti]
+    u_pot = np.column_stack([u0, u1])
     u = np.where(t == 1, u1, u0)
     y = u + _noise(config, rng, n)
-    y_pot = np.column_stack([u0, u1]) + _noise(config, rng, (n, 2))
-    return GeneratedPanel(visible=visible, hidden=hidden, t=t, u=u, y=y,
-                          u_potential=np.column_stack([u0, u1]),
-                          y_potential=y_pot)
+    y_pot = u_pot + _noise(config, rng, (n, 2))
+    return GeneratedPanel(visible=V0[:, :ti], hidden=V0[:, ti + 1:], t=t, u=u, y=y,
+                          u_potential=u_pot, y_potential=y_pot)
 
 
 def generate_dataset(features: np.ndarray | None, config: GeneratorConfig

@@ -15,6 +15,8 @@ import json
 import math
 import os
 import sys
+import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -149,11 +151,34 @@ def _cmd_generate(args) -> int:
 
 
 def _load_matrix_csv(path: str) -> np.ndarray:
-    """A numeric CSV with one header row; every column is a feature."""
+    """A numeric CSV with one header row; every column is a feature, and
+    every value must be finite."""
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # a header-only file is reported by generate as too few rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # comments=None: the default "#" would read "1,2 # c" as [1, 2]
+            matrix = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                                dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise _non_finite_feature(path, int(bad[0]))
+    return matrix
+
+
+def _non_finite_feature(path: str, index: int) -> DatasetFormatError:
+    """The error naming data row `index` of a feature file, counting the
+    header as row 1 and the blank lines that np.loadtxt skips as rows."""
+    with open(path, encoding="utf-8") as fh:
+        header = next(fh).rstrip("\n").split(",")
+        numbered = ((lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, start=2))
+        lineno, line = next(islice(((k, line) for k, line in numbered if line), index, None))
+    row = line.split(",")
+    j = next(j for j, v in enumerate(row) if not math.isfinite(float(v)))
+    return DatasetFormatError(
+        f"{path}: row {lineno}: feature {header[j].strip()!r} must be finite, got {row[j]!r}")
 
 
 # ------------------------------------------------------------------- train

@@ -257,9 +257,13 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
         solved_gammas=tuple(solved), predicted_steps=predicted_steps)
 
 
+# member family codes (m,), member locations and scales (n, m), and the
+# clamped propensities of the scored arm (n,)
+ScoredArm = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def _scored_arm(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
-                covariates: np.ndarray, t: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                covariates: np.ndarray, t: np.ndarray) -> ScoredArm:
     """Member families, the (n, m) member locations and scales for arm t[i]
     of each row i, and that arm's clamped propensities."""
     t = np.asarray(t, dtype=np.int64).ravel()
@@ -273,11 +277,13 @@ def _scored_arm(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
 
 
 def modulated_interval_arrays(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
-                              covariates: np.ndarray, t: np.ndarray, alpha: float
+                              covariates: np.ndarray, t: np.ndarray, alpha: float, *,
+                              scored: ScoredArm | None = None
                               ) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
     """Precompute member predictions and clamped propensities for arm t[i]
-    of each row i, and return the gamma -> (lo, hi) endpoint-array map."""
-    fam, locs, scales, e_t = _scored_arm(model, propensity, covariates, t)
+    of each row i (or take them from ``scored``, the ``_scored_arm`` of
+    these rows), and return the gamma -> (lo, hi) endpoint-array map."""
+    fam, locs, scales, e_t = scored or _scored_arm(model, propensity, covariates, t)
 
     def intervals(gamma: float) -> tuple[np.ndarray, np.ndarray]:
         lowers, uppers = msm_bounds_arrays(e_t, gamma)
@@ -288,15 +294,16 @@ def modulated_interval_arrays(model: mlp.EnsembleModel, propensity: mlp.MlpParam
 
 def modulated_coverage(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
                        covariates: np.ndarray, t: np.ndarray,
-                       outcomes: Sequence[float], alpha: float
-                       ) -> Callable[[float], float]:
+                       outcomes: Sequence[float], alpha: float, *,
+                       scored: ScoredArm | None = None) -> Callable[[float], float]:
     """The gamma -> coverage map of ``modulated_interval_arrays``'s
     intervals, predicted without solving them.  Each row's member masses
     F_j(y_i) and S_j(y_i) = 1 - F_j(y_i) are computed once; at each gamma
     the row counts as covered by ``_kernels.covered_k`` under its MSM
     weight bounds.  Equal to the coverage of the solved intervals unless
-    an outcome lies within the solver tolerance of an endpoint."""
-    fam, locs, scales, e_t = _scored_arm(model, propensity, covariates, t)
+    an outcome lies within the solver tolerance of an endpoint.  ``scored``
+    is as in ``modulated_interval_arrays``."""
+    fam, locs, scales, e_t = scored or _scored_arm(model, propensity, covariates, t)
     y = np.asarray(outcomes, dtype=np.float64).ravel()
     if len(y) != len(e_t):
         raise ValueError(f"{len(e_t)} rows vs {len(y)} outcomes")
@@ -319,13 +326,15 @@ def modulated_coverage(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
 
 
 def modulated_pipeline(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
-                       test_data: Dataset, config: EvalConfig
+                       test_data: Dataset, config: EvalConfig, *,
+                       scored: ScoredArm | None = None
                        ) -> Callable[[float], list[OutcomeInterval]]:
     """The gamma -> intervals map used by the search, scoring arm
-    ``config.arm`` on every test row."""
+    ``config.arm`` on every test row; ``scored`` is as in
+    ``modulated_interval_arrays``."""
     intervals = modulated_interval_arrays(
         model, propensity, test_data.covariates, np.full(test_data.n, config.arm),
-        config.alpha)
+        config.alpha, scored=scored)
 
     def pipeline(gamma: float) -> list[OutcomeInterval]:
         lo, hi = intervals(gamma)
@@ -342,16 +351,18 @@ def run_experiment(test_data: Dataset, eval_config: EvalConfig, *,
     """End-to-end protocol on loaded objects: per-point components and MSM
     bounds for the scored arm from the trained ensemble and propensity
     model, then the gamma* search guided by ``modulated_coverage``,
-    optionally writing the report JSON and the per-point CSV.  The report
-    is the one the search without the prediction gives."""
+    optionally writing the report JSON and the per-point CSV.  The arm is
+    scored once for both.  The report is the one the search without the
+    prediction gives."""
     t0 = time.perf_counter()
     if test_data.potential_outcomes is None:
         raise ValueError("test data must carry y0/y1 potential-outcome columns")
     outcomes = test_data.potential_outcomes[:, eval_config.arm]
-    pipeline = modulated_pipeline(model, propensity, test_data, eval_config)
-    predicted = modulated_coverage(model, propensity, test_data.covariates,
-                                   np.full(test_data.n, eval_config.arm), outcomes,
-                                   eval_config.alpha)
+    t = np.full(test_data.n, eval_config.arm)
+    scored = _scored_arm(model, propensity, test_data.covariates, t)
+    pipeline = modulated_pipeline(model, propensity, test_data, eval_config, scored=scored)
+    predicted = modulated_coverage(model, propensity, test_data.covariates, t, outcomes,
+                                   eval_config.alpha, scored=scored)
     report = gamma_star_search(pipeline, outcomes, eval_config, seed=seed,
                                predicted_coverage=predicted)
     report.runtime_seconds = time.perf_counter() - t0

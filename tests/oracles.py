@@ -7,7 +7,9 @@ check rather than a tautology.  The one exception is
 through the unweighted training path: it checks the count weighting, and
 c08 checks the backpropagation it shares.  The dataset CSV writer and
 reader are the plain `csv` row loops the bulk implementations in
-`modens.data` must match byte for byte and bit for bit.
+`modens.data` must match byte for byte and bit for bit.  The rank map and
+the panel generator are the per-column stable argsort and the 3-operand
+quadratic form that `modens.benchgen` must match.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def replicated_train_member(data, config, seed: int):
         params = mlp._adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step)
         mlp._fold_affine(params, sd_y, mu_y)
         return params
-    params = mlp._adam_fit(params, X, benchgen.rank_normalize(y),
+    params = mlp._adam_fit(params, X, rank_normalize_ref(y),
                            config.resolved_warmup_epochs(), config.step)
     out, _ = mlp._net_forward(params, X)
     q25, q50, q75 = np.percentile(y, [25.0, 50.0, 75.0])
@@ -237,3 +239,44 @@ def reference_load_dataset_csv(path) -> Dataset:
         outcomes=np.asarray(y_rows, dtype=np.float64),
         potential_outcomes=np.asarray(po_rows, dtype=np.float64) if with_potential else None,
     )
+
+
+def rank_normalize_ref(column) -> np.ndarray:
+    """The value at stable-argsort rank k (ties broken by index) maps to k/n."""
+    column = np.asarray(column, dtype=np.float64)
+    n = column.shape[0]
+    out = np.empty(n)
+    out[np.argsort(column, kind="stable")] = np.arange(n) / n
+    return out
+
+
+def reference_generate_panel(features, config) -> benchgen.GeneratedPanel:
+    """`benchgen.generate_panel` built column by column: the same RNG draws,
+    each confounder column ranked on its own and stacked, and u = V' M V
+    evaluated as one 3-operand einsum per forced arm."""
+    rng = np.random.default_rng(config.seed)
+    n = config.n_total
+    if features is None:
+        features = benchgen.synthetic_features(n, rng=rng)
+    features = np.asarray(features, dtype=np.float64)
+    features = features[rng.permutation(features.shape[0])[:n]]
+    projected = benchgen.random_projection(features, config, rng)
+    ti = config.treatment_index
+    visible = np.column_stack([rank_normalize_ref(projected[:, j]) for j in range(ti)])
+    hidden = np.column_stack([rank_normalize_ref(projected[:, j])
+                              for j in range(ti + 1, config.n_projected)])
+    if config.zero_hidden:
+        hidden = np.zeros_like(hidden)
+    t = benchgen.binarize_treatment(rank_normalize_ref(projected[:, ti]),
+                                    config.treatment_threshold)
+    M = benchgen.outcome_link_matrix(config, rng)
+    u_arm = []
+    for arm in (0.0, 1.0):
+        V = np.column_stack([visible, np.full(n, arm), hidden])
+        u_arm.append(np.einsum("ni,ij,nj->n", V, M, V))
+    u_pot = np.column_stack(u_arm)
+    u = u_pot[np.arange(n), t]
+    y = u + benchgen._noise(config, rng, n)
+    y_pot = u_pot + benchgen._noise(config, rng, (n, 2))
+    return benchgen.GeneratedPanel(visible=visible, hidden=hidden, t=t, u=u, y=y,
+                                   u_potential=u_pot, y_potential=y_pot)

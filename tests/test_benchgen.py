@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,6 +10,7 @@ from modens import (GeneratorConfig, TrainConfig, binarize_treatment, fit_propen
                     write_benchmark)
 from modens.benchgen import outcome_link_matrix
 from modens.mlp import Head
+from oracles import rank_normalize_ref, reference_generate_panel
 
 
 def small_config(**kw):
@@ -34,6 +37,20 @@ class TestRankNormalize:
         n = 100
         out = rank_normalize(rng.normal(0, 1, n))
         assert np.allclose(np.sort(out), np.arange(n) / n)
+
+    COLUMNS = {
+        "distinct": np.random.default_rng(0).normal(size=1000),
+        "ties": np.random.default_rng(1).integers(0, 20, size=1000).astype(float),
+        "signed-zeros": np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0]),
+        "nan": np.array([np.nan, 1.0, np.nan, -np.inf, 0.0, np.inf, np.nan, 1.0]),
+        "descending": np.arange(500.0)[::-1],
+        "constant": np.full(300, 2.5),
+    }
+
+    @pytest.mark.parametrize("name", COLUMNS)
+    def test_bit_identical_to_stable_argsort(self, name):
+        column = self.COLUMNS[name]
+        assert rank_normalize(column).tobytes() == rank_normalize_ref(column).tobytes()
 
 
 class TestBinarizeTreatment:
@@ -142,6 +159,39 @@ class TestGeneratePanel:
         # same arm, same u, but an independent noise draw
         arm_y = panel.y_potential[np.arange(panel.t.size), panel.t]
         assert not np.array_equal(arm_y, panel.y)
+
+
+class TestGeneratorOracle:
+    @pytest.mark.parametrize("cfg", [
+        GeneratorConfig(seed=0),
+        small_config(seed=1),
+        small_config(seed=2, n_visible=5, n_hidden=3),
+        small_config(seed=4, zero_hidden=True),
+        small_config(seed=5, noise_family="gaussian", noiseless=True),
+    ], ids=["default-seed0", "seed1", "narrow-seed2", "zero-hidden", "noiseless"])
+    def test_matches_column_by_column_construction(self, cfg):
+        panel, ref = generate_panel(None, cfg), reference_generate_panel(None, cfg)
+        for name in ("visible", "hidden", "t"):
+            assert getattr(panel, name).tobytes() == getattr(ref, name).tobytes(), name
+        # the outcome's quadratic form is summed in another order: last bits only
+        for name in ("u", "u_potential", "y", "y_potential"):
+            got, want = getattr(panel, name), getattr(ref, name)
+            np.testing.assert_allclose(got, want, rtol=1e-10,
+                                       atol=1e-13 * np.abs(want).max(), err_msg=name)
+        if cfg.noiseless:
+            assert np.array_equal(panel.y, panel.u)
+
+    def test_default_dataset_peak_memory(self):
+        # guards the benchmark's peak-RSS bound: the (n, 128) feature matrix
+        # and its row permutation dominate, not the ranks or the outcome
+        generate_dataset(None, small_config())   # import-time allocations out of the count
+        tracemalloc.start()
+        try:
+            generate_dataset(None, GeneratorConfig(seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestGenerateDataset:

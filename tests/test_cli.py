@@ -114,6 +114,35 @@ class TestGenerate:
                     "--out-dir", tmp_path / "out"]) == 1
         assert "features provide only 69" in capsys.readouterr().err
 
+    def generate_from(self, tmp_path, text):
+        features = tmp_path / "features.csv"
+        features.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_train": 2, "n_valid": 1, "n_test": 1}))
+        return run(["generate", "--config", cfg, "--features", features,
+                    "--out-dir", tmp_path / "out"])
+
+    def test_feature_comment_is_not_stripped(self, tmp_path, capsys, recwarn):
+        code = self.generate_from(tmp_path, "a,b\n1,2 # c\n3,4\n5,6\n7,8\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "could not convert string '2 # c'" in err and len(err.splitlines()) == 1
+        assert not recwarn.list
+
+    def test_header_only_features_exit_1_without_warning(self, tmp_path, capsys, recwarn):
+        assert self.generate_from(tmp_path, "a,b\n") == 1
+        assert capsys.readouterr().err == "modens: requested 4 rows but features provide only 0\n"
+        assert not recwarn.list
+
+    def test_non_finite_feature_names_its_row(self, tmp_path, capsys, recwarn):
+        # the header is row 1 and the blank line counts, as in dataset files
+        code = self.generate_from(tmp_path, "a,b\n1,2\n\n3,4\n5,nan\n7,8\n")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"modens: {tmp_path / 'features.csv'}: row 5: "
+                       "feature 'b' must be finite, got 'nan'\n")
+        assert not recwarn.list
+
     @pytest.mark.slow
     def test_default_config_row_counts(self, tmp_path):
         out = tmp_path / "full"

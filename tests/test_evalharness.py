@@ -473,6 +473,29 @@ class TestPredictedSearch:
             else:
                 assert plain.failed and fast.solved_gammas == (50.0,)
 
+    def test_run_experiment_scores_the_arm_once(self, trained, monkeypatch):
+        from modens import mlp, run_experiment
+        from modens.evalharness import modulated_coverage, modulated_pipeline
+
+        test, models = trained
+        model, prop = models["cauchy"]
+        cfg = EvalConfig(target_coverage=0.76, alpha=0.2)
+        y = test.potential_outcomes[:, 1]
+        # the pipeline and the prediction each scoring the rows themselves
+        unshared = gamma_star_search(
+            modulated_pipeline(model, prop, test, cfg), y, cfg, seed=0,
+            predicted_coverage=modulated_coverage(model, prop, test.covariates,
+                                                  np.ones(test.n), y, 0.2))
+        calls = []
+        predict = mlp.predict_components_batch
+        monkeypatch.setattr(mlp, "predict_components_batch",
+                            lambda *args: calls.append(args) or predict(*args))
+        report = run_experiment(test, cfg, model=model, propensity=prop, seed=0)
+        assert len(calls) == 1
+        self.assert_same_report(report, unshared)
+        assert report.solved_gammas == unshared.solved_gammas
+        assert report.predicted_steps == unshared.predicted_steps > 0
+
     @pytest.mark.parametrize("wrong", [lambda real, g: 1.0, lambda real, g: 0.0,
                                        lambda real, g: real(g + 1.0),
                                        lambda real, g: real(max(1.0, g - 1.0))],
