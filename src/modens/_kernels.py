@@ -3,10 +3,19 @@ root-finder, and the envelope solver for extreme mixture quantiles.
 
 Component families are encoded as integers (``GAUSSIAN=0``, ``CAUCHY=1``)
 and an ensemble of m members as parallel sequences ``fam``, ``loc`` and
-``scale``.  Everything is scalar ``math`` code: per call the ensembles are
-small, and numpy's per-call overhead would dominate.  The Gaussian quantile
-is the standard library's ``statistics.NormalDist().inv_cdf``; Cauchy
-quantiles are closed-form.
+``scale``.  The Gaussian quantile is the standard library's
+``statistics.NormalDist().inv_cdf``; Cauchy quantiles are closed-form.
+
+Two kernels run the one solver described below.  The scalar kernel (every
+``*_s`` and ``*_k`` function) is ``math`` code on one ensemble: a single
+row is small, and numpy's per-call overhead would dominate it, so the
+single-row API stays on it.  The row-lockstep kernel (:func:`interval_rows`)
+solves both ends of n rows that share their member families as one batch
+of 2n problems in numpy, and drops each problem from the batch once it
+has converged.  It takes the scalar kernel's steps from the same
+brackets, but it sums the mixture masses with numpy rather than
+``math.fsum``, so its endpoints agree with :func:`interval_k` within tol
+rather than bit for bit; each row's endpoints depend on that row alone.
 
 Extreme quantiles.  Fix q.  Over weights w in [lower, upper]^m with mean 1,
 the mixture mass F_w(q) = m^-1 sum_j w_j F_j(q) is a linear program in w.
@@ -40,7 +49,7 @@ pattern applied to the ascending S_j, its target is the tail mass
 1 - beta (exact for beta >= 1/2), and the bracket is the members'
 inverse-survival points.  :func:`interval_k` passes alpha/2 itself as the
 upper tail mass.  Conversely, whether an outcome y lies in the interval
-follows from the two envelope masses at y alone (:func:`covered_k`).
+follows from the two envelope masses at y alone (:func:`covered_rows`).
 """
 
 from __future__ import annotations
@@ -48,6 +57,8 @@ from __future__ import annotations
 import math
 from operator import mul
 from statistics import NormalDist
+
+import numpy as np
 
 GAUSSIAN = 0
 CAUCHY = 1
@@ -291,20 +302,6 @@ def extreme_quantile_k(fam, loc, scale, lower, upper, beta, tol, maximize):
     return _tail_quantile(members, p[::-1], sorted, 1.0 - beta, tol, upper=True)
 
 
-def covered_k(masses, sf_masses, lower, upper, alpha):
-    """Whether an outcome lies in ``interval_k``'s interval, decided from
-    its ascending member masses F_j(y) and S_j(y) = 1 - F_j(y) without
-    solving the interval: the largest lower-tail mass over the weights
-    reaches alpha/2 (the outcome is at or above the min alpha/2-quantile)
-    and so does the largest upper-tail mass (at or below the max
-    (1-alpha/2)-quantile).  These are the masses and targets the solver
-    inverts, so the two agree unless the outcome lies within the solver's
-    tol/2 of an endpoint."""
-    p = rank_pattern(lower, upper, len(masses))[::-1]
-    half = alpha / 2.0
-    return weighted_mass(p, masses) >= half and weighted_mass(p, sf_masses) >= half
-
-
 def rank_weights_k(fam, loc, scale, lower, upper, q, maximize):
     """The weights attaining the envelope at q: the rank pattern placed by
     the stable ascending order of the member masses F_j(q)."""
@@ -328,3 +325,171 @@ def interval_k(fam, loc, scale, lower, upper, alpha, tol):
     if lo > hi:  # identical degenerate setups can cross by solver noise
         lo = hi = 0.5 * (lo + hi)
     return lo, hi
+
+
+# ---------------------------------------------------- row-lockstep kernel
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _cauchy_cdf_array(z):
+    # cauchy_cdf's atan identities, without dividing by z where |z| <= 1
+    far = np.abs(z) > 1.0
+    inv = np.divide(1.0, z, out=np.zeros_like(z), where=far)
+    below = z < -1.0
+    a = np.arctan(np.where(below, -inv, np.where(far, inv, z))) / math.pi
+    return np.where(below, a, np.where(far, 1.0 - a, 0.5 + a))
+
+
+def signed_masses(fam, locs, scales, x, sign):
+    """Member tail masses of (k, m) ensembles at the points x (k,): the
+    lower-tail masses F_j(x) where ``sign`` is 1 and the survival masses
+    S_j(x) = F_std((l - x)/s) where it is -1, by the formulas of
+    ``component_cdf_s`` and ``component_sf_s``.  Column j is in family
+    ``fam[j]``; Gaussian masses are ``math.erfc``'s, element by element."""
+    z = (x[:, None] - locs) * np.reshape(sign, (-1, 1)) / scales
+    gauss = fam == GAUSSIAN
+    if gauss.all():
+        return 0.5 * _erfc(-z / _SQRT2).astype(np.float64)
+    if not gauss.any():
+        return _cauchy_cdf_array(z)
+    out = np.empty_like(z)
+    out[:, gauss] = 0.5 * _erfc(-z[:, gauss] / _SQRT2).astype(np.float64)
+    out[:, ~gauss] = _cauchy_cdf_array(z[:, ~gauss])
+    return out
+
+
+def rank_pattern_rows(lowers, uppers, m):
+    """:func:`rank_pattern` of each row's bounds, as an (n, m) matrix."""
+    span = uppers - lowers
+    k = np.minimum(np.floor(np.divide(m * (1.0 - lowers), span, out=np.full_like(span, m),
+                                      where=span > 0.0)), m)
+    frac = np.minimum(np.maximum(m - k * uppers - (m - k - 1) * lowers, lowers), uppers)
+    rank = np.arange(m)
+    k = k[:, None]
+    return np.where(rank < k, uppers[:, None],
+                    np.where(rank == k, frac[:, None], lowers[:, None]))
+
+
+def weighted_mass_rows(weights, masses):
+    """:func:`weighted_mass` of each row, summed by numpy instead of
+    ``math.fsum``."""
+    return (weights * masses).sum(axis=1) / weights.shape[1]
+
+
+def covered_rows(cdf, sf, lowers, uppers, alpha):
+    """Whether each row's outcome y lies in :func:`interval_rows`'s
+    interval, decided from its ascending member masses ``cdf`` F_j(y) and
+    ``sf`` S_j(y) without solving the interval: the largest lower-tail
+    mass over the weights reaches alpha/2 (y is at or above the min
+    alpha/2-quantile) and so does the largest upper-tail mass (at or below
+    the max (1-alpha/2)-quantile).  These are the masses and targets the
+    solver inverts, so the two agree unless y lies within the solver's
+    tol/2 of an endpoint."""
+    weights = rank_pattern_rows(lowers, uppers, cdf.shape[1])[:, ::-1]
+    half = alpha / 2.0
+    return (weighted_mass_rows(weights, cdf) >= half) & (weighted_mass_rows(weights, sf) >= half)
+
+
+def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
+    """:func:`interval_k` for each row of the (n, m) member ``locs`` and
+    ``scales`` (families ``fam`` shared by all rows) under the row's
+    bounds and tolerance ``tol[i]``, both ends of every row solved in
+    lockstep.
+
+    The lower ends and the upper ends, the latter as negated survival
+    masses as in :func:`_tail_quantile`, are 2n problems of one root-finder
+    loop: :func:`_bracketed_quantile`'s widening, Chandrupatla step, ITP
+    radius, tie rule and stop, applied to arrays.  A problem leaves the
+    arrays once its bracket has closed, so late steps touch only the
+    problems still open."""
+    n, m = locs.shape
+    half = alpha / 2.0
+    # member points with tail mass alpha/2: l + s*z below, l - s*z above
+    z = np.where(fam == GAUSSIAN, norm_ppf(half), cauchy_ppf(half))
+    points = np.concatenate([locs + scales * z, locs - scales * z])
+    lo = points.min(axis=1)
+    hi = points.max(axis=1)
+    tol = np.concatenate([tol, tol])
+    lo = lo - np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(lo)))
+    hi = hi + np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(hi)))
+    weights = rank_pattern_rows(lowers, uppers, m)[:, ::-1]
+    weights = np.concatenate([weights, weights])
+    locs = np.concatenate([locs, locs])
+    scales = np.concatenate([scales, scales])
+    sign = np.repeat([1.0, -1.0], n)
+    beta = sign * half
+
+    def mass(x, rows=slice(None)):
+        masses = signed_masses(fam, locs[rows], scales[rows], x, sign[rows])
+        return sign[rows] * weighted_mass_rows(weights[rows], np.sort(masses, axis=1))
+
+    flo = mass(lo)
+    fhi = mass(hi)
+    for _ in range(_MAX_WIDEN):
+        open_ = np.flatnonzero((flo > beta) | (fhi < beta))
+        if open_.size == 0:
+            break
+        width = hi[open_] - lo[open_]
+        center = 0.5 * (lo[open_] + hi[open_])
+        lo[open_] = center - width
+        hi[open_] = center + width
+        flo[open_] = mass(lo[open_], open_)
+        fhi[open_] = mass(hi[open_], open_)
+    if np.any((flo > beta) | (fhi < beta)):
+        raise RuntimeError("mixture quantile bracket failed to straddle beta")
+
+    out = np.empty(2 * n)
+    rows = np.arange(2 * n)
+    flo = flo - beta
+    fhi = fhi - beta
+    x1, f1, x2, f2 = lo, flo, hi, fhi
+    n_max = np.ceil(np.log2((hi - lo) / tol)).astype(np.int64) + 2
+    t = np.full(2 * n, 0.5)
+    for j in range(_MAX_STEPS):
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        closed = (width <= tol) | (mid <= lo) | (mid >= hi)
+        if closed.any():
+            out[rows[closed]] = mid[closed]
+            keep = ~closed
+            (rows, lo, hi, flo, fhi, x1, f1, x2, f2, t, tol, n_max, width, mid,
+             locs, scales, weights, sign, beta) = (
+                a[keep] for a in (rows, lo, hi, flo, fhi, x1, f1, x2, f2, t, tol, n_max,
+                                  width, mid, locs, scales, weights, sign, beta))
+            if rows.size == 0:
+                break
+        half_tol = 0.5 * tol
+        x = x1 + t * (x2 - x1)
+        x = np.minimum(np.maximum(x, lo + half_tol), hi - half_tol)
+        r = np.ldexp(half_tol - 2.0 * np.spacing(np.maximum(-lo, hi)), n_max - j) - 0.5 * width
+        x = np.where(r > 0.0, np.minimum(np.maximum(x, mid - r), mid + r), mid)
+        x = np.where((lo < x) & (x < hi), x, mid)
+        fx = mass(x) - beta
+        left = fx < 0.0
+        x3 = np.where(left, lo, hi)
+        f3 = np.where(left, flo, fhi)
+        x2 = np.where(left, hi, lo)
+        f2 = np.where(left, fhi, flo)
+        lo = np.where(left, x, lo)
+        flo = np.where(left, fx, flo)
+        hi = np.where(left, hi, x)
+        fhi = np.where(left, fhi, fx)
+        x1, f1 = x, fx
+        t = np.full(rows.size, 0.5)
+        i = np.flatnonzero(f3 != f2)
+        xi = (x1[i] - x2[i]) / (x3[i] - x2[i])
+        phi = (f1[i] - f2[i]) / (f3[i] - f2[i])
+        i = i[(phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)]
+        a1, a2, a3, b1, b2, b3 = x1[i], x2[i], x3[i], f1[i], f2[i], f3[i]
+        t[i] = (b1 / (b2 - b1) * b3 / (b2 - b3)
+                + (a3 - a1) / (a2 - a1) * b1 / (b3 - b1) * b2 / (b3 - b2))
+    else:
+        if np.any(hi - lo > tol):
+            raise RuntimeError("mixture quantile bracket still open after "
+                               f"{_MAX_STEPS} steps")
+        out[rows] = 0.5 * (lo + hi)
+    lo_end, hi_end = out[:n], out[n:]
+    crossed = lo_end > hi_end   # identical degenerate setups can cross by solver noise
+    lo_end[crossed] = hi_end[crossed] = 0.5 * (lo_end[crossed] + hi_end[crossed])
+    return lo_end, hi_end

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import benchgen, mlp
 from .core import (BRUTE_FORCE_MAX_M, brute_force_extreme_quantile, maximize_quantile,
-                   minimize_quantile)
+                   minimize_quantile, modulated_intervals_batch)
 from .data import DatasetFormatError, load_dataset_csv
 from .dist import ComponentDistribution, Family
 from .evalharness import (CostKind, EvalConfig, cost_mass, cost_relative, coverage,
@@ -343,11 +343,17 @@ ORACLE_TOL = 1e-6   # largest scale-normalized deviation oracle-check passes
 def run_oracle_check(m: int, trials: int, seed: int) -> tuple[float, bool]:
     """Envelope solver against the brute-force oracle on random instances;
     returns the max scale-normalized deviation and whether every trial
-    stayed within ``ORACLE_TOL``."""
+    stayed within ``ORACLE_TOL``.  Each trial checks both extreme
+    quantiles from the single-row solver and, for beta != 1/2, one end of
+    the batch solver's interval: the lower end at alpha = 2 beta for
+    beta < 1/2, the upper end at alpha = 2 (1 - beta) above it.  One
+    ``modulated_intervals_batch`` call solves all trials with the same
+    member families and beta, which a call shares across its rows."""
     rng = np.random.default_rng(seed)
     gammas = (1.5, 3.0, 10.0)
     betas = (0.05, 0.5, 0.975)
     worst = 0.0
+    batches: dict[tuple, list] = {}
     for trial in range(trials):
         comps = []
         for _ in range(m):
@@ -365,6 +371,17 @@ def run_oracle_check(m: int, trials: int, seed: int) -> tuple[float, bool]:
         bf_max = brute_force_extreme_quantile(comps, bounds, beta, maximize=True)
         bf_min = brute_force_extreme_quantile(comps, bounds, beta, maximize=False)
         worst = max(worst, abs(q_max - bf_max) / norm, abs(q_min - bf_min) / norm)
+        if beta != 0.5:
+            key = (tuple(c.family.code for c in comps), beta)
+            batches.setdefault(key, []).append((comps, bounds, bf_min if beta < 0.5 else bf_max))
+    for (fam, beta), rows in batches.items():
+        members, bounds, oracle = zip(*rows)
+        scales = np.array([[c.scale for c in row] for row in members])
+        lo, hi = modulated_intervals_batch(
+            fam, [[c.location for c in row] for row in members], scales,
+            [b.lower for b in bounds], [b.upper for b in bounds], 2.0 * min(beta, 1.0 - beta))
+        deviation = np.abs((lo if beta < 0.5 else hi) - oracle) / (1.0 + scales.max(axis=1))
+        worst = max(worst, float(deviation.max()))
     return worst, worst <= ORACLE_TOL
 
 

@@ -4,13 +4,16 @@ The admissible weights form the polytope {w : w_i in [lower, upper],
 mean(w) = 1}.  At a fixed q the extremal mixture mass is attained at a
 vertex that depends only on the rank order of the member masses F_j(q)
 (see ``_kernels``), so each extreme quantile is one bracketed root search
-on the sorted-rank envelope.  ``maximize_quantile``, ``minimize_quantile``,
-``outcome_interval`` and the row loop ``modulated_intervals_batch`` all run
-that one kernel.  ``brute_force_extreme_quantile`` enumerates every vertex
-as a test oracle, and ``check_optimality`` certifies a solution via the
-no-improving-pair condition.  Every solve here runs at the one quantile
-tolerance tol = 1e-9 * (1 + the largest member scale)
-(``dist.default_quantile_tol``) and lands within tol/2 of the crossing.
+on the sorted-rank envelope.  ``maximize_quantile``, ``minimize_quantile``
+and ``outcome_interval`` run it on one row with the scalar kernel;
+``modulated_intervals_batch`` runs it on many rows at once with the
+row-lockstep kernel, whose endpoints agree with the scalar ones within
+tol and depend on their own row alone.  ``brute_force_extreme_quantile``
+enumerates every vertex as a test oracle, and ``check_optimality``
+certifies a solution via the no-improving-pair condition.  Every solve
+here runs at the one quantile tolerance tol = 1e-9 * (1 + the largest
+member scale) (``dist.default_quantile_tol``) and lands within tol/2 of
+the crossing.
 """
 
 from __future__ import annotations
@@ -233,27 +236,40 @@ def modulated_intervals_batch(fam: np.ndarray, locs: np.ndarray,
                               scales: np.ndarray, lowers: np.ndarray,
                               uppers: np.ndarray, alpha: float
                               ) -> tuple[np.ndarray, np.ndarray]:
-    """One outcome interval per row of (locs, scales) under per-row weight
-    bounds, at the default quantile tolerance of the row's members: row i
-    equals ``outcome_interval`` on that row's members and bounds bit for
-    bit."""
-    fam = np.asarray(fam, dtype=np.int64)
+    """One outcome interval per row of (locs, scales), members in families
+    ``fam`` (0 Gaussian, 1 Cauchy, one code per column), under per-row
+    weight bounds, at the default quantile tolerance tol of the row's
+    members.  All rows are solved together by the row-lockstep kernel
+    (``_kernels.interval_rows``): row i lies within tol of
+    ``outcome_interval`` on that row's members and bounds, both within
+    tol/2 of the crossing, and depends on row i alone, so a row solves to
+    the same bits alone or in any batch, in any row order."""
+    fam = np.asarray(fam)
     locs = np.asarray(locs, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
     lowers = np.asarray(lowers, dtype=np.float64)
     uppers = np.asarray(uppers, dtype=np.float64)
     n = len(lowers)
-    if (locs.shape != (n, len(fam)) or scales.shape != locs.shape
-            or lowers.shape != (n,) or uppers.shape != (n,)):
+    if (fam.ndim != 1 or len(fam) == 0 or locs.shape != (n, len(fam))
+            or scales.shape != locs.shape or lowers.shape != (n,) or uppers.shape != (n,)):
         raise ValueError(f"shape mismatch: fam {fam.shape}, locs {locs.shape}, "
                          f"scales {scales.shape}, lowers {lowers.shape}, "
                          f"uppers {uppers.shape}")
-    rows = zip(locs.tolist(), scales.tolist(), lowers.tolist(), uppers.tolist())
-    fam = fam.tolist()
+    # checked before solving: a NaN row fails every comparison of the
+    # lockstep loop and would come back NaN without an error
+    if not np.all((fam == K.GAUSSIAN) | (fam == K.CAUCHY)):
+        raise ValueError(f"family codes must be {K.GAUSSIAN} (Gaussian) or "
+                         f"{K.CAUCHY} (Cauchy), got {np.unique(fam).tolist()}")
     alpha = float(alpha)
-    lo_out = np.empty(n)
-    hi_out = np.empty(n)
-    for i, (loc, scale, lower, upper) in enumerate(rows):
-        lo_out[i], hi_out[i] = K.interval_k(fam, loc, scale, lower, upper, alpha,
-                                            QUANTILE_TOL_REL * (1.0 + max(scale)))
-    return lo_out, hi_out
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not np.all(np.isfinite(locs)):
+        raise ValueError("member locations must be finite")
+    if not np.all((scales > 0.0) & (scales < np.inf)):
+        raise ValueError("member scales must be finite and > 0")
+    if not np.all((lowers > 0.0) & (lowers <= 1.0) & (uppers >= 1.0) & (uppers < np.inf)):
+        raise ValueError("weight bounds must satisfy 0 < lower <= 1 <= upper < inf")
+    if n == 0:
+        return np.empty(0), np.empty(0)
+    return K.interval_rows(fam.astype(np.int64), locs, scales, lowers, uppers, alpha,
+                           QUANTILE_TOL_REL * (1.0 + scales.max(axis=1)))

@@ -15,9 +15,9 @@ read arrays, and ``run_experiment`` runs the protocol on an already
 loaded test set, ensemble and propensity model.
 
 Whether row i is covered at gamma follows from the envelope masses of its
-members at the outcome y_i alone (``_kernels.covered_k``), so
-``run_experiment`` hands the search a coverage prediction
-(``modulated_coverage``) that needs no root-finding.  The bisection takes
+members at the outcome y_i alone, so ``run_experiment`` hands the search a
+coverage prediction (``modulated_coverage``) that needs no root-finding:
+one pattern matrix and two row sums per gamma.  The bisection takes
 every step from it, and intervals are solved only at the gammas the
 answer rests on, whose solved coverage certifies it."""
 
@@ -297,30 +297,25 @@ def modulated_coverage(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
                        outcomes: Sequence[float], alpha: float, *,
                        scored: ScoredArm | None = None) -> Callable[[float], float]:
     """The gamma -> coverage map of ``modulated_interval_arrays``'s
-    intervals, predicted without solving them.  Each row's member masses
-    F_j(y_i) and S_j(y_i) = 1 - F_j(y_i) are computed once; at each gamma
-    the row counts as covered by ``_kernels.covered_k`` under its MSM
-    weight bounds.  Equal to the coverage of the solved intervals unless
-    an outcome lies within the solver tolerance of an endpoint.  ``scored``
-    is as in ``modulated_interval_arrays``."""
+    intervals, predicted without solving them.  The (n, m) member masses
+    F_j(y_i) and S_j(y_i) = 1 - F_j(y_i) are computed and sorted along rows
+    once; at each gamma, ``_kernels.covered_rows`` weighs them by each
+    row's rank pattern under its MSM weight bounds.  Equal to the coverage
+    of the solved intervals unless an outcome lies within the solver
+    tolerance of an endpoint.  ``scored`` is as in
+    ``modulated_interval_arrays``."""
     fam, locs, scales, e_t = scored or _scored_arm(model, propensity, covariates, t)
     y = np.asarray(outcomes, dtype=np.float64).ravel()
     if len(y) != len(e_t):
         raise ValueError(f"{len(e_t)} rows vs {len(y)} outcomes")
     if len(y) == 0:
         raise ValueError("empty inputs")
-    fam = fam.tolist()
-    masses = []
-    for loc, scale, y_i in zip(locs.tolist(), scales.tolist(), y.tolist()):
-        members = list(zip(fam, loc, scale))
-        masses.append((sorted([K.component_cdf_s(f, l, s, y_i) for f, l, s in members]),
-                       sorted([K.component_sf_s(f, l, s, y_i) for f, l, s in members])))
+    cdf = np.sort(K.signed_masses(fam, locs, scales, y, 1.0), axis=1)
+    sf = np.sort(K.signed_masses(fam, locs, scales, y, -1.0), axis=1)
 
     def predicted(gamma: float) -> float:
-        lowers, uppers = msm_bounds_arrays(e_t, gamma)
-        covered = sum(K.covered_k(cdf, sf, lower, upper, alpha) for (cdf, sf), lower, upper
-                      in zip(masses, lowers.tolist(), uppers.tolist()))
-        return covered / len(masses)
+        covered = K.covered_rows(cdf, sf, *msm_bounds_arrays(e_t, gamma), alpha)
+        return int(np.count_nonzero(covered)) / len(y)
 
     return predicted
 

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchgen import rank_normalize
 from .data import Dataset
 
 SCALE_FLOOR = 1e-6
@@ -332,11 +331,12 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
         _fold_affine(params, sd_y, mu_y)
         return params
 
-    # Cauchy head.  The warm-up targets are the stable-tie ranks of the n
-    # resampled outcomes, so the copies of one row hold distinct ranks:
+    # Cauchy head.  The warm-up targets are the stable-tie ranks k/n of the
+    # n resampled outcomes, so the copies of one row hold distinct ranks:
     # each unique row carries their mean and their variance.
     y_boot = data.outcomes[idx]
-    ranks = rank_normalize(y_boot)
+    ranks = np.empty(data.n)
+    ranks[np.argsort(y_boot, kind="stable")] = np.arange(data.n) / data.n
     rank_mean = np.bincount(copy_row, weights=ranks) / counts
     dev = ranks - rank_mean[copy_row]   # from deviations, not E[r^2] - mean^2
     rank_var = np.bincount(copy_row, weights=dev * dev) / counts

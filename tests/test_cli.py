@@ -2,7 +2,7 @@ import json
 import numpy as np
 import pytest
 
-from modens import GeneratorConfig, load_dataset_csv, write_benchmark
+from modens import GeneratorConfig, cli, load_dataset_csv, write_benchmark
 from modens.cli import main
 
 
@@ -628,6 +628,20 @@ class TestOracleCheck:
 
     def test_m4_passes(self):
         assert run(["oracle-check", "--seed", 1, "--m", 4, "--trials", 12]) == 0
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_checks_the_batch_solver(self, monkeypatch, capsys, end):
+        # lower ends are checked for beta < 1/2, upper ends above it
+        solve = cli.modulated_intervals_batch
+
+        def shifted(*args):
+            ends = solve(*args)
+            ends[end][0] += 1e-3
+            return ends
+
+        monkeypatch.setattr(cli, "modulated_intervals_batch", shifted)
+        assert run(["oracle-check", "--seed", 1, "--m", 3, "--trials", 9]) == 1
+        assert "FAILED" in capsys.readouterr().out
 
     @pytest.mark.slow
     def test_m6_trials_200_within_a_minute(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from modens import (PROPENSITY_CLAMP, ComponentDistribution, CoverageBound, Fami
                     WeightedMixture, brute_force_extreme_quantile, check_optimality,
                     default_quantile_tol, empirical_coverage_bound,
                     maximize_quantile, minimize_quantile, mixture_quantile,
-                    msm_bounds, outcome_interval)
+                    modulated_intervals_batch, msm_bounds, msm_bounds_arrays,
+                    outcome_interval)
+from modens.mlp import SCALE_FLOOR
 
 import oracles
 
@@ -301,11 +305,69 @@ class TestNumericEdges:
         assert iv.lo == pytest.approx(-q + 2.0, abs=2 * default_quantile_tol(comps))
 
 
+def _batch_edges():
+    """The numeric edges, each as a 10-row ``modulated_intervals_batch``
+    input (fam, locs, scales, lowers, uppers, alpha)."""
+    rng = np.random.default_rng(2024)
+    n = 10
+
+    def rows(fam, gamma, alpha, e=None, scales=None, tied=False):
+        m = len(fam)
+        locs = rng.normal(0.0, 3.0, (n, m))
+        if scales is None:
+            scales = 0.2 + np.abs(rng.normal(0.0, 1.5, (n, m)))
+        scales = np.broadcast_to(np.asarray(scales, dtype=np.float64), (n, m))
+        if tied:
+            locs = np.repeat(locs[:, :1], m, axis=1)
+            scales = np.repeat(scales[:, :1], m, axis=1)
+        if e is None:
+            e = rng.uniform(0.05, 0.95, n)
+        return (np.array(fam), locs, np.ascontiguousarray(scales),
+                *msm_bounds_arrays(e, gamma), alpha)
+
+    mixed = [0, 1, 0, 1]
+    return {
+        "alpha-2e-6": rows(mixed, 4.0, 2e-6),
+        "alpha-0.999": rows(mixed, 4.0, 0.999),
+        "gamma-50-clamped-propensity": rows(
+            mixed, 50.0, 0.1, e=np.resize([PROPENSITY_CLAMP, 1.0 - PROPENSITY_CLAMP], n)),
+        "identical-members": rows([1] * 5, 10.0, 0.2, tied=True),
+        "m-1": rows([0], 4.0, 0.3),
+        "cauchy-far-tails": rows([1, 1, 1], 4.0, 2e-6),
+        "scale-floor": rows(mixed, 4.0, 0.1, scales=[SCALE_FLOOR, 1e3, 1e3, 1.0]),
+    }
+
+
+BATCH_EDGES = _batch_edges()
+
+
+def _row_components(fam, locs, scales, i, sign=1.0):
+    """Row i's members, reflected about 0 when ``sign`` is -1."""
+    return [ComponentDistribution(C if f else G, sign * loc, scale)
+            for f, loc, scale in zip(fam.tolist(), locs[i].tolist(), scales[i].tolist())]
+
+
+def _embedded(batch, seed):
+    """``batch``'s rows at random positions among random rows with the same
+    families, 64 rows in all; returns the bigger batch and the positions."""
+    fam, locs, scales, lowers, uppers, alpha = batch
+    rng = np.random.default_rng(seed)
+    n, m = locs.shape
+    big_locs = rng.normal(0.0, 5.0, (64, m))
+    big_scales = 0.1 + np.abs(rng.normal(0.0, 2.0, (64, m)))
+    big_lowers, big_uppers = msm_bounds_arrays(rng.uniform(PROPENSITY_CLAMP, 0.999, 64),
+                                               float(rng.uniform(1.0, 50.0)))
+    at = rng.choice(64, size=n, replace=False)
+    for big, small in ((big_locs, locs), (big_scales, scales), (big_lowers, lowers),
+                       (big_uppers, uppers)):
+        big[at] = small
+    return (fam, big_locs, big_scales, big_lowers, big_uppers, alpha), at
+
+
+@pytest.mark.filterwarnings("error")
 class TestBatchDriver:
     def test_rows_equal_outcome_interval(self, rng):
-        # both run the same kernel at the same tolerance: equal bit for bit
-        from modens import modulated_intervals_batch, msm_bounds_arrays
-
+        # the batch kernel is not the single-row kernel: equal within tol
         n, m = 40, 6
         fam = (rng.random(m) < 0.5).astype(np.int64)
         locs = rng.normal(0, 3, (n, m))
@@ -313,14 +375,81 @@ class TestBatchDriver:
         lowers, uppers = msm_bounds_arrays(rng.uniform(0.2, 0.8, n), 4.0)
         lo, hi = modulated_intervals_batch(fam, locs, scales, lowers, uppers, 0.1)
         for i in range(n):
-            comps = [ComponentDistribution(C if fam[j] else G, locs[i, j], scales[i, j])
-                     for j in range(m)]
+            comps = _row_components(fam, locs, scales, i)
+            tol = default_quantile_tol(comps)
             iv = outcome_interval(comps, WeightBounds(lowers[i], uppers[i]), 0.1)
-            assert (lo[i], hi[i]) == (iv.lo, iv.hi)
+            assert abs(lo[i] - iv.lo) <= tol and abs(hi[i] - iv.hi) <= tol
+
+    @pytest.mark.parametrize("name", list(BATCH_EDGES))
+    def test_edges_match_outcome_interval_and_oracles(self, name):
+        fam, locs, scales, lowers, uppers, alpha = BATCH_EDGES[name]
+        lo, hi = modulated_intervals_batch(fam, locs, scales, lowers, uppers, alpha)
+        for i in range(len(lo)):
+            comps = _row_components(fam, locs, scales, i)
+            bounds = WeightBounds(lowers[i], uppers[i])
+            tol = default_quantile_tol(comps)
+            iv = outcome_interval(comps, bounds, alpha)
+            assert abs(lo[i] - iv.lo) <= tol and abs(hi[i] - iv.hi) <= tol, i
+            if i >= 3:
+                continue
+            # the max (1-alpha/2)-quantile is minus the min alpha/2-quantile
+            # of the reflected members, which keeps the tail mass exact
+            ref_lo = brute_force_extreme_quantile(comps, bounds, alpha / 2, maximize=False)
+            ref_hi = -brute_force_extreme_quantile(
+                _row_components(fam, locs, scales, i, sign=-1.0), bounds, alpha / 2,
+                maximize=False)
+            assert abs(lo[i] - ref_lo) <= 2 * tol and abs(hi[i] - ref_hi) <= 2 * tol, i
+            if len(set(zip(locs[i].tolist(), scales[i].tolist()))) == 1:
+                member = oracles.scipy_dist(comps[0])
+                assert abs(lo[i] - member.ppf(alpha / 2)) <= 2 * tol
+                assert abs(hi[i] - member.isf(alpha / 2)) <= 2 * tol
+
+    @pytest.mark.parametrize("name", list(BATCH_EDGES))
+    def test_rows_do_not_depend_on_the_batch(self, name):
+        batch = BATCH_EDGES[name]
+        big, at = _embedded(batch, seed=len(name))
+        lo, hi = modulated_intervals_batch(*big)
+        fam, locs, scales, lowers, uppers, alpha = batch
+        for i, j in enumerate(at.tolist()):
+            alone = modulated_intervals_batch(fam, locs[i:i + 1], scales[i:i + 1],
+                                              lowers[i:i + 1], uppers[i:i + 1], alpha)
+            assert (alone[0][0], alone[1][0]) == (lo[j], hi[j])
+        perm = np.random.default_rng(len(name)).permutation(64)
+        fam, locs, scales, lowers, uppers, alpha = big
+        p_lo, p_hi = modulated_intervals_batch(fam, locs[perm], scales[perm], lowers[perm],
+                                               uppers[perm], alpha)
+        assert p_lo.tobytes() == lo[perm].tobytes() and p_hi.tobytes() == hi[perm].tobytes()
+
+    def test_empty_batch(self):
+        lo, hi = modulated_intervals_batch([0, 1], np.empty((0, 2)), np.empty((0, 2)),
+                                           [], [], 0.1)
+        assert lo.shape == hi.shape == (0,)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("fam", [0, 2], "family codes"),
+        ("alpha", 1.5, "alpha"),
+        ("alpha", 0.0, "alpha"),
+        ("alpha", math.nan, "alpha"),
+        ("locs", [[math.nan, 0.0], [0.0, 0.0]], "locations"),
+        ("locs", [[math.inf, 0.0], [0.0, 0.0]], "locations"),
+        ("scales", [[1.0, 0.0], [1.0, 1.0]], "scales"),
+        ("scales", [[1.0, math.inf], [1.0, 1.0]], "scales"),
+        ("scales", [[1.0, math.nan], [1.0, 1.0]], "scales"),
+        ("lowers", [1.5, 0.5], "weight bounds"),
+        ("lowers", [0.0, 0.5], "weight bounds"),
+        ("uppers", [0.5, 2.0], "weight bounds"),
+        ("uppers", [math.inf, 2.0], "weight bounds"),
+        ("uppers", [math.nan, 2.0], "weight bounds"),
+    ])
+    def test_rejects_invalid_inputs(self, field, value, match):
+        args = {"fam": [0, 1], "locs": np.zeros((2, 2)), "scales": np.ones((2, 2)),
+                "lowers": [0.5, 0.5], "uppers": [2.0, 2.0], "alpha": 0.1}
+        modulated_intervals_batch(**args)
+        args[field] = value
+        with pytest.raises(ValueError, match=match):
+            modulated_intervals_batch(**args)
 
     def test_rejects_mismatched_shapes(self):
-        from modens import modulated_intervals_batch
-
         ones = np.ones((3, 4))
         bounds = (np.full(3, 0.5), np.full(3, 2.0))
         lo, hi = modulated_intervals_batch(np.zeros(4), ones, ones, *bounds, 0.1)

@@ -279,30 +279,38 @@ def test_random_ensembles_within_budget_and_half_tol(monkeypatch):
         assert abs(q - oracles.mixture_quantile_ref(comps, w, beta)) <= tol / 2 + 1e-12
 
 
-def assert_covered_k_agrees(comps, bounds, alpha):
+def assert_covered_rows_agrees(comps, bounds, alpha):
+    # five outcomes per ensemble: one tolerance outside and inside each
+    # solved endpoint, and the midpoint
     fam, loc, scale = pack_components(comps)
+    fam = np.array(fam)
     tol = default_quantile_tol(comps)
-    lo, hi = K.interval_k(fam, loc, scale, bounds.lower, bounds.upper, alpha, tol)
-    for y, inside in ((lo - tol, False), (lo + tol, True), (0.5 * (lo + hi), True),
-                      (hi - tol, True), (hi + tol, False)):
-        members = list(zip(fam, loc, scale))
-        masses = sorted(K.component_cdf_s(f, l, s, y) for f, l, s in members)
-        sf_masses = sorted(K.component_sf_s(f, l, s, y) for f, l, s in members)
-        assert K.covered_k(masses, sf_masses, bounds.lower, bounds.upper, alpha) == inside
+    locs = np.tile(loc, (5, 1))
+    scales = np.tile(scale, (5, 1))
+    lowers, uppers = np.full(5, bounds.lower), np.full(5, bounds.upper)
+    lo, hi = K.interval_rows(fam, locs[:1], scales[:1], lowers[:1], uppers[:1], alpha,
+                             np.array([tol]))
+    y = np.array([lo[0] - tol, lo[0] + tol, 0.5 * (lo[0] + hi[0]), hi[0] - tol, hi[0] + tol])
+    cdf = np.sort(K.signed_masses(fam, locs, scales, y, 1.0), axis=1)
+    sf = np.sort(K.signed_masses(fam, locs, scales, y, -1.0), axis=1)
+    covered = K.covered_rows(cdf, sf, lowers, uppers, alpha)
+    assert covered.tolist() == [False, True, True, True, False]
 
 
-def test_covered_k_matches_the_solved_interval():
+@pytest.mark.filterwarnings("error")
+def test_covered_rows_matches_the_solved_interval():
     # one tolerance away from an endpoint, the envelope masses at the
     # outcome decide its coverage as the solved interval does
     rng = np.random.default_rng(11)
     for _ in range(60):
         comps = oracles.random_components(rng, int(rng.integers(1, 9)))
         bounds = oracles.random_bounds(rng, float(rng.uniform(1.0, 50.0)))
-        assert_covered_k_agrees(comps, bounds, float(rng.uniform(0.02, 0.98)))
+        assert_covered_rows_agrees(comps, bounds, float(rng.uniform(0.02, 0.98)))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("gamma", [1.0, 4.0, 50.0])
-def test_covered_k_matches_the_solved_interval_in_far_tails(gamma):
+def test_covered_rows_matches_the_solved_interval_in_far_tails(gamma):
     # at alpha/2 = 1e-6 the upper end sits where 1 - F_j rounds to ulp(1)
     comps = CASES["cauchy-tails"][0]
-    assert_covered_k_agrees(comps, msm_bounds(0.3, SensitivityConfig(gamma)), 2e-6)
+    assert_covered_rows_agrees(comps, msm_bounds(0.3, SensitivityConfig(gamma)), 2e-6)
