@@ -10,6 +10,15 @@ observation noise.  Test sets carry both-arm potential outcomes obtained by
 forcing the treatment coordinate and drawing fresh noise, while the hidden
 block is withheld from every emitted covariate matrix.
 
+One seeded RNG stream draws, in this order: the surrogate's factors,
+loadings and loading signs (when no features are supplied), the row
+permutation, the projection coefficients, the outcome link matrix, and the
+noise.  The projection and the outcome's quadratic form run in blocks of
+1024 rows, the last block taking the remainder.  Each block of permuted
+feature rows is projected straight into one (n, n_projected) matrix, which
+is then ranked in place, so neither the (n, 128) surrogate feature matrix
+nor a permuted copy of the features ever exists whole.
+
 Outputs are byte-reproducible for a seed on one machine with one numpy and
 BLAS build: the projection and the outcome's quadratic form are matrix
 products, whose last bits may differ between BLAS kernels.
@@ -28,6 +37,9 @@ from .data import Dataset, save_dataset_csv
 # shape of the fallback feature matrix: columns, and the factor-model rank
 SYNTHETIC_FEATURES = 128
 SYNTHETIC_RANK = 8
+# rows per block of the projection and of the outcome's quadratic form; the
+# last block holds up to 2 * _BLOCK_ROWS - 1
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -98,13 +110,33 @@ class GeneratedPanel:
     y_potential: np.ndarray   # (n, 2) noisy potential outcome per arm
 
 
+def _draw_factor_model(n: int, rng: np.random.Generator
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (n, 8) and signed loadings (8, 128) of the fallback feature
+    matrix, drawn in this order: factors, loadings, signs."""
+    factors = rng.standard_normal((n, SYNTHETIC_RANK))
+    loadings = np.exp(rng.standard_normal((SYNTHETIC_RANK, SYNTHETIC_FEATURES)))
+    loadings *= rng.choice((-1.0, 1.0), size=loadings.shape)
+    return factors, loadings
+
+
+def _draw_projection(n_features: int, config: GeneratorConfig,
+                     rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((n_features, config.n_projected))
+
+
+def _as_features(features: np.ndarray) -> np.ndarray:
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] == 0 or features.shape[1] == 0:
+        raise ValueError("features must be a nonempty 2-d matrix")
+    return features
+
+
 def synthetic_features(n: int, rng: np.random.Generator) -> np.ndarray:
     """Fallback feature matrix: n x 128 from a rank-8 factor model with
     signed, heavy-tailed log-normal loadings, so projected columns end up
     with nontrivial cross-correlations like real expression data."""
-    factors = rng.standard_normal((n, SYNTHETIC_RANK))
-    loadings = np.exp(rng.standard_normal((SYNTHETIC_RANK, SYNTHETIC_FEATURES)))
-    loadings *= rng.choice((-1.0, 1.0), size=loadings.shape)
+    factors, loadings = _draw_factor_model(n, rng)
     return factors @ loadings
 
 
@@ -113,11 +145,8 @@ def random_projection(features: np.ndarray, config: GeneratorConfig,
     """Project n x p features into n_visible + 1 + n_hidden columns, each a
     linear combination with i.i.d. standard normal coefficients.  Column
     order: visible block, treatment column, hidden block."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] == 0 or features.shape[1] == 0:
-        raise ValueError("features must be a nonempty 2-d matrix")
-    coeffs = rng.standard_normal((features.shape[1], config.n_projected))
-    return features @ coeffs
+    features = _as_features(features)
+    return features @ _draw_projection(features.shape[1], config, rng)
 
 
 def rank_normalize(column: np.ndarray) -> np.ndarray:
@@ -173,38 +202,55 @@ def generate_panel(features: np.ndarray | None, config: GeneratorConfig) -> Gene
     rng = np.random.default_rng(config.seed)
     n = config.n_total
     if features is None:
-        features = synthetic_features(n, rng=rng)
+        factors, loadings = _draw_factor_model(n, rng)
+        n_rows, n_features = n, SYNTHETIC_FEATURES
+
+        def feature_rows(rows):
+            return factors[rows] @ loadings
     else:
         features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] < n:
-        raise ValueError(
-            f"requested {n} rows but features provide only {features.shape[0]}")
-    perm = rng.permutation(features.shape[0])[:n]
-    features = features[perm]
+        if features.shape[0] < n:
+            raise ValueError(
+                f"requested {n} rows but features provide only {features.shape[0]}")
+        features = _as_features(features)
+        n_rows, n_features = features.shape
 
-    projected = random_projection(features, config, rng)
-    del features
-    # V0 holds every rank-normalized column (zero_hidden leaves the hidden
-    # block at 0), with the treatment column's ranks replaced by the forced
-    # arm value 0 once t is read from them
+        def feature_rows(rows):
+            return features[rows]
+    perm = rng.permutation(n_rows)[:n]
+    coeffs = _draw_projection(n_features, config, rng)
+    # the last block takes the remainder, so no block is a sliver: BLAS
+    # sends small products to other kernels, whose last bits differ
+    starts = list(range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS))
+    blocks = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+    # V holds the projection of the permuted feature rows, then in place
+    # its rank-normalized columns (zero_hidden zeroes the hidden block),
+    # with the treatment column's ranks replaced by the forced arm value 0
+    # once t is read from them
+    V = np.empty((n, config.n_projected))
+    for block in blocks:
+        np.matmul(feature_rows(perm[block]), coeffs, out=V[block])
     ti = config.treatment_index
-    V0 = np.zeros((n, config.n_projected))
-    for j in range(ti + 1 if config.zero_hidden else config.n_projected):
-        V0[:, j] = rank_normalize(projected[:, j])
-    del projected
-    t = binarize_treatment(V0[:, ti], config.treatment_threshold)
-    V0[:, ti] = 0.0
+    ranked = ti + 1 if config.zero_hidden else config.n_projected
+    for j in range(ranked):
+        V[:, j] = rank_normalize(V[:, j])
+    V[:, ranked:] = 0.0
+    t = binarize_treatment(V[:, ti], config.treatment_threshold)
+    V[:, ti] = 0.0
 
     M = outcome_link_matrix(config, rng)
-    # u = V' M V per arm.  V0[:, ti] is 0, so forcing it to 1 adds the
+    # u = V' M V per arm.  V[:, ti] is 0, so forcing it to 1 adds the
     # treatment row and column of M and its diagonal entry.
-    u0 = np.einsum("ij,ij->i", V0 @ M, V0)
-    u1 = u0 + V0 @ (M[ti] + M[:, ti]) + M[ti, ti]
+    u0 = np.empty(n)
+    for block in blocks:
+        u0[block] = np.einsum("ij,ij->i", V[block] @ M, V[block])
+    u1 = u0 + V @ (M[ti] + M[:, ti]) + M[ti, ti]
     u_pot = np.column_stack([u0, u1])
     u = np.where(t == 1, u1, u0)
     y = u + _noise(config, rng, n)
     y_pot = u_pot + _noise(config, rng, (n, 2))
-    return GeneratedPanel(visible=V0[:, :ti], hidden=V0[:, ti + 1:], t=t, u=u, y=y,
+    return GeneratedPanel(visible=V[:, :ti], hidden=V[:, ti + 1:], t=t, u=u, y=y,
                           u_potential=u_pot, y_potential=y_pot)
 
 

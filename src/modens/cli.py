@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import benchgen, mlp
-from .core import (BRUTE_FORCE_MAX_M, brute_force_extreme_quantile, maximize_quantile,
-                   minimize_quantile, modulated_intervals_batch)
+from .core import (BRUTE_FORCE_MAX_M, brute_force_extreme_quantile, check_alpha,
+                   maximize_quantile, minimize_quantile, modulated_intervals_batch)
 from .data import DatasetFormatError, load_dataset_csv
 from .dist import ComponentDistribution, Family
 from .evalharness import (CostKind, EvalConfig, cost_mass, cost_relative, coverage,
@@ -273,8 +273,10 @@ def _cmd_intervals(args) -> int:
     seed = _setting(args.seed, cfg, "seed", int, 0)
     if not (math.isfinite(gamma) and gamma >= 1.0):
         raise ConfigError(f"gamma must be finite and >= 1, got {gamma}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    try:
+        check_alpha(alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if arm not in (None, 0, 1):
         raise ConfigError(f"arm must be 0 or 1, got {arm}")
     out = Path(args.out)
@@ -438,8 +440,10 @@ def _cmd_report(args) -> int:
             gammas = [float(g) for g in gammas_arg.split(",") if g]
         except ValueError as exc:
             raise ConfigError(f"report config: {exc}") from None
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+        try:
+            check_alpha(alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if arm not in (0, 1):
             raise ConfigError(f"arm must be 0 or 1, got {arm}")
         if not gammas or not all(math.isfinite(g) and g >= 1.0 for g in gammas):

@@ -57,6 +57,16 @@ class WeightVector:
         return np.asarray(self.weights, dtype=np.float64)
 
 
+def check_alpha(alpha) -> float:
+    """alpha as a float, checked to lie in (0, 1) with alpha/2 > 0: each
+    interval endpoint is a quantile at tail mass alpha/2, and the smallest
+    subnormal, 5e-324, halves to 0."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0 and alpha / 2.0 > 0.0):
+        raise ValueError(f"alpha must be in (0, 1) with alpha/2 > 0, got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class OutcomeInterval:
     """Partially identified prediction interval with its miscoverage level
@@ -74,8 +84,7 @@ class OutcomeInterval:
             raise ValueError("interval endpoints must be finite")
         if self.lo > self.hi:
             raise ValueError(f"lo={self.lo} exceeds hi={self.hi}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
 
     @property
     def length(self) -> float:
@@ -149,9 +158,7 @@ def outcome_interval(components, bounds: WeightBounds, alpha: float,
     """[min quantile(alpha/2), max quantile(1-alpha/2)] under the bounds."""
     if not isinstance(bounds, WeightBounds):
         raise ValueError("bounds must be a WeightBounds instance")
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = check_alpha(alpha)
     fam, loc, scale = pack_components(components)
     lo, hi = K.interval_k(fam, loc, scale, bounds.lower, bounds.upper, alpha,
                           default_quantile_tol(components))
@@ -260,9 +267,7 @@ def modulated_intervals_batch(fam: np.ndarray, locs: np.ndarray,
     if not np.all((fam == K.GAUSSIAN) | (fam == K.CAUCHY)):
         raise ValueError(f"family codes must be {K.GAUSSIAN} (Gaussian) or "
                          f"{K.CAUCHY} (Cauchy), got {np.unique(fam).tolist()}")
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = check_alpha(alpha)
     if not np.all(np.isfinite(locs)):
         raise ValueError("member locations must be finite")
     if not np.all((scales > 0.0) & (scales < np.inf)):

@@ -5,8 +5,9 @@ The on-disk format is a UTF-8, comma-separated file with header columns
 outcomes, test sets only).  The writer ends every line with CRLF, as
 ``csv.writer`` does, writes ``t`` as ``0``/``1`` and every float as its
 shortest round-trip ``repr``, so regeneration under a fixed seed is
-byte-identical.  It formats each distinct float once and writes in blocks
-of rows.
+byte-identical.  It finds the distinct float bit patterns, and each cell's
+index into them, from one argsort of the cells' bits, formats each distinct
+float once, and writes in blocks of rows.
 
 The reader parses the data rows with one ``np.loadtxt`` call.  It accepts
 LF or CRLF line ends, blank lines, quoted numbers and a UTF-8 byte-order
@@ -89,17 +90,37 @@ def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
     if with_potential:
         columns.append(ds.potential_outcomes)
     floats = np.hstack(columns)
-    # Unique bit patterns, not unique values, so -0.0 keeps its own text.
-    # Rank-normalized covariates share one grid of values, so a generated
-    # file holds far fewer distinct floats than cells.
-    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    shape = floats.shape
+    # Distinct bit patterns, not distinct values, so -0.0 keeps its own
+    # text.  Rank-normalized covariates share one grid of values, so a
+    # generated file holds far fewer distinct floats than cells.  Each
+    # intermediate is freed once used, keeping at most three cell-sized
+    # arrays alive.
+    keys = floats.view(np.int64).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    del floats, keys
+    first = np.empty(sorted_keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    bits = sorted_keys[first]
+    del sorted_keys
+    ids = np.cumsum(first, dtype=np.intp)
+    ids -= 1
+    del first
+    codes = np.empty_like(ids)
+    codes[order] = ids
+    del order, ids
+    codes = codes.reshape(shape)
     text = np.array([repr(v) for v in bits.view(np.float64).tolist()] + ["0", "1"],
                     dtype=object)
-    cells = np.insert(inverse.reshape(floats.shape), ds.d, len(bits) + ds.treatments, axis=1)
+    treatment_codes = len(bits) + ds.treatments
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_expected_header(ds.d, with_potential)) + _EOL)
         for start in range(0, ds.n, _WRITE_BLOCK_ROWS):
-            rows = text[cells[start:start + _WRITE_BLOCK_ROWS]].tolist()
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            cells = np.insert(codes[block], ds.d, treatment_codes[block], axis=1)
+            rows = text[cells].tolist()
             fh.write("".join([",".join(row) + _EOL for row in rows]))
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _kernels as K
 from . import mlp
-from .core import OutcomeInterval, modulated_intervals_batch
+from .core import OutcomeInterval, check_alpha, modulated_intervals_batch
 from .data import Dataset
 from .dist import Family
 from .sensitivity import PROPENSITY_CLAMP, msm_bounds_arrays
@@ -60,8 +60,7 @@ class EvalConfig:
         # written so that NaN fails each check
         if not 0.0 < self.target_coverage <= 1.0:
             raise ValueError(f"target_coverage must be in (0, 1], got {self.target_coverage}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if not 0.0 < self.gamma_tol < math.inf:
             raise ValueError("gamma_tol must be finite and > 0")
         if self.arm not in (0, 1):

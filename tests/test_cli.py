@@ -248,9 +248,9 @@ class TestSubcommandConfigFiles:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", [{"gamma": "2"}, {"gamma": True}, {"arm": 2},
-                                         {"seed": 1.5}, {"alpha": None}],
+                                         {"seed": 1.5}, {"alpha": None}, {"alpha": 5e-324}],
                              ids=["gamma-str", "gamma-bool", "arm-2", "seed-float",
-                                  "alpha-null"])
+                                  "alpha-null", "alpha-halves-to-0"])
     def test_bad_intervals_setting_exits_2(self, bench_dir, trained_model, tmp_path,
                                            setting, capsys):
         cfg = tmp_path / "iv.json"

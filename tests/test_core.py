@@ -159,6 +159,19 @@ class TestOutcomeInterval:
         with pytest.raises(ValueError):
             OutcomeInterval(lo=0.0, hi=1.0, alpha=1.5)
 
+    def test_alpha_whose_half_rounds_to_zero(self):
+        # 5e-324 is in (0, 1) but halves to 0; 1e-320 halves to a subnormal,
+        # whose Gaussian quantiles are finite
+        with pytest.raises(ValueError, match="alpha"):
+            outcome_interval([g(0)], WeightBounds(1.0, 1.0), 5e-324)
+        with pytest.raises(ValueError, match="alpha"):
+            OutcomeInterval(lo=0.0, hi=1.0, alpha=5e-324)
+        iv = outcome_interval([g(0), g(1, 2.0)], WeightBounds(0.5, 2.0), 1e-320)
+        assert math.isfinite(iv.lo) and iv.lo < iv.hi
+        lo, hi = modulated_intervals_batch([0, 0], [[0.0, 1.0]], [[1.0, 2.0]],
+                                           [0.5], [2.0], 1e-320)
+        assert np.isfinite(lo).all() and (lo < hi).all()
+
 
 class TestBruteForce:
     def test_identity_bounds_unique_assignment(self, rng):
@@ -440,6 +453,7 @@ class TestBatchDriver:
         ("uppers", [0.5, 2.0], "weight bounds"),
         ("uppers", [math.inf, 2.0], "weight bounds"),
         ("uppers", [math.nan, 2.0], "weight bounds"),
+        ("alpha", 5e-324, "alpha"),
     ])
     def test_rejects_invalid_inputs(self, field, value, match):
         args = {"fam": [0, 1], "locs": np.zeros((2, 2)), "scales": np.ones((2, 2)),

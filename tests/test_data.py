@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -102,6 +103,19 @@ class TestWriterBytes:
         for name, ds in zip(("train", "valid", "test"), splits):
             oracles.reference_save_dataset_csv(ds, tmp_path / f"{name}.ref.csv")
             assert (out / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.ref.csv").read_bytes()
+
+    def test_default_train_split_peak_memory(self, rng, tmp_path):
+        # the distinct-float codes need at most three (n, d + 1) arrays at
+        # once, 6.9e6 B in all for the default train split
+        train, _, _ = benchgen.generate_dataset(None, GeneratorConfig(seed=0))
+        save_dataset_csv(make_dataset(rng), tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            save_dataset_csv(train, tmp_path / "train.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5e6
 
 
 def random_csv_text(rng, potential):

@@ -307,6 +307,11 @@ class TestEvalConfigValidation:
         with pytest.raises(ValueError):
             EvalConfig(target_coverage=0.9, alpha=0.1, arm=2)
 
+    def test_alpha_whose_half_rounds_to_zero(self):
+        with pytest.raises(ValueError, match="alpha"):
+            EvalConfig(target_coverage=0.9, alpha=5e-324)
+        assert EvalConfig(target_coverage=0.9, alpha=1e-320).alpha == 1e-320
+
 
 @pytest.fixture(scope="module")
 def trained():
