@@ -195,8 +195,9 @@ def _bracketed_quantile(cdf, lo, hi, beta, tol):
         # the radius holds back two ulps of the bracket's larger end per
         # remaining halving: once the bound is tight, rounding of the later
         # midpoints would otherwise leave the bracket an ulp wider than tol
-        # after n_max steps
-        r = math.ldexp(half_tol - 2.0 * math.ulp(max(-lo, hi)), n_max - j) - 0.5 * width
+        # after n_max steps.  Where two ulps exceed tol/2 the step is the
+        # midpoint; clamping that term at 0 keeps its scaling in range.
+        r = math.ldexp(max(half_tol - 2.0 * math.ulp(max(-lo, hi)), 0.0), n_max - j) - 0.5 * width
         x = min(max(x, mid - r), mid + r) if r > 0.0 else mid
         if not lo < x < hi:
             x = mid
@@ -273,6 +274,9 @@ def _tail_quantile(members, weights, order, mass, tol, upper):
     else:
         point, tail, sign = component_ppf_s, component_cdf_s, 1.0
     lo, hi = _member_bracket([point(f, l, s, mass) for f, l, s in members], tol)
+    if not math.isfinite((hi - lo) / tol):
+        raise ValueError(f"the members' quantiles at tail mass {mass!r} are out of "
+                         "floating-point range")
 
     def signed_mass(q):
         return sign * weighted_mass(weights, order([tail(f, l, s, q) for f, l, s in members]))
@@ -317,11 +321,16 @@ def rank_weights_k(fam, loc, scale, lower, upper, q, maximize):
 def interval_k(fam, loc, scale, lower, upper, alpha, tol):
     """(min quantile(alpha/2), max quantile(1-alpha/2)) of one ensemble.
     Both ends invert the largest tail mass over the weights, lower and
-    upper, at the tail mass alpha/2 itself."""
+    upper, at the tail mass alpha/2 itself.  Raises ValueError naming
+    alpha where the members' alpha/2 points, or their spread over tol,
+    are not finite floats."""
     p = rank_pattern(lower, upper, len(fam))[::-1]
     members = list(zip(fam, loc, scale))
-    lo = _tail_quantile(members, p, sorted, alpha / 2.0, tol, upper=False)
-    hi = _tail_quantile(members, p, sorted, alpha / 2.0, tol, upper=True)
+    try:
+        lo = _tail_quantile(members, p, sorted, alpha / 2.0, tol, upper=False)
+        hi = _tail_quantile(members, p, sorted, alpha / 2.0, tol, upper=True)
+    except ValueError as exc:
+        raise ValueError(f"alpha={alpha!r}: {exc}") from None
     if lo > hi:  # identical degenerate setups can cross by solver noise
         lo = hi = 0.5 * (lo + hi)
     return lo, hi
@@ -407,12 +416,17 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
     half = alpha / 2.0
     # member points with tail mass alpha/2: l + s*z below, l - s*z above
     z = np.where(fam == GAUSSIAN, norm_ppf(half), cauchy_ppf(half))
-    points = np.concatenate([locs + scales * z, locs - scales * z])
-    lo = points.min(axis=1)
-    hi = points.max(axis=1)
     tol = np.concatenate([tol, tol])
-    lo = lo - np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(lo)))
-    hi = hi + np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(hi)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = np.concatenate([locs + scales * z, locs - scales * z])
+        lo = points.min(axis=1)
+        hi = points.max(axis=1)
+        lo = lo - np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(lo)))
+        hi = hi + np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(hi)))
+        solvable = np.isfinite((hi - lo) / tol).all()
+    if not solvable:
+        raise ValueError(f"alpha={alpha!r}: the members' quantiles at tail mass {half!r} "
+                         "are out of floating-point range")
     weights = rank_pattern_rows(lowers, uppers, m)[:, ::-1]
     weights = np.concatenate([weights, weights])
     locs = np.concatenate([locs, locs])
@@ -462,7 +476,8 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
         half_tol = 0.5 * tol
         x = x1 + t * (x2 - x1)
         x = np.minimum(np.maximum(x, lo + half_tol), hi - half_tol)
-        r = np.ldexp(half_tol - 2.0 * np.spacing(np.maximum(-lo, hi)), n_max - j) - 0.5 * width
+        r = np.ldexp(np.maximum(half_tol - 2.0 * np.spacing(np.maximum(-lo, hi)), 0.0),
+                     n_max - j) - 0.5 * width
         x = np.where(r > 0.0, np.minimum(np.maximum(x, mid - r), mid + r), mid)
         x = np.where((lo < x) & (x < hi), x, mid)
         fx = mass(x) - beta

@@ -3,8 +3,9 @@ oracle-check / report.
 
 Config precedence is CLI flags over --config file over built-in defaults.
 Every subcommand but oracle-check, which only prints, writes a manifest
-echoing the resolved configuration with its hash.  Exit codes: 0 success (a FAILURE verdict is still a success), 1
-operational error, 2 usage or configuration error.
+echoing the resolved configuration with its hash.  Every CSV, read or
+written, goes through ``data``.  Exit codes: 0 success (a FAILURE verdict
+is still a success), 1 operational error, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import json
 import math
 import os
 import sys
-import warnings
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import benchgen, mlp
 from .core import (BRUTE_FORCE_MAX_M, brute_force_extreme_quantile, check_alpha,
                    maximize_quantile, minimize_quantile, modulated_intervals_batch)
-from .data import DatasetFormatError, load_dataset_csv
+from .data import DatasetFormatError, load_dataset_csv, load_feature_csv, write_table
 from .dist import ComponentDistribution, Family
 from .evalharness import (CostKind, EvalConfig, cost_mass, cost_relative, coverage,
                           modulated_interval_arrays, run_experiment)
@@ -141,44 +140,13 @@ def _cmd_generate(args) -> int:
         raise ConfigError(f"generator config: {exc}") from None
     out_dir = Path(args.out_dir)
     _check_writable_dir(out_dir)
-    features = None if features_path.lower() == "none" else _load_matrix_csv(features_path)
+    features = None if features_path.lower() == "none" else load_feature_csv(features_path)
     paths = benchgen.write_benchmark(features, config, out_dir)
     _write_manifest(out_dir / "manifest.json", "generate",
                     {"generator": benchgen.config_to_dict(config), "features": features_path},
                     extra={"files": {k: p.name for k, p in paths.items()}})
     print(f"wrote {paths['train']}, {paths['valid']}, {paths['test']}")
     return 0
-
-
-def _load_matrix_csv(path: str) -> np.ndarray:
-    """A numeric CSV with one header row; every column is a feature, and
-    every value must be finite."""
-    try:
-        with warnings.catch_warnings():
-            # a header-only file is reported by generate as too few rows
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # comments=None: the default "#" would read "1,2 # c" as [1, 2]
-            matrix = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                                dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise _non_finite_feature(path, int(bad[0]))
-    return matrix
-
-
-def _non_finite_feature(path: str, index: int) -> DatasetFormatError:
-    """The error naming data row `index` of a feature file, counting the
-    header as row 1 and the blank lines that np.loadtxt skips as rows."""
-    with open(path, encoding="utf-8") as fh:
-        header = next(fh).rstrip("\n").split(",")
-        numbered = ((lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, start=2))
-        lineno, line = next(islice(((k, line) for k, line in numbered if line), index, None))
-    row = line.split(",")
-    j = next(j for j, v in enumerate(row) if not math.isfinite(float(v)))
-    return DatasetFormatError(
-        f"{path}: row {lineno}: feature {header[j].strip()!r} must be finite, got {row[j]!r}")
 
 
 # ------------------------------------------------------------------- train
@@ -286,10 +254,8 @@ def _cmd_intervals(args) -> int:
 
     t = data.treatments if arm is None else np.full(data.n, arm)
     lo, hi = modulated_interval_arrays(model, prop, data.covariates, t, alpha)(gamma)
-    lines = ["index,t,lo,hi"]
-    for i, (t_i, lo_i, hi_i) in enumerate(zip(t.tolist(), lo.tolist(), hi.tolist())):
-        lines.append(f"{i},{t_i},{lo_i!r},{hi_i!r}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(out, {"index": range(data.n), "t": t.tolist(), "lo": lo.tolist(),
+                      "hi": hi.tolist()})
     resolved = {"model": str(model_path), "propensity_model": prop_path,
                 "data": data_path, "gamma": gamma, "alpha": alpha, "arm": arm,
                 "seed": seed}
@@ -347,15 +313,13 @@ def run_oracle_check(m: int, trials: int, seed: int) -> tuple[float, bool]:
     returns the max scale-normalized deviation and whether every trial
     stayed within ``ORACLE_TOL``.  Each trial checks both extreme
     quantiles from the single-row solver and, for beta != 1/2, one end of
-    the batch solver's interval: the lower end at alpha = 2 beta for
-    beta < 1/2, the upper end at alpha = 2 (1 - beta) above it.  One
-    ``modulated_intervals_batch`` call solves all trials with the same
-    member families and beta, which a call shares across its rows."""
+    a one-row ``modulated_intervals_batch`` interval: the lower end at
+    alpha = 2 beta for beta < 1/2, the upper end at alpha = 2 (1 - beta)
+    above it."""
     rng = np.random.default_rng(seed)
     gammas = (1.5, 3.0, 10.0)
     betas = (0.05, 0.5, 0.975)
     worst = 0.0
-    batches: dict[tuple, list] = {}
     for trial in range(trials):
         comps = []
         for _ in range(m):
@@ -374,16 +338,12 @@ def run_oracle_check(m: int, trials: int, seed: int) -> tuple[float, bool]:
         bf_min = brute_force_extreme_quantile(comps, bounds, beta, maximize=False)
         worst = max(worst, abs(q_max - bf_max) / norm, abs(q_min - bf_min) / norm)
         if beta != 0.5:
-            key = (tuple(c.family.code for c in comps), beta)
-            batches.setdefault(key, []).append((comps, bounds, bf_min if beta < 0.5 else bf_max))
-    for (fam, beta), rows in batches.items():
-        members, bounds, oracle = zip(*rows)
-        scales = np.array([[c.scale for c in row] for row in members])
-        lo, hi = modulated_intervals_batch(
-            fam, [[c.location for c in row] for row in members], scales,
-            [b.lower for b in bounds], [b.upper for b in bounds], 2.0 * min(beta, 1.0 - beta))
-        deviation = np.abs((lo if beta < 0.5 else hi) - oracle) / (1.0 + scales.max(axis=1))
-        worst = max(worst, float(deviation.max()))
+            lo, hi = modulated_intervals_batch(
+                [c.family.code for c in comps], [[c.location for c in comps]],
+                [[c.scale for c in comps]], [bounds.lower], [bounds.upper],
+                2.0 * min(beta, 1.0 - beta))
+            end = float(lo[0] if beta < 0.5 else hi[0])
+            worst = max(worst, abs(end - (bf_min if beta < 0.5 else bf_max)) / norm)
     return worst, worst <= ORACLE_TOL
 
 
@@ -428,12 +388,13 @@ def _cmd_report(args) -> int:
                 type(v) in (int, float) and 0.0 < v < math.inf for v in lengths.values())):
             raise ConfigError(f"lengths file {lengths_path}: expected a JSON object "
                               f"mapping method names to finite positive numbers")
-        rel = cost_relative({str(k): float(v) for k, v in lengths.items()})
-        lines = ["method,mean_length,relative_cost,excess"]
-        for name in sorted(rel):
-            lines.append(f"{name},{float(lengths[name])!r},{rel[name]!r},{rel[name] - 1.0!r}")
+        lengths = {str(k): float(v) for k, v in lengths.items()}
+        rel = cost_relative(lengths)
+        names = sorted(rel)
         path = out_dir / "relative_costs.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_table(path, {"method": names, "mean_length": [lengths[k] for k in names],
+                           "relative_cost": [rel[k] for k in names],
+                           "excess": [rel[k] - 1.0 for k in names]})
         wrote.append(path)
     if model_path and test_path:
         try:
@@ -455,14 +416,12 @@ def _cmd_report(args) -> int:
         intervals = modulated_interval_arrays(model, prop, test.covariates,
                                               np.full(test.n, arm), alpha)
         outcomes = test.potential_outcomes[:, arm]
-        lines = ["gamma,coverage,mean_length,cost_mass"]
-        for g in gammas:
-            lo, hi = intervals(g)
-            cov = coverage(lo, hi, outcomes)
-            mean_len = float(np.mean(hi - lo))
-            lines.append(f"{g!r},{cov!r},{mean_len!r},{cost_mass(lo, hi, outcomes)!r}")
+        curve = [intervals(g) for g in gammas]
         path = out_dir / "coverage_curve.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_table(path, {"gamma": gammas,
+                           "coverage": [coverage(lo, hi, outcomes) for lo, hi in curve],
+                           "mean_length": [float(np.mean(hi - lo)) for lo, hi in curve],
+                           "cost_mass": [cost_mass(lo, hi, outcomes) for lo, hi in curve]})
         wrote.append(path)
     if not wrote:
         raise ConfigError("report needs --lengths and/or (--model and --test)")

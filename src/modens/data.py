@@ -1,15 +1,17 @@
-"""Observational dataset container and its CSV schema.
+"""Observational dataset container, and every CSV the program reads or
+writes.
 
-The on-disk format is a UTF-8, comma-separated file with header columns
-``x1..xd, t, y`` and optionally ``y0, y1`` (de-confounded potential
-outcomes, test sets only).  The writer ends every line with CRLF, as
-``csv.writer`` does, writes ``t`` as ``0``/``1`` and every float as its
-shortest round-trip ``repr``, so regeneration under a fixed seed is
-byte-identical.  It finds the distinct float bit patterns, and each cell's
-index into them, from one argsort of the cells' bits, formats each distinct
-float once, and writes in blocks of rows.
+A dataset file has header columns ``x1..xd, t, y`` and optionally
+``y0, y1`` (de-confounded potential outcomes, test sets only).  Its writer
+ends every line with CRLF, as ``csv.writer`` does, writes ``t`` as
+``0``/``1`` and every float as its shortest round-trip ``repr``, so
+regeneration under a fixed seed is byte-identical.  It finds the distinct
+float bit patterns, and each cell's index into them, from one argsort of
+the cells' bits, formats each distinct float once, and writes in blocks of
+rows.  Report tables (``write_table``) end lines with LF instead.
 
-The reader parses the data rows with one ``np.loadtxt`` call.  It accepts
+One reader parses dataset files and ``generate --features`` matrices (any
+header, every column a feature) with one ``np.loadtxt`` call.  It accepts
 LF or CRLF line ends, blank lines, quoted numbers and a UTF-8 byte-order
 mark; it rejects ``#`` comments, digit-group underscores (``1_000``) and
 non-finite values.  Error messages name the row, counting the header as
@@ -22,6 +24,7 @@ import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -124,6 +127,15 @@ def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
             fh.write("".join([",".join(row) + _EOL for row in rows]))
 
 
+def write_table(path: str | Path, columns: Mapping[str, Iterable]) -> None:
+    """A report table: the column names as header, then one line per row
+    of ``str`` of the columns' Python scalars (floats as their shortest
+    round-trip repr), every line ending in LF."""
+    rows = map(",".join, zip(*[map(str, column) for column in columns.values()]))
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write("\n".join([",".join(columns), *rows]) + "\n")
+
+
 def _open_for_reading(path: Path):
     # utf-8-sig drops the byte-order mark that spreadsheet exports begin with
     return path.open("r", newline="", encoding="utf-8-sig")
@@ -145,14 +157,14 @@ def _number(field: str) -> float:
     return float(core)
 
 
-def _row_error(path: Path, header: list[str], problem: str) -> DatasetFormatError:
+def _row_error(path: Path, header: list[str], d: int | None, problem: str) -> DatasetFormatError:
     """The error naming the first bad row of a file the bulk parse rejected.
 
-    Reads the file again record by record, as `csv` splits it.  A malformed
-    row anywhere is reported before a non-finite value; `problem` describes
-    a file in which neither shows.
+    Reads the file again record by record, as `csv` splits it, with column
+    `d` (if not None) holding treatments.  A malformed row anywhere is
+    reported before a non-finite value; `problem` describes a file in
+    which neither shows.
     """
-    d = header.index("t")
     non_finite = None
     with _open_for_reading(path) as fh:
         reader = csv.reader(fh)
@@ -175,44 +187,57 @@ def _row_error(path: Path, header: list[str], problem: str) -> DatasetFormatErro
     return non_finite or DatasetFormatError(f"{path}: {problem}")
 
 
-def load_dataset_csv(path: str | Path) -> Dataset:
-    path = Path(path)
+def _read_table(path: Path, dataset: bool) -> tuple[int | None, np.ndarray]:
+    """The treatment column and the float rows, by one ``np.loadtxt`` call,
+    of a dataset file or (not ``dataset``) a feature file, which has none."""
     with _open_for_reading(path) as fh:
         try:
-            header = next(csv.reader(fh))
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise DatasetFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        d = 0
-        while d < len(header) and header[d] == f"x{d + 1}":
-            d += 1
-        if d == 0:
-            raise DatasetFormatError(f"{path}: header must start with x1..xd, got {header[:3]}")
-        rest = header[d:]
-        if rest == ["t", "y"]:
-            with_potential = False
-        elif rest == ["t", "y", "y0", "y1"]:
-            with_potential = True
-        else:
-            raise DatasetFormatError(
-                f"{path}: expected columns t,y[,y0,y1] after x{d}, got {rest}")
+        d = _treatment_column(path, header) if dataset else None
         try:
             with warnings.catch_warnings():
-                # a header-only file is reported below as "no data rows"
+                # a header-only file is left to the caller to report
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
                 # comments=None: the default "#" would accept a field like "2 # c"
                 table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                                   converters={d: _treatment})
+                                   converters=None if d is None else {d: _treatment})
         except ValueError as exc:
-            raise _row_error(path, header, str(exc)) from None
+            raise _row_error(path, header, d, str(exc)) from None
+    if table.shape[0] and (table.shape[1] != len(header) or not np.isfinite(table).all()):
+        raise _row_error(path, header, d, f"rows must hold {len(header)} finite numbers")
+    return d, table
+
+
+def _treatment_column(path: Path, header: list[str]) -> int:
+    """d, the index of ``t`` in a dataset header ``x1..xd,t,y[,y0,y1]``."""
+    d = 0
+    while d < len(header) and header[d] == f"x{d + 1}":
+        d += 1
+    if d == 0:
+        raise DatasetFormatError(f"{path}: header must start with x1..xd, got {header[:3]}")
+    if header[d:] not in (["t", "y"], ["t", "y", "y0", "y1"]):
+        raise DatasetFormatError(
+            f"{path}: expected columns t,y[,y0,y1] after x{d}, got {header[d:]}")
+    return d
+
+
+def load_dataset_csv(path: str | Path) -> Dataset:
+    path = Path(path)
+    d, table = _read_table(path, dataset=True)
     if table.shape[0] == 0:
         raise DatasetFormatError(f"{path}: no data rows")
-    if table.shape[1] != len(header) or not np.isfinite(table).all():
-        raise _row_error(path, header, f"rows must hold {len(header)} finite numbers")
     return Dataset(
         covariates=table[:, :d],
         treatments=table[:, d].astype(np.int64),
         outcomes=table[:, d + 1],
-        potential_outcomes=table[:, d + 2:] if with_potential else None,
+        potential_outcomes=table[:, d + 2:] if table.shape[1] > d + 2 else None,
     )
+
+
+def load_feature_csv(path: str | Path) -> np.ndarray:
+    """The (rows, columns) matrix of a numeric CSV with one header row of
+    any names: every column is a feature, a column named ``t`` too."""
+    return _read_table(Path(path), dataset=False)[1]

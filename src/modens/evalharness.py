@@ -36,7 +36,7 @@ import numpy as np
 from . import _kernels as K
 from . import mlp
 from .core import OutcomeInterval, check_alpha, modulated_intervals_batch
-from .data import Dataset
+from .data import Dataset, write_table
 from .dist import Family
 from .sensitivity import PROPENSITY_CLAMP, msm_bounds_arrays
 
@@ -128,11 +128,9 @@ class ExperimentReport:
     def write_points_csv(self, path: str | Path, outcomes: Sequence[float]) -> None:
         y = np.asarray(outcomes, dtype=np.float64)
         covered = (self.lo <= y) & (y <= self.hi)
-        lines = ["index,lo,hi,y,covered"]
-        for i, (lo, hi, y_i, c) in enumerate(zip(self.lo.tolist(), self.hi.tolist(),
-                                                 y.tolist(), covered.tolist())):
-            lines.append(f"{i},{lo!r},{hi!r},{y_i!r},{int(c)}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_table(path, {"index": range(len(y)), "lo": self.lo.tolist(),
+                           "hi": self.hi.tolist(), "y": y.tolist(),
+                           "covered": covered.astype(np.int64).tolist()})
 
 
 def coverage(lo: np.ndarray, hi: np.ndarray, outcomes: Sequence[float]) -> float:

@@ -116,7 +116,7 @@ class TestGenerate:
 
     def generate_from(self, tmp_path, text):
         features = tmp_path / "features.csv"
-        features.write_text(text)
+        features.write_bytes(text.encode("utf-8"))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_train": 2, "n_valid": 1, "n_test": 1}))
         return run(["generate", "--config", cfg, "--features", features,
@@ -126,7 +126,8 @@ class TestGenerate:
         code = self.generate_from(tmp_path, "a,b\n1,2 # c\n3,4\n5,6\n7,8\n")
         err = capsys.readouterr().err
         assert code == 1
-        assert "could not convert string '2 # c'" in err and len(err.splitlines()) == 1
+        assert err == (f"modens: {tmp_path / 'features.csv'}: row 2: "
+                       "could not convert string to float: '2 # c'\n")
         assert not recwarn.list
 
     def test_header_only_features_exit_1_without_warning(self, tmp_path, capsys, recwarn):
@@ -140,8 +141,35 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert code == 1
         assert err == (f"modens: {tmp_path / 'features.csv'}: row 5: "
-                       "feature 'b' must be finite, got 'nan'\n")
+                       "b must be finite, got 'nan'\n")
         assert not recwarn.list
+
+    def test_spreadsheet_export_reads_as_plain_file(self, tmp_path):
+        plain, export = tmp_path / "plain", tmp_path / "export"
+        plain.mkdir()
+        export.mkdir()
+        assert self.generate_from(plain, "a,b\n0.5,-1\n2,3.25\n-4,0.125\n7,8\n") == 0
+        assert self.generate_from(
+            export, '\ufeffa,b\r\n"0.5",-1\r\n\r\n2,"3.25"\r\n-4,0.125\r\n7,8\r\n') == 0
+        for name in ("train.csv", "valid.csv", "test.csv"):
+            assert (export / "out" / name).read_bytes() == (plain / "out" / name).read_bytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n1_000,4\n5,6\n7,8\n",
+         "row 3: could not convert string to float: '1_000'"),
+        ("a,b\n1,2\n\n3\n5,6\n7,8\n", "row 4: expected 2 fields, got 1"),
+        ("a,b\n1,2\n3,4\n5,6,9\n7,8\n", "row 4: expected 2 fields, got 3"),
+    ], ids=["underscore", "short-row", "long-row"])
+    def test_malformed_feature_row_is_named(self, tmp_path, capsys, text, message):
+        assert self.generate_from(tmp_path, text) == 1
+        assert capsys.readouterr().err == f"modens: {tmp_path / 'features.csv'}: {message}\n"
+
+    def test_column_named_t_is_a_feature(self, tmp_path):
+        assert self.generate_from(tmp_path, "x1,t,y\n1,7,2\n3,7,4\n5,7,6\n7,7,8\n") == 0
+        matrix = np.array([[1, 7, 2], [3, 7, 4], [5, 7, 6], [7, 7, 8]], dtype=float)
+        write_benchmark(matrix, GeneratorConfig(n_train=2, n_valid=1, n_test=1), tmp_path / "ref")
+        for name in ("train.csv", "valid.csv", "test.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     @pytest.mark.slow
     def test_default_config_row_counts(self, tmp_path):
@@ -687,3 +715,69 @@ class TestReport:
 
     def test_no_mode_exits_2(self, tmp_path):
         assert run(["report", "--out-dir", tmp_path / "rep"]) == 2
+
+
+class TestReportTableBytes:
+    """The four report tables, byte for byte, for fixed endpoints: the
+    solver is stubbed so that only the table writer decides the text."""
+
+    LO = np.array([-0.0, -0.1, -1.5])
+    HI = np.array([0.1, 0.2, 2.5])
+    Y = np.array([0.05, 0.3, -3.0])
+
+    @pytest.fixture
+    def stubbed(self, tmp_path, monkeypatch):
+        from modens import Dataset, save_dataset_csv
+
+        def interval_arrays(model, prop, covariates, t, alpha):
+            return lambda gamma: (self.LO * gamma, self.HI * gamma)
+
+        monkeypatch.setattr(cli, "_load_models", lambda path, prop: (None, None, "p.json"))
+        monkeypatch.setattr(cli, "modulated_interval_arrays", interval_arrays)
+        data = tmp_path / "data.csv"
+        save_dataset_csv(Dataset(covariates=[[1.0], [2.0], [3.0]], treatments=[0, 1, 1],
+                                 outcomes=self.Y,
+                                 potential_outcomes=np.stack([self.Y, self.Y], axis=1)),
+                         data)
+        return data
+
+    def test_intervals_csv(self, stubbed, tmp_path):
+        out = tmp_path / "iv.csv"
+        assert run(["intervals", "--model", "m.json", "--data", stubbed, "--gamma", 1,
+                    "--alpha", 0.1, "--out", out]) == 0
+        assert out.read_bytes() == (b"index,t,lo,hi\n"
+                                    b"0,0,-0.0,0.1\n"
+                                    b"1,1,-0.1,0.2\n"
+                                    b"2,1,-1.5,2.5\n")
+
+    def test_coverage_curve_csv(self, stubbed, tmp_path):
+        out = tmp_path / "rep"
+        assert run(["report", "--model", "m.json", "--test", stubbed, "--gammas", "1,2",
+                    "--out-dir", out]) == 0
+        assert (out / "coverage_curve.csv").read_bytes() == (
+            b"gamma,coverage,mean_length,cost_mass\n"
+            b"1.0,0.3333333333333333,1.4666666666666668,0.39562841530054643\n"
+            b"2.0,1.0,2.9333333333333336,0.6163934426229508\n")
+
+    def test_relative_costs_csv(self, tmp_path):
+        lengths = tmp_path / "lengths.json"
+        lengths.write_text(json.dumps({"ours": 0.5, "baseline": 2, "wide": 0.75}))
+        out = tmp_path / "rep"
+        assert run(["report", "--lengths", lengths, "--out-dir", out]) == 0
+        assert (out / "relative_costs.csv").read_bytes() == (
+            b"method,mean_length,relative_cost,excess\n"
+            b"baseline,2.0,4.0,3.0\n"
+            b"ours,0.5,1.0,0.0\n"
+            b"wide,0.75,1.5,0.5\n")
+
+    def test_points_csv(self, tmp_path):
+        from modens.evalharness import ExperimentReport
+
+        report = ExperimentReport(gamma_star=1.0, achieved_coverage=1 / 3, coverage_cost=0.5,
+                                  mean_length=1.0, lo=self.LO, hi=self.HI, config={})
+        out = tmp_path / "report.points.csv"
+        report.write_points_csv(out, self.Y)
+        assert out.read_bytes() == (b"index,lo,hi,y,covered\n"
+                                    b"0,-0.0,0.1,0.05,1\n"
+                                    b"1,-0.1,0.2,0.3,0\n"
+                                    b"2,-1.5,2.5,-3.0,0\n")

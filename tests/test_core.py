@@ -172,6 +172,22 @@ class TestOutcomeInterval:
                                            [0.5], [2.0], 1e-320)
         assert np.isfinite(lo).all() and (lo < hi).all()
 
+    def test_cauchy_ends_near_1e200_agree_across_kernels(self):
+        # endpoints where two ulps exceed tol/2, once scaled out of range
+        iv = outcome_interval([c(0), c(1, 2.0)], WeightBounds(0.5, 2.0), 1e-200)
+        lo, hi = modulated_intervals_batch([1, 1], [[0.0, 1.0]], [[1.0, 2.0]],
+                                           [0.5], [2.0], 1e-200)
+        assert iv.lo == pytest.approx(-1.1140846016432674e200, rel=1e-15)
+        assert abs(lo[0] - iv.lo) <= 4 * math.ulp(iv.lo)
+        assert abs(hi[0] - iv.hi) <= 4 * math.ulp(iv.hi)
+
+    def test_cauchy_alpha_beyond_float_range_is_rejected(self):
+        # the Cauchy quantile at alpha/2 = 5e-321 is beyond the largest float
+        with pytest.raises(ValueError, match="alpha=1e-320"):
+            outcome_interval([g(0), c(1, 2.0)], WeightBounds(0.5, 2.0), 1e-320)
+        with pytest.raises(ValueError, match="alpha=1e-320"):
+            modulated_intervals_batch([0, 1], [[0.0, 1.0]], [[1.0, 2.0]], [0.5], [2.0], 1e-320)
+
 
 class TestBruteForce:
     def test_identity_bounds_unique_assignment(self, rng):
