@@ -139,6 +139,21 @@ def mixture_pdf_k(fam, loc, scale, w, y):
     return acc / len(fam)
 
 
+def _halvings(width, tol):
+    """ceil(log2(width / tol)), from the mantissas and exponents of width
+    and tol, so that a quotient beyond the float range still has a size.
+    The mantissa ratio is scaled into [1, 2), where log2 keeps its full
+    relative precision near 1, the one place where rounding could move the
+    ceil; where the quotient is a finite float, the count matched log2 of
+    the quotient on every width near a power of two that the tests try."""
+    mw, ew = math.frexp(width)
+    mt, et = math.frexp(tol)
+    ratio = mw / mt
+    if ratio < 1.0:
+        return math.ceil(math.log2(2.0 * ratio) + (ew - et - 1))
+    return math.ceil(math.log2(ratio) + (ew - et))
+
+
 def _bracketed_quantile(cdf, lo, hi, beta, tol):
     """The beta-crossing of a nondecreasing ``cdf``, to within tol/2,
     starting from the caller's bracket [lo, hi].
@@ -160,14 +175,20 @@ def _bracketed_quantile(cdf, lo, hi, beta, tol):
     n_max = ceil(log2(W0/tol)) + 2 steps inside a bracket of width W0: two
     more than bisection.  ``cdf(x) < beta`` moves the lower end.  The loop
     stops at width <= tol and returns the midpoint, within tol/2 of the
-    crossing.
+    crossing.  Where tol is below the floating-point spacing of the
+    bracket's ends (Cauchy ends near 1e300 at a tiny alpha), every step is
+    the midpoint and the loop stops once the ends are adjacent floats: the
+    result is the crossing to within that spacing.  Midpoints are taken as
+    0.5*lo + 0.5*hi, halves first, so that ends beyond half the largest
+    float keep a finite midpoint; away from the subnormal range that is
+    the same float as 0.5*(lo + hi) wherever the latter is finite.
     """
     flo = cdf(lo)
     fhi = cdf(hi)
     widened = 0
     while (flo > beta or fhi < beta) and widened < _MAX_WIDEN:
         half = hi - lo
-        center = 0.5 * (lo + hi)
+        center = 0.5 * lo + 0.5 * hi
         lo = center - half
         hi = center + half
         flo = cdf(lo)
@@ -181,13 +202,13 @@ def _bracketed_quantile(cdf, lo, hi, beta, tol):
     fhi -= beta
     x1, f1, x2, f2 = lo, flo, hi, fhi
     half_tol = 0.5 * tol
-    n_max = math.ceil(math.log2((hi - lo) / tol)) + 2
+    n_max = _halvings(hi - lo, tol) + 2
     t = 0.5
     for j in range(_MAX_STEPS):
         width = hi - lo
         if width <= tol:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:  # floating-point spacing ran out
             break
         x = x1 + t * (x2 - x1)
@@ -222,7 +243,7 @@ def _bracketed_quantile(cdf, lo, hi, beta, tol):
         if hi - lo > tol:
             raise RuntimeError("mixture quantile bracket still open after "
                                f"{_MAX_STEPS} steps")
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def rank_pattern(lower, upper, m):
@@ -274,7 +295,7 @@ def _tail_quantile(members, weights, order, mass, tol, upper):
     else:
         point, tail, sign = component_ppf_s, component_cdf_s, 1.0
     lo, hi = _member_bracket([point(f, l, s, mass) for f, l, s in members], tol)
-    if not math.isfinite((hi - lo) / tol):
+    if not math.isfinite(hi - lo):
         raise ValueError(f"the members' quantiles at tail mass {mass!r} are out of "
                          "floating-point range")
 
@@ -322,8 +343,8 @@ def interval_k(fam, loc, scale, lower, upper, alpha, tol):
     """(min quantile(alpha/2), max quantile(1-alpha/2)) of one ensemble.
     Both ends invert the largest tail mass over the weights, lower and
     upper, at the tail mass alpha/2 itself.  Raises ValueError naming
-    alpha where the members' alpha/2 points, or their spread over tol,
-    are not finite floats."""
+    alpha where the members' alpha/2 points, or the width of the bracket
+    between them, are not finite floats."""
     p = rank_pattern(lower, upper, len(fam))[::-1]
     members = list(zip(fam, loc, scale))
     try:
@@ -332,7 +353,7 @@ def interval_k(fam, loc, scale, lower, upper, alpha, tol):
     except ValueError as exc:
         raise ValueError(f"alpha={alpha!r}: {exc}") from None
     if lo > hi:  # identical degenerate setups can cross by solver noise
-        lo = hi = 0.5 * (lo + hi)
+        lo = hi = 0.5 * lo + 0.5 * hi
     return lo, hi
 
 
@@ -400,6 +421,16 @@ def covered_rows(cdf, sf, lowers, uppers, alpha):
     return (weighted_mass_rows(weights, cdf) >= half) & (weighted_mass_rows(weights, sf) >= half)
 
 
+def _halvings_rows(width, tol):
+    """:func:`_halvings` of each element, as int64."""
+    mw, ew = np.frexp(width)
+    mt, et = np.frexp(tol)
+    ratio = mw / mt
+    below = ratio < 1.0
+    return np.ceil(np.log2(np.where(below, 2.0 * ratio, ratio))
+                   + (ew.astype(np.int64) - et - below)).astype(np.int64)
+
+
 def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
     """:func:`interval_k` for each row of the (n, m) member ``locs`` and
     ``scales`` (families ``fam`` shared by all rows) under the row's
@@ -423,7 +454,7 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
         hi = points.max(axis=1)
         lo = lo - np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(lo)))
         hi = hi + np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(hi)))
-        solvable = np.isfinite((hi - lo) / tol).all()
+        solvable = np.isfinite(hi - lo).all()
     if not solvable:
         raise ValueError(f"alpha={alpha!r}: the members' quantiles at tail mass {half!r} "
                          "are out of floating-point range")
@@ -445,7 +476,7 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
         if open_.size == 0:
             break
         width = hi[open_] - lo[open_]
-        center = 0.5 * (lo[open_] + hi[open_])
+        center = 0.5 * lo[open_] + 0.5 * hi[open_]
         lo[open_] = center - width
         hi[open_] = center + width
         flo[open_] = mass(lo[open_], open_)
@@ -458,11 +489,11 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
     flo = flo - beta
     fhi = fhi - beta
     x1, f1, x2, f2 = lo, flo, hi, fhi
-    n_max = np.ceil(np.log2((hi - lo) / tol)).astype(np.int64) + 2
+    n_max = _halvings_rows(hi - lo, tol) + 2
     t = np.full(2 * n, 0.5)
     for j in range(_MAX_STEPS):
         width = hi - lo
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         closed = (width <= tol) | (mid <= lo) | (mid >= hi)
         if closed.any():
             out[rows[closed]] = mid[closed]
@@ -503,8 +534,8 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
         if np.any(hi - lo > tol):
             raise RuntimeError("mixture quantile bracket still open after "
                                f"{_MAX_STEPS} steps")
-        out[rows] = 0.5 * (lo + hi)
+        out[rows] = 0.5 * lo + 0.5 * hi
     lo_end, hi_end = out[:n], out[n:]
     crossed = lo_end > hi_end   # identical degenerate setups can cross by solver noise
-    lo_end[crossed] = hi_end[crossed] = 0.5 * (lo_end[crossed] + hi_end[crossed])
+    lo_end[crossed] = hi_end[crossed] = 0.5 * lo_end[crossed] + 0.5 * hi_end[crossed]
     return lo_end, hi_end

@@ -14,8 +14,9 @@ One reader parses dataset files and ``generate --features`` matrices (any
 header, every column a feature) with one ``np.loadtxt`` call.  It accepts
 LF or CRLF line ends, blank lines, quoted numbers and a UTF-8 byte-order
 mark; it rejects ``#`` comments, digit-group underscores (``1_000``) and
-non-finite values.  Error messages name the row, counting the header as
-row 1 and blank lines as rows.
+non-finite values.  The header is the first line that is not blank.
+Error messages name the row by its line in the file, blank lines
+included.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ def _row_error(path: Path, header: list[str], d: int | None, problem: str) -> Da
     non_finite = None
     with _open_for_reading(path) as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
+        header_row, _ = _header(reader)
+        for lineno, row in enumerate(reader, start=header_row + 1):
             if not row:
                 continue
             if len(row) != len(header):
@@ -187,14 +188,22 @@ def _row_error(path: Path, header: list[str], d: int | None, problem: str) -> Da
     return non_finite or DatasetFormatError(f"{path}: {problem}")
 
 
+def _header(reader) -> tuple[int, list[str] | None]:
+    """The file row of the first non-blank record and its stripped fields,
+    or None for a file of blank lines only."""
+    for row_number, row in enumerate(reader, start=1):
+        if row:
+            return row_number, [h.strip() for h in row]
+    return 0, None
+
+
 def _read_table(path: Path, dataset: bool) -> tuple[int | None, np.ndarray]:
     """The treatment column and the float rows, by one ``np.loadtxt`` call,
     of a dataset file or (not ``dataset``) a feature file, which has none."""
     with _open_for_reading(path) as fh:
-        try:
-            header = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file") from None
+        _, header = _header(csv.reader(fh))
+        if header is None:
+            raise DatasetFormatError(f"{path}: empty file")
         d = _treatment_column(path, header) if dataset else None
         try:
             with warnings.catch_warnings():

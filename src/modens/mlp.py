@@ -16,7 +16,12 @@ the (n, m) member location and scale arrays, ``predict_propensity_batch``
 the n propensities e_1(x); both reject covariates of the wrong width.
 
 Backpropagation is hand-rolled for this fixed architecture so the gradient
-check against finite differences stays meaningful.
+check against finite differences stays meaningful.  It frees each hidden
+activation once it has read it for the last time, and each delta once the
+next one is formed; forward passes that need only the output keep no
+activation.  So training a member holds at most its design rows, two
+hidden activations and two deltas at once, beside O(n) bootstrap
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -230,16 +235,19 @@ def nll_and_grads(params: MlpParams, X: np.ndarray, target: np.ndarray,
     `target_var` as in `_head_loss_grad`."""
     out, acts = _net_forward(params, X)
     loss, delta = _head_loss_grad(params.head, out, target, counts, target_var)
+    del out
     grads_w = [np.empty(0)] * len(params.weights)
     grads_b = [np.empty(0)] * len(params.biases)
-    ones = np.ones(out.shape[0])   # column sums as one BLAS product
+    ones = np.ones(X.shape[0])   # column sums as one BLAS product
     for l in range(len(params.weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta
+        # acts[l] is last read in this layer: popped, it is freed when the
+        # next layer rebinds `a`
+        a = acts.pop()
+        grads_w[l] = a.T @ delta
         grads_b[l] = ones @ delta
         if l > 0:
-            # sigmoid' = a * (1 - a); acts[l] is not read again, so it
-            # holds 1 - a in place of a fresh temporary
-            a = acts[l]
+            # sigmoid' = a * (1 - a), with a itself overwritten by 1 - a in
+            # place of a fresh temporary; rebinding delta frees the old one
             delta = delta @ params.weights[l].T
             delta *= a
             np.subtract(1.0, a, out=a)
@@ -288,8 +296,10 @@ def _adam_fit(params: MlpParams, X: np.ndarray, target: np.ndarray,
     return best
 
 
-def _outcome_design(data: Dataset) -> np.ndarray:
-    return np.column_stack([data.covariates, data.treatments.astype(np.float64)])
+def _outcome_design(covariates: np.ndarray, treatments) -> np.ndarray:
+    """Outcome-net inputs: the covariates with the treatment appended as
+    the last column."""
+    return np.column_stack([covariates, np.asarray(treatments, dtype=np.float64).ravel()])
 
 
 def _fold_affine(params: MlpParams, scale: float, shift: float) -> None:
@@ -320,7 +330,7 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, data.n, size=data.n)
     rows, copy_row, counts = np.unique(idx, return_inverse=True, return_counts=True)
-    X = _outcome_design(data)[rows]
+    X = _outcome_design(data.covariates[rows], data.treatments[rows])
     y = data.outcomes[rows]
     params = init_params((X.shape[1], *config.hidden, 2), Head.GAUSSIAN, rng)
 
@@ -343,7 +353,7 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     params = _adam_fit(params, X, rank_mean, config.resolved_warmup_epochs(), config.step,
                        counts, rank_var)
     # quartile-matched affine map from predicted rank space to outcome units
-    out, _ = _net_forward(params, X)
+    out = _net_forward(params, X)[0]
     r_hat = np.repeat(out[:, 0], counts)
     q25, q50, q75 = np.percentile(y_boot, [25.0, 50.0, 75.0])
     r25, r50, r75 = np.percentile(r_hat, [25.0, 50.0, 75.0])
@@ -395,7 +405,7 @@ def predict_components_batch(model: EnsembleModel, X: np.ndarray, t: np.ndarray
     if model.head is Head.PROPENSITY:
         raise ValueError("model is propensity-headed")
     X = _covariate_matrix(X, model.members[0].input_dim - 1)
-    rows = np.column_stack([X, np.asarray(t, dtype=np.float64).ravel()])
+    rows = _outcome_design(X, t)
     n = rows.shape[0]
     locs = np.empty((n, model.m))
     scales = np.empty((n, model.m))

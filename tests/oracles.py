@@ -2,11 +2,13 @@
 
 Everything here goes through scipy (or plain quadrature/bisection), not
 through the package's own kernels, so agreement between the two is a real
-check rather than a tautology.  The one exception is
+check rather than a tautology.  The exceptions are
 `replicated_train_member`, which trains on the n replicated bootstrap rows
 through the unweighted training path: it checks the count weighting, and
-c08 checks the backpropagation it shares.  The dataset CSV writer and
-reader are the plain `csv` row loops the bulk implementations in
+c08 checks the backpropagation it shares; and `reference_nll_and_grads`,
+backpropagation that keeps every activation and frees nothing early,
+which the in-place version must match bit for bit.  The dataset CSV
+writer and reader are the plain `csv` row loops the bulk implementations in
 `modens.data` must match byte for byte and bit for bit.  The rank map and
 the panel generator are the per-column stable argsort and the 3-operand
 quadratic form that `modens.benchgen` must match.
@@ -138,7 +140,7 @@ def replicated_train_member(data, config, seed: int):
     Head = mlp.Head
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, data.n, size=data.n)
-    X = mlp._outcome_design(data)[idx]
+    X = mlp._outcome_design(data.covariates, data.treatments)[idx]
     y = data.outcomes[idx]
     sizes = (X.shape[1], *config.hidden, 2)
     params = mlp.init_params(sizes, Head.GAUSSIAN, rng)
@@ -160,6 +162,27 @@ def replicated_train_member(data, config, seed: int):
     params.biases[-1][1] = math.log(max((q75 - q25) / 2.0, 1e-3))
     params.head = Head.CAUCHY
     return mlp._adam_fit(params, X, y, config.epochs, config.step)
+
+
+def reference_nll_and_grads(params, X, target, counts=None, target_var=None):
+    """`mlp.nll_and_grads` as the textbook backprop: every activation kept
+    to the end and every step a fresh array, delta_{l-1} = (delta_l @ W_l.T)
+    * a * (1 - a).  The head's loss and output gradient come from
+    `mlp._head_loss_grad`; the column sums are the same `ones @ delta`
+    product, so the gradients must match bit for bit."""
+    acts = [X]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        acts.append(0.5 * (1.0 + np.tanh(0.5 * (acts[-1] @ w + b))))
+    out = acts[-1] @ params.weights[-1] + params.biases[-1]
+    loss, delta = mlp._head_loss_grad(params.head, out, target, counts, target_var)
+    ones = np.ones(X.shape[0])
+    grads_w, grads_b = [], []
+    for l in range(len(params.weights) - 1, -1, -1):
+        grads_w.insert(0, acts[l].T @ delta)
+        grads_b.insert(0, ones @ delta)
+        if l > 0:
+            delta = (delta @ params.weights[l].T) * acts[l] * (1.0 - acts[l])
+    return loss, grads_w, grads_b
 
 
 def _dataset_header(d: int, with_potential: bool) -> list[str]:

@@ -154,6 +154,24 @@ class TestGenerate:
         for name in ("train.csv", "valid.csv", "test.csv"):
             assert (export / "out" / name).read_bytes() == (plain / "out" / name).read_bytes()
 
+    def test_blank_first_line_reads_as_plain_file(self, tmp_path):
+        plain, padded = tmp_path / "plain", tmp_path / "padded"
+        plain.mkdir()
+        padded.mkdir()
+        assert self.generate_from(plain, "a,b\n0.5,-1\n2,3.25\n-4,0.125\n7,8\n") == 0
+        assert self.generate_from(padded, "\na,b\n0.5,-1\n2,3.25\n-4,0.125\n7,8\n") == 0
+        for name in ("train.csv", "valid.csv", "test.csv"):
+            assert (padded / "out" / name).read_bytes() == (plain / "out" / name).read_bytes()
+
+    def test_blank_first_line_keeps_file_line_numbers(self, tmp_path, capsys):
+        assert self.generate_from(tmp_path, "\na,b\n1,2\n3\n5,6\n7,8\n") == 1
+        assert capsys.readouterr().err == (f"modens: {tmp_path / 'features.csv'}: "
+                                           "row 4: expected 2 fields, got 1\n")
+
+    def test_blank_lines_only_is_empty_file(self, tmp_path, capsys):
+        assert self.generate_from(tmp_path, "\n\n") == 1
+        assert capsys.readouterr().err == f"modens: {tmp_path / 'features.csv'}: empty file\n"
+
     @pytest.mark.parametrize("text, message", [
         ("a,b\n1,2\n1_000,4\n5,6\n7,8\n",
          "row 3: could not convert string to float: '1_000'"),

@@ -240,6 +240,31 @@ class TestReader:
         with pytest.raises(DatasetFormatError, match="row 3: treatment must be 0 or 1"):
             load_dataset_csv(path)
 
+    def test_blank_lines_before_header_skipped(self, tmp_path):
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_bytes(b"x1,t,y\r\n0.5,1,2\r\n0.25,0,3\r\n")
+        padded.write_bytes(b"\r\n\n" + plain.read_bytes())
+        assert_bit_identical(load_dataset_csv(padded), load_dataset_csv(plain))
+
+    @pytest.mark.parametrize("text,message", [
+        ("\nx1,t,y\n0.5,1,2\n0.25,0\n", "row 4: expected 3 fields, got 2"),
+        ("\n\nx1,t,y\n0.5,1,2\n\n0.5,1,nan\n", "row 6: y must be finite, got 'nan'"),
+        ("\r\nx1,t,y\r\n0.5,7,2\r\n", "row 3: treatment must be 0 or 1, got '7'"),
+    ], ids=["short-row", "non-finite", "treatment"])
+    def test_rows_after_blank_first_line_named_by_file_line(self, tmp_path, text, message):
+        path = tmp_path / "b.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text", ["\n", "\r\n\r\n", "\n\n\n"])
+    def test_blank_lines_only_is_empty_file(self, tmp_path, text):
+        path = tmp_path / "b.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DatasetFormatError, match="empty file"):
+            load_dataset_csv(path)
+
 
 class TestErrors:
     def test_empty_file(self, tmp_path):

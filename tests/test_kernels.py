@@ -262,6 +262,38 @@ def test_exhausted_spacing_returns_without_error():
     assert abs(q - (loc + K.norm_ppf(0.3))) <= 2 * math.ulp(loc)
 
 
+def halvings_corpus():
+    """Widths whose mantissa ratio to tol's lies within 40 ulps of 0.5, 1
+    or 2, where rounding can move a ceil of log2, at every 5th binary
+    exponent of the quotient and at those near the float range's end."""
+    widths, tols = [], []
+    for tol in (2.0 ** -30, 1.5e-9, 0.9999999999999999, 5e-324):
+        mt, et = math.frexp(tol)
+        mantissas = {c + i * 2.0 ** -53 for c in (0.5 * mt, mt, 2.0 * mt)
+                     for i in range(-40, 41)}
+        for k in [*range(-3, 1000, 5), *range(1000, 1100)]:
+            for mw in sorted(m for m in mantissas if 0.5 <= m < 1.0):
+                if k + et <= 1024 and math.frexp(math.ldexp(mw, k + et))[0] == mw:
+                    widths.append(math.ldexp(mw, k + et))
+                    tols.append(tol)
+    return np.array(widths), np.array(tols)
+
+
+def test_halvings_match_the_quotient_wherever_it_is_finite():
+    widths, tols = halvings_corpus()
+    with np.errstate(over="ignore"):
+        quotient = widths / tols
+    finite = np.isfinite(quotient)
+    assert 1000 < finite.sum() < finite.size
+    rows = K._halvings_rows(widths, tols)
+    assert rows.tolist() == [K._halvings(w, t) for w, t in zip(widths.tolist(), tols.tolist())]
+    assert np.array_equal(rows[finite], np.ceil(np.log2(quotient[finite])).astype(np.int64))
+    assert [K._halvings(w, t) for w, t in zip(widths[finite].tolist(), tols[finite].tolist())] \
+        == [math.ceil(math.log2(q)) for q in quotient[finite].tolist()]
+    # beyond the float range the count keeps growing with the width
+    assert K._halvings(1e300, 1e-9) == math.ceil(math.log2(1e300) - math.log2(1e-9))
+
+
 def test_random_ensembles_within_budget_and_half_tol(monkeypatch):
     rng = np.random.default_rng(7)
     rec = Recorder(monkeypatch)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,6 +368,71 @@ class TestInPlaceKernels:
             for member in (first.members[j - 1], again.members[j - 1]):
                 for a, b in zip(member.weights + member.biases, ref.weights + ref.biases):
                     assert np.array_equal(a, b)
+
+
+def traced_peak(fn):
+    """Peak bytes that `fn()` allocates above what is alive when it starts."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Backprop frees each activation once it is used, so at most two
+    activations and two deltas of a member are alive at once, with the same
+    gradient bits as backprop that keeps them all."""
+
+    @pytest.mark.parametrize("head,weighted,rank_var", [
+        (Head.GAUSSIAN, False, False), (Head.GAUSSIAN, True, False),
+        (Head.GAUSSIAN, False, True), (Head.GAUSSIAN, True, True),
+        (Head.CAUCHY, False, False), (Head.CAUCHY, True, False),
+        (Head.PROPENSITY, False, False), (Head.PROPENSITY, True, False)])
+    def test_gradients_match_reference_bit_for_bit(self, head, weighted, rank_var, rng):
+        for trial in range(4):
+            n = 50
+            p = init_params((4, 7, 6, 5, head.out_dim), head, np.random.default_rng(trial))
+            X = rng.normal(0, 1, (n, 4))
+            if head is Head.PROPENSITY:
+                target = rng.integers(0, 2, n).astype(float)
+            else:
+                target = rng.normal(0, 2, n)
+            kw = {}
+            if weighted:
+                kw["counts"] = rng.integers(1, 5, n)
+            if rank_var:
+                kw["target_var"] = rng.uniform(0.0, 0.3, n)
+            loss, gw, gb = nll_and_grads(p, X, target, **kw)
+            ref_loss, ref_gw, ref_gb = oracles.reference_nll_and_grads(p, X, target, **kw)
+            assert loss == ref_loss
+            for g, ref in zip(gw + gb, ref_gw + ref_gb):
+                assert g.shape == ref.shape and np.array_equal(g, ref)
+
+    def test_nll_and_grads_peak(self, rng):
+        # the forward pass holds two (n, 64) activations; backprop at most
+        # two activations and two deltas, the last layer's delta (n, 2)
+        n, h = 4096, 64
+        p = init_params((8, h, h, 2), Head.CAUCHY, rng)
+        X = rng.normal(0, 1, (n, 8))
+        target = rng.standard_cauchy(n)
+        nll_and_grads(p, X, target)   # import-time allocations out of the count
+        peak = traced_peak(lambda: nll_and_grads(p, X, target))
+        assert peak <= 3 * n * h * 8 + 16 * n * 8
+
+    def test_cauchy_member_peak(self, rng):
+        # the design rows, three (rows, 64) arrays and the bootstrap's
+        # O(n) bookkeeping; no activation outlives its pass
+        n, d, h = 4096, 8, 64
+        X = rng.normal(0, 1, (n, d))
+        data = Dataset(covariates=X, treatments=rng.integers(0, 2, n),
+                       outcomes=X[:, 0] + rng.standard_cauchy(n))
+        cfg = TrainConfig(hidden=(h, h), epochs=2, warmup_epochs=2, head=Head.CAUCHY)
+        train_member(data, cfg, seed=1)
+        rows = np.unique(np.random.default_rng(2).integers(0, n, n)).size
+        peak = traced_peak(lambda: train_member(data, cfg, seed=2))
+        assert peak <= rows * (d + 1) * 8 + 3 * rows * h * 8 + 32 * n * 8
 
 
 class TestPredict:
