@@ -44,12 +44,15 @@ members).  One routine, :func:`_tail_quantile`, runs all of them.
 Upper tails.  Near beta = 1 the CDF F_j = 1 - S_j is a multiple of
 ulp(1), which resolves a quantile at 1 - 1e-6 only to about 4e-5 * scale
 in a Cauchy tail.  So for beta > 1/2 every solver works on survival
-masses S_j(q) = F_std((l - q)/s) instead: 1 - G(q) is the reversed
-pattern applied to the ascending S_j, its target is the tail mass
-1 - beta (exact for beta >= 1/2), and the bracket is the members'
-inverse-survival points.  :func:`interval_k` passes alpha/2 itself as the
-upper tail mass.  Conversely, whether an outcome y lies in the interval
-follows from the two envelope masses at y alone (:func:`covered_rows`).
+masses instead.  In both kernels a tail is a sign, and sign -1 gives
+S_j(q) = F_std((q - l)*(-1)/s) (:func:`component_mass_s`,
+:func:`signed_masses`): 1 - G(q) is the reversed pattern applied to the
+ascending S_j, its target is the tail mass 1 - beta (exact for
+beta >= 1/2), and the bracket is the members' points l - s*Q_std(1 - beta)
+(:func:`component_point_s` at sign -1).  :func:`interval_k` passes alpha/2
+itself as the upper tail mass.  Conversely, whether an outcome y lies in
+the interval follows from the two envelope masses at y alone
+(:func:`covered_rows`).
 """
 
 from __future__ import annotations
@@ -94,35 +97,21 @@ def cauchy_ppf(p):
     return math.tan(math.pi * (p - 0.5))
 
 
-def component_cdf_s(fam, loc, scale, y):
-    z = (y - loc) / scale
+def component_mass_s(fam, loc, scale, y, sign=1.0):
+    """F_std((y - loc)*sign/scale): the lower-tail mass F(y) at sign 1 and,
+    both families being symmetric, the survival mass S(y) at sign -1, which
+    keeps upper-tail masses accurate where 1 - F(y) would round to ulp(1)."""
+    z = (y - loc) * sign / scale
     if fam == GAUSSIAN:
         return 0.5 * math.erfc(-z / _SQRT2)
     return cauchy_cdf(z)
 
 
-def component_sf_s(fam, loc, scale, y):
-    # both families are symmetric: S(y) = F_std((loc - y)/scale), which keeps
-    # upper-tail masses accurate where 1 - F(y) would round to ulp(1)
-    z = (loc - y) / scale
-    if fam == GAUSSIAN:
-        return 0.5 * math.erfc(-z / _SQRT2)
-    return cauchy_cdf(z)
-
-
-def component_ppf_s(fam, loc, scale, p):
-    """The point with lower-tail mass p; Gaussians use ``NormalDist().inv_cdf``."""
-    if fam == GAUSSIAN:
-        return loc + scale * norm_ppf(p)
-    return loc + scale * cauchy_ppf(p)
-
-
-def component_isf_s(fam, loc, scale, p):
-    """The point with upper-tail mass p, by symmetry of the family;
-    Gaussians use ``NormalDist().inv_cdf``."""
-    if fam == GAUSSIAN:
-        return loc - scale * norm_ppf(p)
-    return loc - scale * cauchy_ppf(p)
+def component_point_s(fam, loc, scale, p, sign=1.0):
+    """loc + sign*scale*Q_std(p): the point with lower-tail mass p at sign 1
+    and, by symmetry, upper-tail mass p at sign -1; Gaussians use
+    ``NormalDist().inv_cdf``."""
+    return loc + sign * scale * (norm_ppf(p) if fam == GAUSSIAN else cauchy_ppf(p))
 
 
 def component_pdf_s(fam, loc, scale, y):
@@ -281,26 +270,24 @@ def weighted_mass(weights, masses):
     return math.fsum(map(mul, weights, masses)) / len(weights)
 
 
-def _tail_quantile(members, weights, order, mass, tol, upper):
+def _tail_quantile(members, weights, order, mass, tol, sign):
     """Where the mixture's tail mass m^-1 sum_k weights_k * order(masses)_k
-    reaches ``mass``: the lower-tail masses F_j(q) rising through it, or
-    (``upper``) the survival masses S_j(q) falling through it, solved as
-    their negation rising through -mass so that the root-finder's tie rule
-    still leaves the lower end below the crossing.  ``order`` lines the
-    member masses up with ``weights``: ``sorted`` for a rank pattern,
-    ``list`` (member order) for a plain mixture.  The bracket is the
-    members' own points with that tail mass."""
-    if upper:
-        point, tail, sign = component_isf_s, component_sf_s, -1.0
-    else:
-        point, tail, sign = component_ppf_s, component_cdf_s, 1.0
-    lo, hi = _member_bracket([point(f, l, s, mass) for f, l, s in members], tol)
+    reaches ``mass``: the lower-tail masses F_j(q) rising through it at
+    ``sign`` 1, or the survival masses S_j(q) falling through it at ``sign``
+    -1, solved as their negation rising through -mass so that the
+    root-finder's tie rule still leaves the lower end below the crossing.
+    ``order`` lines the member masses up with ``weights``: ``sorted`` for a
+    rank pattern, ``list`` (member order) for a plain mixture.  The bracket
+    is the members' own points with that tail mass."""
+    points = [component_point_s(f, l, s, mass, sign) for f, l, s in members]
+    lo, hi = _member_bracket(points, tol)
     if not math.isfinite(hi - lo):
         raise ValueError(f"the members' quantiles at tail mass {mass!r} are out of "
                          "floating-point range")
 
     def signed_mass(q):
-        return sign * weighted_mass(weights, order([tail(f, l, s, q) for f, l, s in members]))
+        masses = [component_mass_s(f, l, s, q, sign) for f, l, s in members]
+        return sign * weighted_mass(weights, order(masses))
 
     return _bracketed_quantile(signed_mass, lo, hi, sign * mass, tol)
 
@@ -311,8 +298,8 @@ def mixture_quantile_k(fam, loc, scale, w, beta, tol):
     upper-tail mass 1 - beta."""
     members = list(zip(fam, loc, scale))
     if beta <= 0.5:
-        return _tail_quantile(members, w, list, beta, tol, upper=False)
-    return _tail_quantile(members, w, list, 1.0 - beta, tol, upper=True)
+        return _tail_quantile(members, w, list, beta, tol, 1.0)
+    return _tail_quantile(members, w, list, 1.0 - beta, tol, -1.0)
 
 
 def extreme_quantile_k(fam, loc, scale, lower, upper, beta, tol, maximize):
@@ -323,8 +310,8 @@ def extreme_quantile_k(fam, loc, scale, lower, upper, beta, tol, maximize):
     p = _pattern(lower, upper, len(fam), maximize)
     members = list(zip(fam, loc, scale))
     if beta <= 0.5:
-        return _tail_quantile(members, p, sorted, beta, tol, upper=False)
-    return _tail_quantile(members, p[::-1], sorted, 1.0 - beta, tol, upper=True)
+        return _tail_quantile(members, p, sorted, beta, tol, 1.0)
+    return _tail_quantile(members, p[::-1], sorted, 1.0 - beta, tol, -1.0)
 
 
 def rank_weights_k(fam, loc, scale, lower, upper, q, maximize):
@@ -332,7 +319,7 @@ def rank_weights_k(fam, loc, scale, lower, upper, q, maximize):
     the stable ascending order of the member masses F_j(q)."""
     m = len(fam)
     p = _pattern(lower, upper, m, maximize)
-    masses = [component_cdf_s(f, l, s, q) for f, l, s in zip(fam, loc, scale)]
+    masses = [component_mass_s(f, l, s, q) for f, l, s in zip(fam, loc, scale)]
     w = [0.0] * m
     for rank, j in enumerate(sorted(range(m), key=masses.__getitem__)):
         w[j] = p[rank]
@@ -348,8 +335,8 @@ def interval_k(fam, loc, scale, lower, upper, alpha, tol):
     p = rank_pattern(lower, upper, len(fam))[::-1]
     members = list(zip(fam, loc, scale))
     try:
-        lo = _tail_quantile(members, p, sorted, alpha / 2.0, tol, upper=False)
-        hi = _tail_quantile(members, p, sorted, alpha / 2.0, tol, upper=True)
+        lo = _tail_quantile(members, p, sorted, alpha / 2.0, tol, 1.0)
+        hi = _tail_quantile(members, p, sorted, alpha / 2.0, tol, -1.0)
     except ValueError as exc:
         raise ValueError(f"alpha={alpha!r}: {exc}") from None
     if lo > hi:  # identical degenerate setups can cross by solver noise
@@ -372,12 +359,14 @@ def _cauchy_cdf_array(z):
 
 
 def signed_masses(fam, locs, scales, x, sign):
-    """Member tail masses of (k, m) ensembles at the points x (k,): the
-    lower-tail masses F_j(x) where ``sign`` is 1 and the survival masses
-    S_j(x) = F_std((l - x)/s) where it is -1, by the formulas of
-    ``component_cdf_s`` and ``component_sf_s``.  Column j is in family
-    ``fam[j]``; Gaussian masses are ``math.erfc``'s, element by element."""
-    z = (x[:, None] - locs) * np.reshape(sign, (-1, 1)) / scales
+    """Member tail masses of (k, m) ensembles at the points x (k,), by the
+    formula of ``component_mass_s``: the lower-tail masses F_j(x) where
+    ``sign`` is 1 and the survival masses S_j(x) where it is -1.  Column j
+    is in family ``fam[j]``; Gaussian masses are ``math.erfc``'s, element
+    by element."""
+    # a far end over a tiny scale overflows z to +-inf: mass 0 or 1, exactly
+    with np.errstate(over="ignore"):
+        z = (x[:, None] - locs) * np.reshape(sign, (-1, 1)) / scales
     gauss = fam == GAUSSIAN
     if gauss.all():
         return 0.5 * _erfc(-z / _SQRT2).astype(np.float64)

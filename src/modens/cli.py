@@ -11,6 +11,7 @@ is still a success), 1 operational error, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -25,9 +26,9 @@ from .core import (BRUTE_FORCE_MAX_M, brute_force_extreme_quantile, check_alpha,
                    maximize_quantile, minimize_quantile, modulated_intervals_batch)
 from .data import DatasetFormatError, load_dataset_csv, load_feature_csv, write_table
 from .dist import ComponentDistribution, Family
-from .evalharness import (CostKind, EvalConfig, cost_mass, cost_relative, coverage,
+from .evalharness import (CostKind, EvalConfig, check_arm, cost_mass, cost_relative, coverage,
                           modulated_interval_arrays, run_experiment)
-from .sensitivity import SensitivityConfig, msm_bounds
+from .sensitivity import SensitivityConfig, check_gamma, msm_bounds
 
 PROG = "modens"
 
@@ -36,15 +37,24 @@ class ConfigError(ValueError):
     """User-facing configuration problem; maps to exit code 2."""
 
 
+@contextlib.contextmanager
+def _config_errors(prefix: str = "", errors=(TypeError, ValueError)):
+    """Report ``errors`` raised inside, such as a library check's
+    ValueError, as a ConfigError after ``prefix``; a ConfigError passes
+    through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except errors as exc:
+        raise ConfigError(f"{prefix}: {exc}" if prefix else str(exc)) from None
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
+    with _config_errors(f"config file {path}", (OSError, json.JSONDecodeError)):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
     # a previously written manifest can be replayed directly
@@ -68,13 +78,11 @@ def _write_manifest(path: Path, subcommand: str, resolved: dict,
 
 
 def _check_writable_dir(out_dir: Path) -> None:
-    try:
+    with _config_errors(f"out-dir {out_dir} is not writable", OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
         probe = out_dir / ".modens-write-probe"
         probe.write_text("", encoding="utf-8")
         probe.unlink()
-    except OSError as exc:
-        raise ConfigError(f"out-dir {out_dir} is not writable: {exc}") from None
 
 
 def _check_writable_parent(out: Path) -> None:
@@ -134,10 +142,8 @@ def _cmd_generate(args) -> int:
         raise ConfigError(f"config file {args.config}: 'generator' must be an object")
     if args.seed is not None:
         gen_cfg = {**gen_cfg, "seed": args.seed}
-    try:
+    with _config_errors("generator config"):
         config = benchgen.config_from_dict(gen_cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"generator config: {exc}") from None
     out_dir = Path(args.out_dir)
     _check_writable_dir(out_dir)
     features = None if features_path.lower() == "none" else load_feature_csv(features_path)
@@ -158,7 +164,7 @@ def _train_config_from(args, section: dict, head: mlp.Head) -> mlp.TrainConfig:
     if any(type(h) is not int for h in widths):
         raise ConfigError(f"hidden must be comma-separated integers or a list of "
                           f"integers, got {hidden!r}")
-    try:
+    with _config_errors("train config"):
         return mlp.TrainConfig(
             hidden=tuple(widths),
             epochs=_setting(args.epochs, section, "epochs", int, 2000),
@@ -166,17 +172,13 @@ def _train_config_from(args, section: dict, head: mlp.Head) -> mlp.TrainConfig:
             head=head,
             warmup_epochs=section.get("warmup_epochs"),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train config: {exc}") from None
 
 
 def _cmd_train(args) -> int:
     section = _command_config(args)
     head_name = _setting(args.head, section, "head", str, "gaussian")
-    try:
+    with _config_errors("head"):
         head = mlp.Head(head_name)
-    except ValueError:
-        raise ConfigError(f"unknown head {head_name!r}") from None
     if head is mlp.Head.PROPENSITY:
         raise ConfigError("train fits outcome heads; the propensity model is fitted alongside")
     _check_standardize_record(section, head)
@@ -239,14 +241,11 @@ def _cmd_intervals(args) -> int:
     alpha = _setting(args.alpha, cfg, "alpha", float)
     arm = _setting(args.arm, cfg, "arm", int, None)
     seed = _setting(args.seed, cfg, "seed", int, 0)
-    if not (math.isfinite(gamma) and gamma >= 1.0):
-        raise ConfigError(f"gamma must be finite and >= 1, got {gamma}")
-    try:
+    with _config_errors():
+        check_gamma(gamma)
         check_alpha(alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if arm not in (None, 0, 1):
-        raise ConfigError(f"arm must be 0 or 1, got {arm}")
+        if arm is not None:
+            check_arm(arm)
     out = Path(args.out)
     _check_writable_parent(out)
     model, prop, prop_path = _load_models(model_path, propensity_model)
@@ -279,12 +278,10 @@ def _cmd_gamma_search(args) -> int:
     seed = _setting(args.seed, cfg, "seed", int, 0)
     if alpha is None and target == 1.0:
         raise ConfigError("--target 1.0 needs an explicit --alpha")
-    try:
+    with _config_errors("gamma-search config"):
         eval_cfg = EvalConfig(target_coverage=target,
                               alpha=1.0 - target if alpha is None else alpha,
                               gamma_tol=gamma_tol, arm=arm, cost_kind=CostKind(cost))
-    except ValueError as exc:
-        raise ConfigError(f"gamma-search config: {exc}") from None
     out = Path(args.out)
     _check_writable_parent(out)
     test = load_dataset_csv(test_path)
@@ -379,10 +376,8 @@ def _cmd_report(args) -> int:
     _check_writable_dir(out_dir)
     wrote = []
     if lengths_path:
-        try:
+        with _config_errors("lengths file", (OSError, json.JSONDecodeError)):
             lengths = json.loads(Path(lengths_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"lengths file: {exc}") from None
         # bools are ints to json; NaN and Infinity parse as floats
         if not (isinstance(lengths, dict) and lengths and all(
                 type(v) in (int, float) and 0.0 < v < math.inf for v in lengths.values())):
@@ -397,18 +392,12 @@ def _cmd_report(args) -> int:
                            "excess": [rel[k] - 1.0 for k in names]})
         wrote.append(path)
     if model_path and test_path:
-        try:
-            gammas = [float(g) for g in gammas_arg.split(",") if g]
-        except ValueError as exc:
-            raise ConfigError(f"report config: {exc}") from None
-        try:
+        with _config_errors():
+            gammas = [check_gamma(g) for g in gammas_arg.split(",") if g]
             check_alpha(alpha)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if arm not in (0, 1):
-            raise ConfigError(f"arm must be 0 or 1, got {arm}")
-        if not gammas or not all(math.isfinite(g) and g >= 1.0 for g in gammas):
-            raise ConfigError(f"gammas must be finite numbers >= 1, got {gammas_arg!r}")
+            check_arm(arm)
+        if not gammas:
+            raise ConfigError(f"gammas must list at least one gamma, got {gammas_arg!r}")
         model, prop, propensity_model = _load_models(Path(model_path), propensity_model)
         test = load_dataset_csv(test_path)
         if test.potential_outcomes is None:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .dist import QUANTILE_TOL_REL, WEIGHT_MEAN_TOL, default_quantile_tol, pack_components
+from .dist import (QUANTILE_TOL_REL, check_beta, check_weight_mean, default_quantile_tol,
+                   pack_components)
 from .sensitivity import WeightBounds
 
 _BOUND_SLACK = 1e-12
@@ -48,9 +49,7 @@ class WeightVector:
                 if w < bounds.lower - _BOUND_SLACK or w > bounds.upper + _BOUND_SLACK:
                     raise ValueError(
                         f"weight {w} outside bounds ({bounds.lower}, {bounds.upper})")
-        mean_w = math.fsum(weights) / len(weights)
-        if abs(mean_w - 1.0) > WEIGHT_MEAN_TOL:
-            raise ValueError(f"mean(weights) must be 1, got {mean_w!r}")
+        check_weight_mean(weights)
         object.__setattr__(self, "weights", weights)
 
     def as_array(self) -> np.ndarray:
@@ -130,9 +129,7 @@ def _extreme_quantile(components, bounds: WeightBounds, beta: float,
                       maximize: bool) -> tuple[float, WeightVector]:
     if not isinstance(bounds, WeightBounds):
         raise ValueError("bounds must be a WeightBounds instance")
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    beta = check_beta(beta)
     fam, loc, scale = pack_components(components)
     args = (fam, loc, scale, bounds.lower, bounds.upper)
     q = K.extreme_quantile_k(*args, beta, default_quantile_tol(components), maximize)
@@ -182,9 +179,7 @@ def brute_force_extreme_quantile(components, bounds: WeightBounds, beta: float,
         raise ValueError(
             f"brute force refused: m={m} exceeds {BRUTE_FORCE_MAX_M} "
             f"(cost grows as m * 2^m)")
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    beta = check_beta(beta)
     tol = default_quantile_tol(components)
     fam, loc, scale = pack_components(components)
     lower, upper = bounds.lower, bounds.upper
@@ -231,7 +226,7 @@ def check_optimality(components, weights: WeightVector, bounds: WeightBounds,
     sender_mass = -np.inf
     receiver_mass = np.inf
     for i in range(len(w)):
-        mass = K.component_cdf_s(fam[i], loc[i], scale[i], q)
+        mass = K.component_mass_s(fam[i], loc[i], scale[i], q)
         if w[i] > bounds.lower and mass > sender_mass:
             sender_mass = mass
         if w[i] < bounds.upper and mass < receiver_mass:

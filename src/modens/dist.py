@@ -34,6 +34,21 @@ class Family(enum.Enum):
         return K.GAUSSIAN if self is Family.GAUSSIAN else K.CAUCHY
 
 
+def check_beta(beta) -> float:
+    """beta as a float, checked to lie in (0, 1): a quantile level."""
+    beta = float(beta)
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    return beta
+
+
+def check_weight_mean(weights) -> None:
+    """Reject weights whose mean is not 1 within ``WEIGHT_MEAN_TOL``."""
+    mean_w = math.fsum(weights) / len(weights)
+    if abs(mean_w - 1.0) > WEIGHT_MEAN_TOL:
+        raise ValueError(f"mean(weights) must be 1, got {mean_w!r}")
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -62,7 +77,7 @@ class ComponentDistribution:
 
     def cdf(self, y: float) -> float:
         y = _require_finite("y", y)
-        return K.component_cdf_s(self.family.code, self.location, self.scale, y)
+        return K.component_mass_s(self.family.code, self.location, self.scale, y)
 
 
 def pack_components(components) -> tuple[list[int], list[float], list[float]]:
@@ -95,9 +110,7 @@ class WeightedMixture:
         for w in weights:
             if not math.isfinite(w) or w < 0.0:
                 raise ValueError(f"weights must be finite and >= 0, got {w}")
-        mean_w = math.fsum(weights) / len(weights)
-        if abs(mean_w - 1.0) > WEIGHT_MEAN_TOL:
-            raise ValueError(f"mean(weights) must be 1, got {mean_w!r}")
+        check_weight_mean(weights)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "weights", weights)
 
@@ -120,9 +133,7 @@ def mixture_pdf(mix: WeightedMixture, y: float) -> float:
 
 
 def mixture_quantile(mix: WeightedMixture, beta: float) -> float:
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    beta = check_beta(beta)
     fam, loc, scale, w = mix._packed()
     return K.mixture_quantile_k(fam, loc, scale, w, beta,
                                 default_quantile_tol(mix.components))

@@ -48,6 +48,12 @@ class CostKind(enum.Enum):
     MASS = "mass"              # mean empirical-CDF mass inside the interval
 
 
+def check_arm(arm) -> None:
+    """Reject an arm that is not a treatment arm, 0 or 1."""
+    if arm not in (0, 1):
+        raise ValueError(f"arm must be 0 or 1, got {arm!r}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     target_coverage: float
@@ -63,8 +69,7 @@ class EvalConfig:
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if not 0.0 < self.gamma_tol < math.inf:
             raise ValueError("gamma_tol must be finite and > 0")
-        if self.arm not in (0, 1):
-            raise ValueError("arm must be 0 or 1")
+        check_arm(self.arm)
 
     def to_dict(self) -> dict:
         return {

@@ -335,6 +335,7 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     params = init_params((X.shape[1], *config.hidden, 2), Head.GAUSSIAN, rng)
 
     if config.head is Head.GAUSSIAN:
+        del rows, idx, copy_row
         mu_y = float(np.mean(data.outcomes))
         sd_y = max(float(np.std(data.outcomes)), 1e-12)
         params = _adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step, counts)
@@ -345,17 +346,19 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     # n resampled outcomes, so the copies of one row hold distinct ranks:
     # each unique row carries their mean and their variance.
     y_boot = data.outcomes[idx]
+    q25, q50, q75 = np.percentile(y_boot, [25.0, 50.0, 75.0])
     ranks = np.empty(data.n)
     ranks[np.argsort(y_boot, kind="stable")] = np.arange(data.n) / data.n
     rank_mean = np.bincount(copy_row, weights=ranks) / counts
     dev = ranks - rank_mean[copy_row]   # from deviations, not E[r^2] - mean^2
     rank_var = np.bincount(copy_row, weights=dev * dev) / counts
+    del rows, idx, copy_row, y_boot, ranks, dev
     params = _adam_fit(params, X, rank_mean, config.resolved_warmup_epochs(), config.step,
                        counts, rank_var)
+    del rank_mean, rank_var
     # quartile-matched affine map from predicted rank space to outcome units
     out = _net_forward(params, X)[0]
     r_hat = np.repeat(out[:, 0], counts)
-    q25, q50, q75 = np.percentile(y_boot, [25.0, 50.0, 75.0])
     r25, r50, r75 = np.percentile(r_hat, [25.0, 50.0, 75.0])
     slope = (q75 - q25) / max(r75 - r25, 0.05)
     slope = max(slope, 1e-6)

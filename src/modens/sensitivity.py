@@ -19,15 +19,20 @@ from dataclasses import dataclass
 PROPENSITY_CLAMP = 1e-3
 
 
+def check_gamma(gamma) -> float:
+    """gamma as a float, checked to be a finite budget >= 1."""
+    g = float(gamma)
+    if not (math.isfinite(g) and g >= 1.0):
+        raise ValueError(f"gamma must be finite and >= 1, got {g}")
+    return g
+
+
 @dataclass(frozen=True)
 class SensitivityConfig:
     gamma: float
 
     def __post_init__(self):
-        g = float(self.gamma)
-        if not math.isfinite(g) or g < 1.0:
-            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", check_gamma(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,5 @@ def msm_bounds_arrays(e_clamped, gamma: float):
     e = np.asarray(e_clamped, dtype=np.float64)
     if not np.all((e >= 0.0) & (e <= 1.0)):  # NaN fails both comparisons
         raise ValueError("propensities must be in [0, 1]")
-    g = float(gamma)
-    if not math.isfinite(g) or g < 1.0:
-        raise ValueError(f"gamma must be finite and >= 1, got {g}")
+    g = check_gamma(gamma)
     return e + (1.0 - e) / g, e + g * (1.0 - e)

@@ -231,12 +231,26 @@ class TestConfigErrors:
          "--gammas", "1,nan", "--out-dir", "{tmp}/rep"],
         ["report", "--model", "{model}", "--test", "{data}/test.csv",
          "--gammas", ",", "--out-dir", "{tmp}/rep"],
+        ["intervals", "--model", "{model}", "--data", "{data}/valid.csv", "--gamma", "0.5",
+         "--alpha", "0.2", "--out", "{tmp}/iv.csv"],
+        ["report", "--model", "{model}", "--test", "{data}/test.csv",
+         "--gammas", "0.5", "--out-dir", "{tmp}/rep"],
+        ["report", "--model", "{model}", "--test", "{data}/test.csv",
+         "--alpha", "5e-324", "--out-dir", "{tmp}/rep"],
+        ["gamma-search", "--model", "{model}", "--test", "{data}/test.csv",
+         "--target", "0.9", "--config", "{cfg}", "--out", "{tmp}/r.json"],
     ], ids=["gamma-tol-0", "gamma-tol-nan", "members-0", "step-nan", "gamma-nan",
-            "gammas-empty"])
+            "gammas-empty", "intervals-gamma-0.5", "report-gammas-0.5",
+            "report-alpha-halves-to-0", "gamma-search-file-arm-2"])
     def test_config_error_exits_2(self, bench_dir, trained_model, tmp_path, argv, capsys):
-        paths = {"model": trained_model, "data": bench_dir, "tmp": tmp_path}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma-search": {"arm": 2}}))
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {"model": trained_model, "data": bench_dir, "tmp": out, "cfg": cfg}
         assert run([a.format(**paths) for a in argv]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not [f for f in out.rglob("*") if f.is_file()]
 
     @pytest.mark.parametrize("train_cfg", [
         {"warmup_epochs": -3}, {"warmup_epochs": 0}, {"warmup_epochs": "5"},
@@ -294,9 +308,10 @@ class TestSubcommandConfigFiles:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", [{"gamma": "2"}, {"gamma": True}, {"arm": 2},
-                                         {"seed": 1.5}, {"alpha": None}, {"alpha": 5e-324}],
+                                         {"seed": 1.5}, {"alpha": None}, {"alpha": 5e-324},
+                                         {"gamma": 0.5}],
                              ids=["gamma-str", "gamma-bool", "arm-2", "seed-float",
-                                  "alpha-null", "alpha-halves-to-0"])
+                                  "alpha-null", "alpha-halves-to-0", "gamma-0.5"])
     def test_bad_intervals_setting_exits_2(self, bench_dir, trained_model, tmp_path,
                                            setting, capsys):
         cfg = tmp_path / "iv.json"
@@ -304,6 +319,7 @@ class TestSubcommandConfigFiles:
         assert run(["intervals", "--model", trained_model, "--data", bench_dir / "valid.csv",
                     "--config", cfg, "--out", tmp_path / "iv.csv"]) == 2
         assert "config error" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["iv.json"]
 
     def test_intervals_manifest_replay_and_flag_precedence(self, bench_dir, trained_model,
                                                            tmp_path):

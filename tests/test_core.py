@@ -181,15 +181,20 @@ class TestOutcomeInterval:
         assert abs(lo[0] - iv.lo) <= 4 * math.ulp(iv.lo)
         assert abs(hi[0] - iv.hi) <= 4 * math.ulp(iv.hi)
 
-    @pytest.mark.parametrize("alpha,end", [(1e-300, 1.1140846016432674e300),
-                                           (1e-308, 1.1140846016432673e308)])
-    def test_cauchy_ends_near_float_range_are_finite_and_agree_across_kernels(self, alpha, end):
+    @pytest.mark.parametrize("scales,alpha,end", [
+        ([1.0, 2.0], 1e-300, 1.1140846016432674e300),
+        ([1.0, 2.0], 1e-308, 1.1140846016432673e308),
+        ([1e-6, 1e7], 1e-296, 4.774648292756861e302)],
+        ids=["alpha-1e-300", "alpha-1e-308", "scale-1e-6-alpha-1e-296"])
+    def test_cauchy_ends_near_float_range_are_finite_and_agree_across_kernels(
+            self, scales, alpha, end):
         # the lower bracket is 6e299 (6e307) wide, so width / tol overflows;
         # tol is below the float spacing there, and the ends are exact to that
-        # spacing; at 1e-308 the bracket's ends sum beyond the largest float
-        iv = outcome_interval([c(0), c(1, 2.0)], WeightBounds(0.5, 2.0), alpha)
-        lo, hi = modulated_intervals_batch([1, 1], [[0.0, 1.0]], [[1.0, 2.0]],
-                                           [0.5], [2.0], alpha)
+        # spacing; at 1e-308 the bracket's ends sum beyond the largest float;
+        # at scale 1e-6 a bracket end near 1e302 puts the member's z beyond
+        # the float range, whose mass is 0 or 1 without an overflow warning
+        iv = outcome_interval([c(0, scales[0]), c(1, scales[1])], WeightBounds(0.5, 2.0), alpha)
+        lo, hi = modulated_intervals_batch([1, 1], [[0.0, 1.0]], [scales], [0.5], [2.0], alpha)
         assert iv.lo == pytest.approx(-end, rel=1e-15)
         assert iv.hi == pytest.approx(end, rel=1e-15)
         assert abs(lo[0] - iv.lo) <= 4 * math.ulp(iv.lo)

@@ -23,7 +23,7 @@ def cauchy(loc, scale):
 
 
 def ppf(d, p):
-    return K.component_ppf_s(d.family.code, d.location, d.scale, p)
+    return K.component_point_s(d.family.code, d.location, d.scale, p)
 
 
 def pdf(d, y):

@@ -329,6 +329,23 @@ def assert_covered_rows_agrees(comps, bounds, alpha):
     assert covered.tolist() == [False, True, True, True, False]
 
 
+@pytest.mark.parametrize("fam", [K.GAUSSIAN, K.CAUCHY], ids=["gaussian", "cauchy"])
+def test_upper_tail_is_the_reflected_lower_tail_bit_for_bit(fam):
+    # sign -1 reflects the member through 0: its survival mass at y is the
+    # reflected member's lower-tail mass at -y, and its point with upper-tail
+    # mass p is minus the reflected member's point with lower-tail mass p
+    rng = np.random.default_rng(4)
+    far = [0.0, 1e-300, 0.5, 1.0, 1e6, 1e12, 1e100, 1e290]
+    for loc, scale in [(0.0, 1.0), (3.7, 1e-6), (-1e5, 1e-6), (1e5, 2.5), (-2.3, 1e7)]:
+        zs = np.concatenate([far, np.negative(far), rng.standard_cauchy(20)])
+        for y in (loc + scale * zs).tolist():
+            assert K.component_mass_s(fam, loc, scale, y, -1.0) == \
+                K.component_mass_s(fam, -loc, scale, -y)
+        for p in [1e-300, 1e-60, 1e-6, 0.025, 0.3, 0.5, 0.7, 0.975, 1.0 - 1e-6]:
+            assert K.component_point_s(fam, loc, scale, p, -1.0) == \
+                -K.component_point_s(fam, -loc, scale, p)
+
+
 @pytest.mark.filterwarnings("error")
 def test_covered_rows_matches_the_solved_interval():
     # one tolerance away from an endpoint, the envelope masses at the

@@ -422,8 +422,9 @@ class TestWorkingSet:
         assert peak <= 3 * n * h * 8 + 16 * n * 8
 
     def test_cauchy_member_peak(self, rng):
-        # the design rows, three (rows, 64) arrays and the bootstrap's
-        # O(n) bookkeeping; no activation outlives its pass
+        # the design rows, three (rows, 64) arrays, Adam's parameter-sized
+        # state and a few (rows,) vectors; no activation outlives its pass,
+        # and the bootstrap's O(n) bookkeeping is gone before the first fit
         n, d, h = 4096, 8, 64
         X = rng.normal(0, 1, (n, d))
         data = Dataset(covariates=X, treatments=rng.integers(0, 2, n),
@@ -432,7 +433,7 @@ class TestWorkingSet:
         train_member(data, cfg, seed=1)
         rows = np.unique(np.random.default_rng(2).integers(0, n, n)).size
         peak = traced_peak(lambda: train_member(data, cfg, seed=2))
-        assert peak <= rows * (d + 1) * 8 + 3 * rows * h * 8 + 32 * n * 8
+        assert peak <= rows * (d + 1) * 8 + 3 * rows * h * 8 + 16 * n * 8
 
 
 class TestPredict:
