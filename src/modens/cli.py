@@ -1,7 +1,13 @@
 """Command-line surface: generate / train / intervals / gamma-search /
 oracle-check / report.
 
-Config precedence is CLI flags over --config file over built-in defaults.
+Every setting a flag or a ``--config`` file may give is declared once,
+in ``_SETTINGS``: its config key, type, default (or required) and help.
+The flag is the key with dashes, except where ``_FLAGS`` renames it, and
+``--help`` prints every default.  A setting resolves as its flag, else the
+config file, else the default, before any file is read; the library's
+checks (``mlp.Head``, ``check_arm``, ``CostKind`` and the rest) are the
+only checks on its value, so a bad flag and a bad config value fail alike.
 Every subcommand but oracle-check, which only prints, writes a manifest
 echoing the resolved configuration with its hash.  Every CSV, read or
 written, goes through ``data``.  Exit codes: 0 success (a FAILURE verdict
@@ -22,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import benchgen, mlp
-from .core import (BRUTE_FORCE_MAX_M, brute_force_extreme_quantile, check_alpha,
+from .core import (brute_force_extreme_quantile, check_alpha, check_brute_force_m,
                    maximize_quantile, minimize_quantile, modulated_intervals_batch)
-from .data import DatasetFormatError, load_dataset_csv, load_feature_csv, write_table
+from .data import load_dataset_csv, load_feature_csv, write_table
 from .dist import ComponentDistribution, Family
 from .evalharness import (CostKind, EvalConfig, check_arm, cost_mass, cost_relative, coverage,
                           modulated_interval_arrays, run_experiment)
@@ -95,16 +101,83 @@ def _check_writable_parent(out: Path) -> None:
 
 _REQUIRED = object()
 
+_MODEL = ("model", str, _REQUIRED, "ensemble JSON")
+_PROPENSITY = ("propensity_model", str, None,
+               "propensity model JSON; without it, the one train wrote next to the model")
+_SEED = ("seed", int, 0, "RNG seed")
+_ARM = ("arm", int, 1, "treatment arm scored, 0 or 1")
 
-def _setting(flag_value, config: dict, key: str, kind: type, default=_REQUIRED,
-             flag: str | None = None):
+# Every setting a flag or the config file may give, by subcommand:
+# (config key, type, default or _REQUIRED, help).  A None default means
+# "not set", which the subcommand reads as its help says.
+_SETTINGS = {
+    "generate": (
+        ("features", str, "none", "numeric CSV with one header row, every column a "
+                                  "feature, or 'none' for the built-in surrogate"),
+    ),
+    "train": (
+        ("head", str, "gaussian", "outcome head, gaussian or cauchy"),
+        ("members", int, 16, "ensemble size"),
+        _SEED,
+        ("hidden", (str, list), "64,64", "comma-separated hidden-layer widths"),
+        ("epochs", int, 2000, "training epochs per member"),
+        ("step", float, 1e-2, "Adam step size"),
+    ),
+    "intervals": (
+        _MODEL, _PROPENSITY,
+        ("data", str, _REQUIRED, "dataset CSV"),
+        ("gamma", float, _REQUIRED, "sensitivity budget"),
+        ("alpha", float, _REQUIRED, "miscoverage"),
+        ("arm", int, None, "score this arm on every row; without it, each row's treatment"),
+        _SEED,
+    ),
+    "gamma-search": (
+        _MODEL, _PROPENSITY,
+        ("test", str, _REQUIRED, "test CSV with y0/y1"),
+        ("target_coverage", float, _REQUIRED, "coverage target"),
+        ("alpha", float, None, "interval miscoverage; without it, 1 - target"),
+        ("gamma_tol", float, 0.05, "search tolerance on gamma"),
+        _ARM,
+        ("cost_kind", str, "abs_std", "cost function, abs_std or mass"),
+        _SEED,
+    ),
+    "oracle-check": (
+        ("m", int, _REQUIRED, "ensemble size"),
+        ("trials", int, 50, "random instances"),
+        _SEED,
+    ),
+    "report": (
+        ("lengths", str, None, "JSON {method: mean_length} for a relative-cost table"),
+        ("model", str, None, "ensemble JSON for the coverage curve, with --test"),
+        _PROPENSITY,
+        ("test", str, None, "test CSV with y0/y1 for the coverage curve"),
+        ("gammas", str, "1,2,5,10,25,50", "comma-separated gammas of the coverage curve"),
+        ("alpha", float, 0.05, "miscoverage"),
+        _ARM,
+    ),
+}
+_FLAGS = {"target_coverage": "--target", "cost_kind": "--cost"}
+
+
+def _flag(key: str) -> str:
+    return _FLAGS.get(key, "--" + key.replace("_", "-"))
+
+
+def _settings(args, config: dict) -> dict:
+    """The subcommand's settings by config key, each resolved by
+    ``_setting`` from its flag and the config file section ``config``."""
+    return {key: _setting(getattr(args, key), config, key, kind, default)
+            for key, kind, default, _ in _SETTINGS[args.subcommand]}
+
+
+def _setting(flag_value, config: dict, key: str, kind: type, default):
     """Flag, else config-file ``key``, else ``default``, checked to be of
     ``kind`` (int, float, str or a tuple of types); a JSON null counts as
     not given."""
     value = flag_value if flag_value is not None else config.get(key)
     if value is None:
         if default is _REQUIRED:
-            raise ConfigError(f"{flag or '--' + key.replace('_', '-')} is required, "
+            raise ConfigError(f"{_flag(key)} is required, "
                               f"as a flag or as {key!r} in the config file")
         return default
     if kind is float:
@@ -122,8 +195,11 @@ def _setting(flag_value, config: dict, key: str, kind: type, default=_REQUIRED,
 
 def _command_config(args) -> dict:
     """The config file's settings for this subcommand: its section named
-    after the subcommand, else the top level (a replayed manifest)."""
+    after the subcommand, else the top level (a replayed manifest).  A
+    generate config is a generator config or a generate manifest, whole."""
     cfg_file = _load_config_file(args.config)
+    if args.subcommand == "generate":
+        return cfg_file
     section = cfg_file.get(args.subcommand, cfg_file)
     if not isinstance(section, dict):
         raise ConfigError(f"config file {args.config}: {args.subcommand!r} must be an object")
@@ -132,24 +208,23 @@ def _command_config(args) -> dict:
 
 # ---------------------------------------------------------------- generate
 
-def _cmd_generate(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    features_path = _setting(args.features, cfg_file, "features", str, "none")
+def _cmd_generate(args, s: dict, config: dict) -> int:
     # `features` sits beside the generator section (a manifest) or its fields
-    rest = {k: v for k, v in cfg_file.items() if k != "features"}
+    rest = {k: v for k, v in config.items() if k != "features"}
     gen_cfg = rest.get("generator", rest)
     if not isinstance(gen_cfg, dict):
         raise ConfigError(f"config file {args.config}: 'generator' must be an object")
     if args.seed is not None:
         gen_cfg = {**gen_cfg, "seed": args.seed}
     with _config_errors("generator config"):
-        config = benchgen.config_from_dict(gen_cfg)
+        gen = benchgen.config_from_dict(gen_cfg)
     out_dir = Path(args.out_dir)
     _check_writable_dir(out_dir)
+    features_path = s["features"]
     features = None if features_path.lower() == "none" else load_feature_csv(features_path)
-    paths = benchgen.write_benchmark(features, config, out_dir)
+    paths = benchgen.write_benchmark(features, gen, out_dir)
     _write_manifest(out_dir / "manifest.json", "generate",
-                    {"generator": benchgen.config_to_dict(config), "features": features_path},
+                    {"generator": benchgen.config_to_dict(gen), "features": features_path},
                     extra={"files": {k: p.name for k, p in paths.items()}})
     print(f"wrote {paths['train']}, {paths['valid']}, {paths['test']}")
     return 0
@@ -157,68 +232,56 @@ def _cmd_generate(args) -> int:
 
 # ------------------------------------------------------------------- train
 
-def _train_config_from(args, section: dict, head: mlp.Head) -> mlp.TrainConfig:
-    hidden = _setting(args.hidden, section, "hidden", (str, list), "64,64")
+def _train_config_from(s: dict, config: dict, head: mlp.Head) -> mlp.TrainConfig:
+    hidden = s["hidden"]
     widths = ([int(h) if h.strip().isdecimal() else h for h in hidden.split(",") if h]
               if isinstance(hidden, str) else hidden)
     if any(type(h) is not int for h in widths):
         raise ConfigError(f"hidden must be comma-separated integers or a list of "
                           f"integers, got {hidden!r}")
     with _config_errors("train config"):
-        return mlp.TrainConfig(
-            hidden=tuple(widths),
-            epochs=_setting(args.epochs, section, "epochs", int, 2000),
-            step=_setting(args.step, section, "step", float, 1e-2),
-            head=head,
-            warmup_epochs=section.get("warmup_epochs"),
-        )
+        return mlp.TrainConfig(hidden=tuple(widths), epochs=s["epochs"], step=s["step"],
+                               head=head, warmup_epochs=config.get("warmup_epochs"))
 
 
-def _cmd_train(args) -> int:
-    section = _command_config(args)
-    head_name = _setting(args.head, section, "head", str, "gaussian")
+def _cmd_train(args, s: dict, config: dict) -> int:
     with _config_errors("head"):
-        head = mlp.Head(head_name)
+        head = mlp.Head(s["head"])
     if head is mlp.Head.PROPENSITY:
         raise ConfigError("train fits outcome heads; the propensity model is fitted alongside")
-    _check_standardize_record(section, head)
-    config = _train_config_from(args, section, head)
-    members = _setting(args.members, section, "members", int, 16)
-    if members < 1:
-        raise ConfigError(f"members must be an integer >= 1, got {members!r}")
-    seed = _setting(args.seed, section, "seed", int, 0)
+    _check_standardize_record(config, head)
+    train_cfg = _train_config_from(s, config, head)
+    with _config_errors():
+        mlp.check_members(s["members"])
     out = Path(args.out)
     _check_writable_parent(out)
     data = load_dataset_csv(args.data)
-    model = mlp.train_ensemble(data, config, seed, m=members)
+    model = mlp.train_ensemble(data, train_cfg, s["seed"], m=s["members"])
     mlp.save_model(model, out)
     prop_path = _propensity_path_for(out, args.propensity_out)
-    prop = mlp.fit_propensity(data, config, seed)
-    mlp.save_propensity(prop, prop_path, seed=seed)
-    resolved = {"data": str(args.data), "head": head.value, "members": members,
-                "seed": seed, "hidden": list(config.hidden), "epochs": config.epochs,
-                "step": config.step, "warmup_epochs": config.resolved_warmup_epochs()}
+    prop = mlp.fit_propensity(data, train_cfg, s["seed"])
+    mlp.save_propensity(prop, prop_path, seed=s["seed"])
+    resolved = {**s, "data": str(args.data), "hidden": list(train_cfg.hidden),
+                "warmup_epochs": train_cfg.resolved_warmup_epochs()}
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train", resolved)
     print(f"wrote {out} and {prop_path}")
     return 0
 
 
-def _check_standardize_record(section: dict, head: mlp.Head) -> None:
+def _check_standardize_record(config: dict, head: mlp.Head) -> None:
     """``standardize`` is not a setting: Gaussian heads train on
     standardized outcomes and Cauchy heads on raw ones.  Older manifests
     record that rule for the head they name, so a matching value replays;
     a ``--head`` flag that changes the head brings its own rule."""
-    value = section.get("standardize")
-    named = section.get("head", head.value)
+    value = config.get("standardize")
+    named = config.get("head", head.value)
     if value is not None and value is not (named == mlp.Head.GAUSSIAN.value):
         raise ConfigError(f"standardize={value!r} cannot be set: Gaussian heads train on "
                           f"standardized outcomes, Cauchy heads on raw outcomes")
 
 
 def _propensity_path_for(model_path: Path, explicit: str | None) -> Path:
-    if explicit:
-        return Path(explicit)
-    return model_path.with_suffix(".propensity.json")
+    return Path(explicit) if explicit else model_path.with_suffix(".propensity.json")
 
 
 def _load_models(model_path: Path, propensity_model: str | None
@@ -232,67 +295,48 @@ def _load_models(model_path: Path, propensity_model: str | None
 
 # --------------------------------------------------------------- intervals
 
-def _cmd_intervals(args) -> int:
-    cfg = _command_config(args)
-    model_path = Path(_setting(args.model, cfg, "model", str))
-    propensity_model = _setting(args.propensity_model, cfg, "propensity_model", str, None)
-    data_path = _setting(args.data, cfg, "data", str)
-    gamma = _setting(args.gamma, cfg, "gamma", float)
-    alpha = _setting(args.alpha, cfg, "alpha", float)
-    arm = _setting(args.arm, cfg, "arm", int, None)
-    seed = _setting(args.seed, cfg, "seed", int, 0)
+def _cmd_intervals(args, s: dict, _config: dict) -> int:
+    arm = s["arm"]
     with _config_errors():
-        check_gamma(gamma)
-        check_alpha(alpha)
+        check_gamma(s["gamma"])
+        check_alpha(s["alpha"])
         if arm is not None:
             check_arm(arm)
     out = Path(args.out)
     _check_writable_parent(out)
-    model, prop, prop_path = _load_models(model_path, propensity_model)
-    data = load_dataset_csv(data_path)
-
+    model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
+    data = load_dataset_csv(s["data"])
     t = data.treatments if arm is None else np.full(data.n, arm)
-    lo, hi = modulated_interval_arrays(model, prop, data.covariates, t, alpha)(gamma)
+    lo, hi = modulated_interval_arrays(model, prop, data.covariates, t, s["alpha"])(s["gamma"])
     write_table(out, {"index": range(data.n), "t": t.tolist(), "lo": lo.tolist(),
                       "hi": hi.tolist()})
-    resolved = {"model": str(model_path), "propensity_model": prop_path,
-                "data": data_path, "gamma": gamma, "alpha": alpha, "arm": arm,
-                "seed": seed}
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "intervals", resolved)
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "intervals",
+                    {**s, "propensity_model": prop_path})
     print(f"wrote {out}")
     return 0
 
 
 # ------------------------------------------------------------- gamma-search
 
-def _cmd_gamma_search(args) -> int:
-    cfg = _command_config(args)
-    model_path = Path(_setting(args.model, cfg, "model", str))
-    propensity_model = _setting(args.propensity_model, cfg, "propensity_model", str, None)
-    test_path = _setting(args.test, cfg, "test", str)
-    target = _setting(args.target, cfg, "target_coverage", float, flag="--target")
-    alpha = _setting(args.alpha, cfg, "alpha", float, None)
-    gamma_tol = _setting(args.gamma_tol, cfg, "gamma_tol", float, 0.05)
-    arm = _setting(args.arm, cfg, "arm", int, 1)
-    cost = _setting(args.cost, cfg, "cost_kind", str, "abs_std", flag="--cost")
-    seed = _setting(args.seed, cfg, "seed", int, 0)
+def _cmd_gamma_search(args, s: dict, _config: dict) -> int:
+    target, alpha = s["target_coverage"], s["alpha"]
     if alpha is None and target == 1.0:
         raise ConfigError("--target 1.0 needs an explicit --alpha")
     with _config_errors("gamma-search config"):
         eval_cfg = EvalConfig(target_coverage=target,
                               alpha=1.0 - target if alpha is None else alpha,
-                              gamma_tol=gamma_tol, arm=arm, cost_kind=CostKind(cost))
+                              gamma_tol=s["gamma_tol"], arm=s["arm"],
+                              cost_kind=CostKind(s["cost_kind"]))
     out = Path(args.out)
     _check_writable_parent(out)
-    test = load_dataset_csv(test_path)
+    test = load_dataset_csv(s["test"])
     if test.potential_outcomes is None:
-        raise ConfigError(f"{test_path}: gamma-search needs y0/y1 potential-outcome columns")
-    model, prop, prop_path = _load_models(model_path, propensity_model)
-    report = run_experiment(test, eval_cfg, model=model, propensity=prop, seed=seed,
+        raise ConfigError(f"{s['test']}: gamma-search needs y0/y1 potential-outcome columns")
+    model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
+    report = run_experiment(test, eval_cfg, model=model, propensity=prop, seed=s["seed"],
                             report_json=out, points_csv=out.with_suffix(".points.csv"))
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "gamma-search",
-                    {"model": str(model_path), "propensity_model": prop_path,
-                     "test": test_path, "seed": seed, **eval_cfg.to_dict()},
+                    {**s, **eval_cfg.to_dict(), "propensity_model": prop_path},
                     extra={"solved_gammas": list(report.solved_gammas),
                            "predicted_steps": report.predicted_steps})
     verdict = "FAILURE" if report.failed else f"gamma*={report.gamma_star:.4f}"
@@ -344,18 +388,13 @@ def run_oracle_check(m: int, trials: int, seed: int) -> tuple[float, bool]:
     return worst, worst <= ORACLE_TOL
 
 
-def _cmd_oracle_check(args) -> int:
-    cfg = _command_config(args)
-    m = _setting(args.m, cfg, "m", int)
-    trials = _setting(args.trials, cfg, "trials", int, 50)
-    seed = _setting(args.seed, cfg, "seed", int, 0)
-    if m > BRUTE_FORCE_MAX_M:
-        raise ConfigError(
-            f"m={m} refused: the brute-force oracle costs m * 2^m quantile "
-            f"solves and is capped at m <= {BRUTE_FORCE_MAX_M}")
-    if m < 1 or trials < 1:
-        raise ConfigError("m and trials must be >= 1")
-    worst, ok = run_oracle_check(m, trials, seed)
+def _cmd_oracle_check(args, s: dict, _config: dict) -> int:
+    m, trials = s["m"], s["trials"]
+    with _config_errors():
+        check_brute_force_m(m)
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    worst, ok = run_oracle_check(m, trials, s["seed"])
     verdict = "OK" if ok else f"FAILED (tolerance {ORACLE_TOL:g})"
     print(f"oracle-check m={m} trials={trials} max deviation={worst:.3e} {verdict}")
     return 0 if ok else 1
@@ -363,15 +402,17 @@ def _cmd_oracle_check(args) -> int:
 
 # ------------------------------------------------------------------ report
 
-def _cmd_report(args) -> int:
-    cfg = _command_config(args)
-    lengths_path = _setting(args.lengths, cfg, "lengths", str, None)
-    model_path = _setting(args.model, cfg, "model", str, None)
-    propensity_model = _setting(args.propensity_model, cfg, "propensity_model", str, None)
-    test_path = _setting(args.test, cfg, "test", str, None)
-    gammas_arg = _setting(args.gammas, cfg, "gammas", str, "1,2,5,10,25,50")
-    alpha = _setting(args.alpha, cfg, "alpha", float, 0.05)
-    arm = _setting(args.arm, cfg, "arm", int, 1)
+def _cmd_report(args, s: dict, _config: dict) -> int:
+    lengths_path, with_curve = s["lengths"], bool(s["model"] and s["test"])
+    if not (lengths_path or with_curve):
+        raise ConfigError("report needs --lengths and/or (--model and --test)")
+    if with_curve:
+        with _config_errors():
+            gammas = [check_gamma(g) for g in s["gammas"].split(",") if g]
+            check_alpha(s["alpha"])
+            check_arm(s["arm"])
+        if not gammas:
+            raise ConfigError(f"gammas must list at least one gamma, got {s['gammas']!r}")
     out_dir = Path(args.out_dir)
     _check_writable_dir(out_dir)
     wrote = []
@@ -391,19 +432,15 @@ def _cmd_report(args) -> int:
                            "relative_cost": [rel[k] for k in names],
                            "excess": [rel[k] - 1.0 for k in names]})
         wrote.append(path)
-    if model_path and test_path:
-        with _config_errors():
-            gammas = [check_gamma(g) for g in gammas_arg.split(",") if g]
-            check_alpha(alpha)
-            check_arm(arm)
-        if not gammas:
-            raise ConfigError(f"gammas must list at least one gamma, got {gammas_arg!r}")
-        model, prop, propensity_model = _load_models(Path(model_path), propensity_model)
-        test = load_dataset_csv(test_path)
+    propensity_model = s["propensity_model"]
+    if with_curve:
+        model, prop, propensity_model = _load_models(Path(s["model"]), propensity_model)
+        test = load_dataset_csv(s["test"])
         if test.potential_outcomes is None:
-            raise ConfigError(f"{test_path}: report needs y0/y1 columns")
+            raise ConfigError(f"{s['test']}: report needs y0/y1 columns")
+        arm = s["arm"]
         intervals = modulated_interval_arrays(model, prop, test.covariates,
-                                              np.full(test.n, arm), alpha)
+                                              np.full(test.n, arm), s["alpha"])
         outcomes = test.potential_outcomes[:, arm]
         curve = [intervals(g) for g in gammas]
         path = out_dir / "coverage_curve.csv"
@@ -412,18 +449,30 @@ def _cmd_report(args) -> int:
                            "mean_length": [float(np.mean(hi - lo)) for lo, hi in curve],
                            "cost_mass": [cost_mass(lo, hi, outcomes) for lo, hi in curve]})
         wrote.append(path)
-    if not wrote:
-        raise ConfigError("report needs --lengths and/or (--model and --test)")
     _write_manifest(out_dir / "report.manifest.json", "report",
-                    {"lengths": lengths_path, "model": model_path,
-                     "propensity_model": propensity_model, "test": test_path,
-                     "gammas": gammas_arg,
-                     "alpha": alpha, "arm": arm})
+                    {**s, "propensity_model": propensity_model})
     print("wrote " + ", ".join(str(p) for p in wrote))
     return 0
 
 
 # ------------------------------------------------------------------ parser
+
+_COMMANDS = (
+    ("generate", _cmd_generate, "write semi-synthetic benchmark CSVs"),
+    ("train", _cmd_train, "train an outcome ensemble + propensity model"),
+    ("intervals", _cmd_intervals, "per-row outcome intervals at fixed gamma"),
+    ("gamma-search", _cmd_gamma_search, "binary-search the smallest adequate gamma"),
+    ("oracle-check", _cmd_oracle_check,
+     "envelope solver vs brute-force oracle on random instances"),
+    ("report", _cmd_report, "plot-ready coverage/cost CSVs"),
+)
+
+
+def _default_text(default) -> str:
+    if default is _REQUIRED:
+        return "required"
+    return "optional" if default is None else f"default {default}"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -431,93 +480,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Partially identified causal outcome intervals from "
                     "weight-modulated predictor ensembles")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default 0)")
     common.add_argument("--config", default=None,
-                        help="JSON config file; CLI flags override its values")
+                        help="JSON config file or written manifest; flags override its values")
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=lambda **kw: argparse.ArgumentParser(
                                     parents=[common], **kw))
-
-    # Options a config file can set have no parser default; each command
-    # resolves them as flag, then config file, then the default in its help.
-    p = sub.add_parser("generate", help="write semi-synthetic benchmark CSVs")
-    p.add_argument("--features", default=None,
-                   help="numeric CSV with one header row, every column a feature, "
-                        "or 'none' for the built-in surrogate (default none)")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("train", help="train an outcome ensemble + propensity model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--head", choices=("gaussian", "cauchy"), default=None,
-                   help="outcome head (default gaussian)")
-    p.add_argument("--members", type=int, default=None, help="ensemble size (default 16)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--propensity-out", default=None)
-    p.add_argument("--hidden", default=None, help="comma-separated widths, e.g. 64,64")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("intervals", help="per-row outcome intervals at fixed gamma")
-    p.add_argument("--model", default=None, help="ensemble JSON (required)")
-    p.add_argument("--propensity-model", default=None)
-    p.add_argument("--data", default=None, help="dataset CSV (required)")
-    p.add_argument("--gamma", type=float, default=None, help="sensitivity budget (required)")
-    p.add_argument("--alpha", type=float, default=None, help="miscoverage (required)")
-    p.add_argument("--arm", type=int, choices=(0, 1), default=None,
-                   help="score a fixed arm instead of each row's treatment")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_intervals)
-
-    p = sub.add_parser("gamma-search", help="binary-search the smallest adequate gamma")
-    p.add_argument("--model", default=None, help="ensemble JSON (required)")
-    p.add_argument("--propensity-model", default=None)
-    p.add_argument("--test", default=None, help="test CSV with y0/y1 (required)")
-    p.add_argument("--target", type=float, default=None,
-                   help="coverage target (required; config key target_coverage)")
-    p.add_argument("--cost", choices=[k.value for k in CostKind], default=None,
-                   help="cost function (default abs_std; config key cost_kind)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="interval miscoverage (default 1 - target)")
-    p.add_argument("--arm", type=int, choices=(0, 1), default=None, help="(default 1)")
-    p.add_argument("--gamma-tol", type=float, default=None, help="(default 0.05)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gamma_search)
-
-    p = sub.add_parser("oracle-check",
-                       help="envelope solver vs brute-force oracle on random instances")
-    p.add_argument("--m", type=int, default=None, help="ensemble size (required)")
-    p.add_argument("--trials", type=int, default=None, help="(default 50)")
-    p.set_defaults(func=_cmd_oracle_check)
-
-    p = sub.add_parser("report", help="plot-ready coverage/cost CSVs")
-    p.add_argument("--model", default=None)
-    p.add_argument("--propensity-model", default=None)
-    p.add_argument("--test", default=None)
-    p.add_argument("--gammas", default=None, help="(default 1,2,5,10,25,50)")
-    p.add_argument("--alpha", type=float, default=None, help="(default 0.05)")
-    p.add_argument("--arm", type=int, choices=(0, 1), default=None, help="(default 1)")
-    p.add_argument("--lengths", default=None,
-                   help="JSON {method: mean_length} for relative-cost tables")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_report)
-
+    p = {}
+    for name, func, text in _COMMANDS:
+        p[name] = sub.add_parser(name, help=text)
+        p[name].set_defaults(func=func)
+        for key, kind, default, help_text in _SETTINGS[name]:
+            p[name].add_argument(_flag(key), dest=key, default=None,
+                                 type=kind if kind in (int, float) else str,
+                                 help=f"{help_text} ({_default_text(default)})")
+    # flag-only arguments: output paths, training data, the generator seed
+    p["generate"].add_argument("--seed", type=int, default=None,
+                               help="generator seed; overrides the config file's")
+    p["generate"].add_argument("--out-dir", required=True)
+    p["train"].add_argument("--data", required=True, help="training CSV")
+    p["train"].add_argument("--out", required=True, help="ensemble JSON to write")
+    p["train"].add_argument("--propensity-out", default=None,
+                            help="propensity model JSON to write; without it, next to --out")
+    p["intervals"].add_argument("--out", required=True)
+    p["gamma-search"].add_argument("--out", required=True)
+    p["report"].add_argument("--out-dir", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _command_config(args)
+        return args.func(args, _settings(args, config), config)
     except ConfigError as exc:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetFormatError, mlp.ModelFileError, mlp.TrainingDivergedError) as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return 1
+    # data, model-file and divergence errors included
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 1

@@ -165,6 +165,15 @@ def outcome_interval(components, bounds: WeightBounds, alpha: float,
 BRUTE_FORCE_MAX_M = 10
 
 
+def check_brute_force_m(m: int) -> int:
+    """Reject an ensemble size the brute-force oracle does not take: it
+    needs a member, and its m * 2^m cost caps m at ``BRUTE_FORCE_MAX_M``."""
+    if not 1 <= m <= BRUTE_FORCE_MAX_M:
+        raise ValueError(f"brute force refused: m={m} is outside 1..{BRUTE_FORCE_MAX_M} "
+                         f"(cost grows as m * 2^m)")
+    return m
+
+
 def brute_force_extreme_quantile(components, bounds: WeightBounds, beta: float,
                                  maximize: bool = True) -> float:
     """Exhaustive vertex enumeration oracle.
@@ -174,11 +183,7 @@ def brute_force_extreme_quantile(components, bounds: WeightBounds, beta: float,
     lower bound; all-vertex assignments that already hit the mean are
     included.  Cost grows as m * 2^m quantile solves, so m is capped.
     """
-    m = len(components)
-    if m > BRUTE_FORCE_MAX_M:
-        raise ValueError(
-            f"brute force refused: m={m} exceeds {BRUTE_FORCE_MAX_M} "
-            f"(cost grows as m * 2^m)")
+    m = check_brute_force_m(len(components))
     beta = check_beta(beta)
     tol = default_quantile_tol(components)
     fam, loc, scale = pack_components(components)

@@ -5,10 +5,10 @@ A dataset file has header columns ``x1..xd, t, y`` and optionally
 ``y0, y1`` (de-confounded potential outcomes, test sets only).  Its writer
 ends every line with CRLF, as ``csv.writer`` does, writes ``t`` as
 ``0``/``1`` and every float as its shortest round-trip ``repr``, so
-regeneration under a fixed seed is byte-identical.  It finds the distinct
-float bit patterns, and each cell's index into them, from one argsort of
-the cells' bits, formats each distinct float once, and writes in blocks of
-rows.  Report tables (``write_table``) end lines with LF instead.
+regeneration under a fixed seed is byte-identical.  It writes in blocks of
+rows: in each block it finds the distinct float bit patterns, and each
+cell's index into them, with ``np.unique``, and formats each distinct
+float once.  Report tables (``write_table``) end lines with LF instead.
 
 One reader parses dataset files and ``generate --features`` matrices (any
 header, every column a feature) with one ``np.loadtxt`` call.  It accepts
@@ -90,42 +90,21 @@ def _expected_header(d: int, with_potential: bool) -> list[str]:
 
 def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
     with_potential = ds.potential_outcomes is not None
-    columns = [ds.covariates, ds.outcomes[:, None]]
-    if with_potential:
-        columns.append(ds.potential_outcomes)
-    floats = np.hstack(columns)
-    shape = floats.shape
-    # Distinct bit patterns, not distinct values, so -0.0 keeps its own
-    # text.  Rank-normalized covariates share one grid of values, so a
-    # generated file holds far fewer distinct floats than cells.  Each
-    # intermediate is freed once used, keeping at most three cell-sized
-    # arrays alive.
-    keys = floats.view(np.int64).ravel()
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    del floats, keys
-    first = np.empty(sorted_keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    bits = sorted_keys[first]
-    del sorted_keys
-    ids = np.cumsum(first, dtype=np.intp)
-    ids -= 1
-    del first
-    codes = np.empty_like(ids)
-    codes[order] = ids
-    del order, ids
-    codes = codes.reshape(shape)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()] + ["0", "1"],
-                    dtype=object)
-    treatment_codes = len(bits) + ds.treatments
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_expected_header(ds.d, with_potential)) + _EOL)
         for start in range(0, ds.n, _WRITE_BLOCK_ROWS):
             block = slice(start, start + _WRITE_BLOCK_ROWS)
-            cells = np.insert(codes[block], ds.d, treatment_codes[block], axis=1)
-            rows = text[cells].tolist()
-            fh.write("".join([",".join(row) + _EOL for row in rows]))
+            floats = np.hstack([ds.covariates[block], ds.outcomes[block, None]]
+                               + ([ds.potential_outcomes[block]] if with_potential else []))
+            # Distinct bit patterns, not distinct values, so -0.0 keeps its
+            # own text.  Rank-normalized covariates share one grid of
+            # values, so a block holds far fewer distinct floats than cells.
+            bits, codes = np.unique(floats.view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(np.float64).tolist()] + ["0", "1"],
+                            dtype=object)
+            cells = np.insert(codes.reshape(floats.shape), ds.d,
+                              len(bits) + ds.treatments[block], axis=1)
+            fh.write("".join([",".join(row) + _EOL for row in text[cells].tolist()]))
 
 
 def write_table(path: str | Path, columns: Mapping[str, Iterable]) -> None:

@@ -371,11 +371,16 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     return _adam_fit(params, X, y, config.epochs, config.step, counts)
 
 
+def check_members(m: int) -> None:
+    """Reject an ensemble size below one member."""
+    if m < 1:
+        raise ValueError(f"members must be >= 1, got {m!r}")
+
+
 def train_ensemble(data: Dataset, config: TrainConfig, seed: int,
                    m: int = 16) -> EnsembleModel:
     """m independent members with derived seeds seed+1 .. seed+m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_members(m)
     members = [train_member(data, config, seed + j) for j in range(1, m + 1)]
     return EnsembleModel(members=tuple(members), seed=seed)
 

@@ -2,8 +2,9 @@ import json
 import numpy as np
 import pytest
 
-from modens import GeneratorConfig, cli, load_dataset_csv, write_benchmark
+from modens import CostKind, GeneratorConfig, Head, cli, load_dataset_csv, write_benchmark
 from modens.cli import main
+from modens.evalharness import check_arm
 
 
 def run(args):
@@ -217,6 +218,85 @@ class TestParserDefaults:
         assert manifest["config"]["hidden"] == [4]   # config file fills the rest
 
 
+# the flag-only arguments each subcommand needs to parse
+FLAG_ONLY = {"generate": ["--out-dir", "o"], "train": ["--data", "d.csv", "--out", "m.json"],
+             "intervals": ["--out", "iv.csv"], "gamma-search": ["--out", "r.json"],
+             "oracle-check": [], "report": ["--out-dir", "rep"]}
+# a config-file value and a flag value of each setting type
+SAMPLES = {int: (3, 4), float: (0.25, 0.5), str: ("a", "b"), (str, list): ("a", "b")}
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("sub, row", [pytest.param(sub, row, id=f"{sub}-{row[0]}")
+                                          for sub, rows in cli._SETTINGS.items()
+                                          for row in rows])
+    def test_flag_help_config_key_and_default(self, sub, row, tmp_path, capsys, monkeypatch):
+        key, kind, default, text = row
+        flag = {"target_coverage": "--target", "cost_kind": "--cost"}.get(
+            key, "--" + key.replace("_", "-"))
+        monkeypatch.setenv("COLUMNS", "1000")   # no help line wraps
+        with pytest.raises(SystemExit) as exc:
+            run([sub, "--help"])
+        assert exc.value.code == 0
+        shown = ("required" if default is cli._REQUIRED
+                 else "optional" if default is None else f"default {default}")
+        assert (f"{flag} {key.upper()} {text} ({shown})"
+                in " ".join(capsys.readouterr().out.split()))
+
+        required = {k: SAMPLES[t][0] for k, t, d, _ in cli._SETTINGS[sub]
+                    if d is cli._REQUIRED}
+        cfg = tmp_path / "cfg.json"
+
+        def resolved(config, *flags):
+            cfg.write_text(json.dumps(config))
+            args = cli.build_parser().parse_args([sub, "--config", str(cfg),
+                                                  *FLAG_ONLY[sub], *flags])
+            return cli._settings(args, cli._command_config(args))[key]
+
+        from_file, from_flag = SAMPLES[kind]
+        if default is not cli._REQUIRED:
+            assert resolved(required) == default
+        assert resolved({**required, key: from_file}) == from_file
+        assert resolved({**required, key: from_file}, flag, str(from_flag)) == from_flag
+
+    @pytest.mark.parametrize("argv, flag, value, check", [
+        (["intervals", "--model", "m.json", "--data", "d.csv", "--gamma", "2", "--alpha", "0.2",
+          "--out", "{out}/iv.csv"], "--arm", 2, lambda: check_arm(2)),
+        (["gamma-search", "--model", "m.json", "--test", "t.csv", "--target", "0.8",
+          "--out", "{out}/r.json"], "--arm", 2, lambda: check_arm(2)),
+        (["report", "--model", "m.json", "--test", "t.csv", "--out-dir", "{out}/rep"],
+         "--arm", 2, lambda: check_arm(2)),
+        (["train", "--data", "d.csv", "--out", "{out}/m.json"], "--head", "poisson",
+         lambda: Head("poisson")),
+        (["gamma-search", "--model", "m.json", "--test", "t.csv", "--target", "0.8",
+          "--out", "{out}/r.json"], "--cost", "relative", lambda: CostKind("relative")),
+    ], ids=["intervals-arm-2", "gamma-search-arm-2", "report-arm-2", "train-head-poisson",
+            "gamma-search-cost-relative"])
+    def test_bad_flag_fails_as_the_config_value(self, tmp_path, capsys, argv, flag, value,
+                                                check):
+        with pytest.raises(ValueError) as library:
+            check()
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [a.format(out=out) for a in argv]
+        key = {"--cost": "cost_kind"}.get(flag, flag[2:])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({argv[0]: {key: value}}))
+        errors = []
+        for extra in ([flag, value], ["--config", cfg]):
+            assert run(argv + extra) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "config error" in errors[0] and str(library.value) in errors[0]
+        assert not list(out.iterdir())
+
+    def test_report_takes_no_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["report", "--seed", 1, "--lengths", "l.json", "--out-dir", tmp_path / "rep"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("argv", [
         ["gamma-search", "--model", "{model}", "--test", "{data}/test.csv",
@@ -251,6 +331,7 @@ class TestConfigErrors:
         assert run([a.format(**paths) for a in argv]) == 2
         assert "config error" in capsys.readouterr().err
         assert not [f for f in out.rglob("*") if f.is_file()]
+        assert not (out / "rep").exists()
 
     @pytest.mark.parametrize("train_cfg", [
         {"warmup_epochs": -3}, {"warmup_epochs": 0}, {"warmup_epochs": "5"},
@@ -687,6 +768,13 @@ class TestOracleCheck:
     def test_m12_refused(self, capsys):
         assert run(["oracle-check", "--m", 12, "--trials", 5]) == 2
         assert "refused" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--m", 0], "refused"), (["--m", 3, "--trials", 0], "trials must be >= 1")],
+        ids=["m-0", "trials-0"])
+    def test_bad_size_exits_2(self, capsys, argv, message):
+        assert run(["oracle-check", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_m4_passes(self):
         assert run(["oracle-check", "--seed", 1, "--m", 4, "--trials", 12]) == 0
