@@ -21,8 +21,7 @@ from .benchgen import (GeneratorConfig, binarize_treatment, generate_dataset,
                        generate_panel, random_projection, rank_normalize,
                        synthetic_features, write_benchmark)
 from .evalharness import (CostKind, EvalConfig, ExperimentReport, cost_abs_std,
-                          cost_mass, cost_relative, coverage, gamma_star_search,
-                          run_experiment)
+                          cost_mass, coverage, gamma_star_search, run_experiment)
 from .mlp import (EnsembleModel, Head, MlpParams, ModelFileError, TrainConfig,
                   TrainingDivergedError, fit_propensity, load_model,
                   load_propensity, predict_components_batch,
@@ -44,7 +43,7 @@ __all__ = [
     "GeneratorConfig", "binarize_treatment", "generate_dataset", "generate_panel",
     "random_projection", "rank_normalize", "synthetic_features", "write_benchmark",
     "CostKind", "EvalConfig", "ExperimentReport", "cost_abs_std", "cost_mass",
-    "cost_relative", "coverage", "gamma_star_search", "run_experiment",
+    "coverage", "gamma_star_search", "run_experiment",
     "EnsembleModel", "Head", "MlpParams", "ModelFileError", "TrainConfig",
     "TrainingDivergedError", "fit_propensity", "load_model",
     "load_propensity", "predict_components_batch", "predict_propensity_batch",

@@ -42,6 +42,12 @@ SYNTHETIC_RANK = 8
 _BLOCK_ROWS = 1024
 
 
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, which numpy's generators refuse."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     n_visible: int = 32
@@ -72,6 +78,7 @@ class GeneratorConfig:
             if not ok:
                 want = "a finite number" if kind is float else kind.__name__
                 raise ValueError(f"{f.name} must be {want}, got {value!r}")
+        check_seed(self.seed)
         if self.n_visible < 1 or self.n_hidden < 1:
             raise ValueError("n_visible and n_hidden must be >= 1")
         if not 0.0 < self.treatment_threshold < 1.0:

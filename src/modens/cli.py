@@ -8,6 +8,9 @@ The flag is the key with dashes, except where ``_FLAGS`` renames it, and
 config file, else the default, before any file is read; the library's
 checks (``mlp.Head``, ``check_arm``, ``CostKind`` and the rest) are the
 only checks on its value, so a bad flag and a bad config value fail alike.
+A retired setting (``_RETIRED``) that an older config file or manifest
+still gives replays at the value the program now always uses; any other
+value is a configuration error.
 Every subcommand but oracle-check, which only prints, writes a manifest
 echoing the resolved configuration with its hash.  Every CSV, read or
 written, goes through ``data``.  Exit codes: 0 success (a FAILURE verdict
@@ -20,7 +23,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -32,7 +34,7 @@ from .core import (brute_force_extreme_quantile, check_alpha, check_brute_force_
                    maximize_quantile, minimize_quantile, modulated_intervals_batch)
 from .data import load_dataset_csv, load_feature_csv, write_table
 from .dist import ComponentDistribution, Family
-from .evalharness import (CostKind, EvalConfig, check_arm, cost_mass, cost_relative, coverage,
+from .evalharness import (CostKind, EvalConfig, check_arm, cost_mass, coverage,
                           modulated_interval_arrays, run_experiment)
 from .sensitivity import SensitivityConfig, check_gamma, msm_bounds
 
@@ -104,7 +106,8 @@ _REQUIRED = object()
 _MODEL = ("model", str, _REQUIRED, "ensemble JSON")
 _PROPENSITY = ("propensity_model", str, None,
                "propensity model JSON; without it, the one train wrote next to the model")
-_SEED = ("seed", int, 0, "RNG seed")
+_TEST = ("test", str, _REQUIRED, "test CSV with y0/y1")
+_SEED = ("seed", int, 0, "RNG seed, >= 0")
 _ARM = ("arm", int, 1, "treatment arm scored, 0 or 1")
 
 # Every setting a flag or the config file may give, by subcommand:
@@ -121,7 +124,6 @@ _SETTINGS = {
         _SEED,
         ("hidden", (str, list), "64,64", "comma-separated hidden-layer widths"),
         ("epochs", int, 2000, "training epochs per member"),
-        ("step", float, 1e-2, "Adam step size"),
     ),
     "intervals": (
         _MODEL, _PROPENSITY,
@@ -129,11 +131,9 @@ _SETTINGS = {
         ("gamma", float, _REQUIRED, "sensitivity budget"),
         ("alpha", float, _REQUIRED, "miscoverage"),
         ("arm", int, None, "score this arm on every row; without it, each row's treatment"),
-        _SEED,
     ),
     "gamma-search": (
-        _MODEL, _PROPENSITY,
-        ("test", str, _REQUIRED, "test CSV with y0/y1"),
+        _MODEL, _PROPENSITY, _TEST,
         ("target_coverage", float, _REQUIRED, "coverage target"),
         ("alpha", float, None, "interval miscoverage; without it, 1 - target"),
         ("gamma_tol", float, 0.05, "search tolerance on gamma"),
@@ -147,16 +147,21 @@ _SETTINGS = {
         _SEED,
     ),
     "report": (
-        ("lengths", str, None, "JSON {method: mean_length} for a relative-cost table"),
-        ("model", str, None, "ensemble JSON for the coverage curve, with --test"),
-        _PROPENSITY,
-        ("test", str, None, "test CSV with y0/y1 for the coverage curve"),
+        _MODEL, _PROPENSITY, _TEST,
         ("gammas", str, "1,2,5,10,25,50", "comma-separated gammas of the coverage curve"),
         ("alpha", float, 0.05, "miscoverage"),
         _ARM,
     ),
 }
 _FLAGS = {"target_coverage": "--target", "cost_kind": "--cost"}
+
+# Settings since retired, by subcommand: (config key, the value the program
+# now always uses, why).  Older config files and manifests may still give
+# them; a different value would change the answer, so it is not ignored.
+_RETIRED = {
+    "train": (("step", mlp._ADAM_STEP, f"Adam's step size is fixed at {mlp._ADAM_STEP}"),),
+    "report": (("lengths", None, "report no longer writes a relative-cost table"),),
+}
 
 
 def _flag(key: str) -> str:
@@ -165,9 +170,17 @@ def _flag(key: str) -> str:
 
 def _settings(args, config: dict) -> dict:
     """The subcommand's settings by config key, each resolved by
-    ``_setting`` from its flag and the config file section ``config``."""
-    return {key: _setting(getattr(args, key), config, key, kind, default)
-            for key, kind, default, _ in _SETTINGS[args.subcommand]}
+    ``_setting`` from its flag and the config file section ``config``,
+    after any retired setting the section gives is checked."""
+    for key, value, why in _RETIRED.get(args.subcommand, ()):
+        if config.get(key) is not None and config[key] != value:
+            raise ConfigError(f"{key}={config[key]!r} cannot be set: {why}")
+    s = {key: _setting(getattr(args, key), config, key, kind, default)
+         for key, kind, default, _ in _SETTINGS[args.subcommand]}
+    if "seed" in s:
+        with _config_errors():
+            benchgen.check_seed(s["seed"])
+    return s
 
 
 def _setting(flag_value, config: dict, key: str, kind: type, default):
@@ -240,8 +253,8 @@ def _train_config_from(s: dict, config: dict, head: mlp.Head) -> mlp.TrainConfig
         raise ConfigError(f"hidden must be comma-separated integers or a list of "
                           f"integers, got {hidden!r}")
     with _config_errors("train config"):
-        return mlp.TrainConfig(hidden=tuple(widths), epochs=s["epochs"], step=s["step"],
-                               head=head, warmup_epochs=config.get("warmup_epochs"))
+        return mlp.TrainConfig(hidden=tuple(widths), epochs=s["epochs"], head=head,
+                               warmup_epochs=config.get("warmup_epochs"))
 
 
 def _cmd_train(args, s: dict, config: dict) -> int:
@@ -254,12 +267,14 @@ def _cmd_train(args, s: dict, config: dict) -> int:
     with _config_errors():
         mlp.check_members(s["members"])
     out = Path(args.out)
+    prop_path = _propensity_path_for(out, args.propensity_out)
     _check_writable_parent(out)
+    _check_writable_parent(prop_path)
     data = load_dataset_csv(args.data)
     model = mlp.train_ensemble(data, train_cfg, s["seed"], m=s["members"])
-    mlp.save_model(model, out)
-    prop_path = _propensity_path_for(out, args.propensity_out)
     prop = mlp.fit_propensity(data, train_cfg, s["seed"])
+    # nothing is written until both fits succeed
+    mlp.save_model(model, out)
     mlp.save_propensity(prop, prop_path, seed=s["seed"])
     resolved = {**s, "data": str(args.data), "hidden": list(train_cfg.hidden),
                 "warmup_epochs": train_cfg.resolved_warmup_epochs()}
@@ -403,55 +418,31 @@ def _cmd_oracle_check(args, s: dict, _config: dict) -> int:
 # ------------------------------------------------------------------ report
 
 def _cmd_report(args, s: dict, _config: dict) -> int:
-    lengths_path, with_curve = s["lengths"], bool(s["model"] and s["test"])
-    if not (lengths_path or with_curve):
-        raise ConfigError("report needs --lengths and/or (--model and --test)")
-    if with_curve:
-        with _config_errors():
-            gammas = [check_gamma(g) for g in s["gammas"].split(",") if g]
-            check_alpha(s["alpha"])
-            check_arm(s["arm"])
-        if not gammas:
-            raise ConfigError(f"gammas must list at least one gamma, got {s['gammas']!r}")
+    with _config_errors():
+        gammas = [check_gamma(g) for g in s["gammas"].split(",") if g]
+        check_alpha(s["alpha"])
+        check_arm(s["arm"])
+    if not gammas:
+        raise ConfigError(f"gammas must list at least one gamma, got {s['gammas']!r}")
     out_dir = Path(args.out_dir)
     _check_writable_dir(out_dir)
-    wrote = []
-    if lengths_path:
-        with _config_errors("lengths file", (OSError, json.JSONDecodeError)):
-            lengths = json.loads(Path(lengths_path).read_text(encoding="utf-8"))
-        # bools are ints to json; NaN and Infinity parse as floats
-        if not (isinstance(lengths, dict) and lengths and all(
-                type(v) in (int, float) and 0.0 < v < math.inf for v in lengths.values())):
-            raise ConfigError(f"lengths file {lengths_path}: expected a JSON object "
-                              f"mapping method names to finite positive numbers")
-        lengths = {str(k): float(v) for k, v in lengths.items()}
-        rel = cost_relative(lengths)
-        names = sorted(rel)
-        path = out_dir / "relative_costs.csv"
-        write_table(path, {"method": names, "mean_length": [lengths[k] for k in names],
-                           "relative_cost": [rel[k] for k in names],
-                           "excess": [rel[k] - 1.0 for k in names]})
-        wrote.append(path)
-    propensity_model = s["propensity_model"]
-    if with_curve:
-        model, prop, propensity_model = _load_models(Path(s["model"]), propensity_model)
-        test = load_dataset_csv(s["test"])
-        if test.potential_outcomes is None:
-            raise ConfigError(f"{s['test']}: report needs y0/y1 columns")
-        arm = s["arm"]
-        intervals = modulated_interval_arrays(model, prop, test.covariates,
-                                              np.full(test.n, arm), s["alpha"])
-        outcomes = test.potential_outcomes[:, arm]
-        curve = [intervals(g) for g in gammas]
-        path = out_dir / "coverage_curve.csv"
-        write_table(path, {"gamma": gammas,
-                           "coverage": [coverage(lo, hi, outcomes) for lo, hi in curve],
-                           "mean_length": [float(np.mean(hi - lo)) for lo, hi in curve],
-                           "cost_mass": [cost_mass(lo, hi, outcomes) for lo, hi in curve]})
-        wrote.append(path)
+    model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
+    test = load_dataset_csv(s["test"])
+    if test.potential_outcomes is None:
+        raise ConfigError(f"{s['test']}: report needs y0/y1 columns")
+    arm = s["arm"]
+    intervals = modulated_interval_arrays(model, prop, test.covariates,
+                                          np.full(test.n, arm), s["alpha"])
+    outcomes = test.potential_outcomes[:, arm]
+    curve = [intervals(g) for g in gammas]
+    path = out_dir / "coverage_curve.csv"
+    write_table(path, {"gamma": gammas,
+                       "coverage": [coverage(lo, hi, outcomes) for lo, hi in curve],
+                       "mean_length": [float(np.mean(hi - lo)) for lo, hi in curve],
+                       "cost_mass": [cost_mass(lo, hi, outcomes) for lo, hi in curve]})
     _write_manifest(out_dir / "report.manifest.json", "report",
-                    {**s, "propensity_model": propensity_model})
-    print("wrote " + ", ".join(str(p) for p in wrote))
+                    {**s, "propensity_model": prop_path})
+    print(f"wrote {path}")
     return 0
 
 

@@ -6,8 +6,7 @@ the de-confounded test outcomes reaches the target (gamma*=1 when no
 budget is needed; FAILURE when even gamma=50 falls short), then score the
 interval size at gamma* with one of two cost functions: absolute length
 scaled to the outcome standard deviation, or mass under the empirical
-outcome distribution.  ``cost_relative`` compares the mean lengths of
-competing methods for ``report``; no search scores with it.
+outcome distribution.
 
 Intervals travel as ``(lo, hi)`` endpoint arrays: the search turns each
 probe's intervals into arrays once, the costs and ``ExperimentReport``
@@ -29,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -153,18 +152,6 @@ def cost_abs_std(lo: np.ndarray, hi: np.ndarray, outcome_std: float) -> float:
     if outcome_std <= 0.0:
         raise ValueError("outcome_std must be > 0")
     return float(np.mean(hi - lo)) / float(outcome_std)
-
-
-def cost_relative(lengths_by_method: Mapping[str, float]) -> dict[str, float]:
-    """Each method's mean length divided by the smallest one, so the best
-    method maps to 1.  (Reports subtract 1 to express the excess.)"""
-    if not lengths_by_method:
-        raise ValueError("need at least one method")
-    for name, length in lengths_by_method.items():
-        if not length > 0.0:
-            raise ValueError(f"method {name!r} has nonpositive length {length}")
-    best = min(lengths_by_method.values())
-    return {name: length / best for name, length in lengths_by_method.items()}
 
 
 def cost_mass(lo: np.ndarray, hi: np.ndarray, test_outcomes: Sequence[float]) -> float:

@@ -38,7 +38,7 @@ from .data import Dataset
 
 SCALE_FLOOR = 1e-6
 SCHEMA_VERSION = 1
-_ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_ADAM_STEP, _ADAM_B1, _ADAM_B2, _ADAM_EPS = 1e-2, 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -61,16 +61,18 @@ class Head(enum.Enum):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Hidden widths, full-batch epochs, outcome head and the Cauchy
+    warm-up length.  Adam's step size and moment constants are fixed
+    (``_ADAM_STEP``, ``_ADAM_B1``, ``_ADAM_B2``, ``_ADAM_EPS``)."""
+
     hidden: tuple[int, ...] = (64, 64)
     epochs: int = 2000
-    step: float = 1e-2
     head: Head = Head.GAUSSIAN
     # Gaussian-on-ranks warm-up epochs before Cauchy fine-tuning; None = epochs // 2
     warmup_epochs: int | None = None
 
     def __post_init__(self):
-        if (self.epochs < 1 or not 0.0 < self.step < math.inf  # NaN fails too
-                or any(h < 1 for h in self.hidden)):
+        if self.epochs < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("invalid training configuration")
         w = self.warmup_epochs
         if w is not None and (type(w) is not int or w < 1):
@@ -263,7 +265,7 @@ def nll(params: MlpParams, X: np.ndarray, target: np.ndarray,
 
 
 def _adam_fit(params: MlpParams, X: np.ndarray, target: np.ndarray,
-              epochs: int, step: float, counts: np.ndarray | None = None,
+              epochs: int, counts: np.ndarray | None = None,
               target_var: np.ndarray | None = None) -> MlpParams:
     """Full-batch Adam keeping the best-NLL parameter snapshot, so the
     returned NLL never exceeds the initial one (epoch 1's loss); `counts`
@@ -289,7 +291,7 @@ def _adam_fit(params: MlpParams, X: np.ndarray, target: np.ndarray,
         for k, (a, g) in enumerate(zip(arrays, gw + gb)):
             m1[k] = _ADAM_B1 * m1[k] + (1 - _ADAM_B1) * g
             m2[k] = _ADAM_B2 * m2[k] + (1 - _ADAM_B2) * g ** 2
-            a -= step * (m1[k] / c1) / (np.sqrt(m2[k] / c2) + _ADAM_EPS)
+            a -= _ADAM_STEP * (m1[k] / c1) / (np.sqrt(m2[k] / c2) + _ADAM_EPS)
     final_loss = nll(params, X, target, counts, target_var)
     if math.isfinite(final_loss) and final_loss < best_loss:
         return params
@@ -338,7 +340,7 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
         del rows, idx, copy_row
         mu_y = float(np.mean(data.outcomes))
         sd_y = max(float(np.std(data.outcomes)), 1e-12)
-        params = _adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step, counts)
+        params = _adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, counts)
         _fold_affine(params, sd_y, mu_y)
         return params
 
@@ -353,8 +355,8 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     dev = ranks - rank_mean[copy_row]   # from deviations, not E[r^2] - mean^2
     rank_var = np.bincount(copy_row, weights=dev * dev) / counts
     del rows, idx, copy_row, y_boot, ranks, dev
-    params = _adam_fit(params, X, rank_mean, config.resolved_warmup_epochs(), config.step,
-                       counts, rank_var)
+    params = _adam_fit(params, X, rank_mean, config.resolved_warmup_epochs(), counts,
+                       rank_var)
     del rank_mean, rank_var
     # quartile-matched affine map from predicted rank space to outcome units
     out = _net_forward(params, X)[0]
@@ -368,7 +370,7 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     params.weights[-1][:, 1] = 0.0
     params.biases[-1][1] = math.log(max((q75 - q25) / 2.0, 1e-3))
     params.head = Head.CAUCHY
-    return _adam_fit(params, X, y, config.epochs, config.step, counts)
+    return _adam_fit(params, X, y, config.epochs, counts)
 
 
 def check_members(m: int) -> None:
@@ -394,7 +396,7 @@ def fit_propensity(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
     sizes = (data.d, *config.hidden, 1)
     params = init_params(sizes, Head.PROPENSITY, rng)
     return _adam_fit(params, data.covariates, data.treatments.astype(np.float64),
-                     config.epochs, config.step)
+                     config.epochs)
 
 
 def _covariate_matrix(X: np.ndarray, d: int) -> np.ndarray:

@@ -147,11 +147,11 @@ def replicated_train_member(data, config, seed: int):
     if config.head is Head.GAUSSIAN:
         mu_y = float(np.mean(data.outcomes))
         sd_y = max(float(np.std(data.outcomes)), 1e-12)
-        params = mlp._adam_fit(params, X, (y - mu_y) / sd_y, config.epochs, config.step)
+        params = mlp._adam_fit(params, X, (y - mu_y) / sd_y, config.epochs)
         mlp._fold_affine(params, sd_y, mu_y)
         return params
     params = mlp._adam_fit(params, X, rank_normalize_ref(y),
-                           config.resolved_warmup_epochs(), config.step)
+                           config.resolved_warmup_epochs())
     out, _ = mlp._net_forward(params, X)
     q25, q50, q75 = np.percentile(y, [25.0, 50.0, 75.0])
     r25, r50, r75 = np.percentile(out[:, 0], [25.0, 50.0, 75.0])
@@ -161,7 +161,7 @@ def replicated_train_member(data, config, seed: int):
     params.weights[-1][:, 1] = 0.0
     params.biases[-1][1] = math.log(max((q75 - q25) / 2.0, 1e-3))
     params.head = Head.CAUCHY
-    return mlp._adam_fit(params, X, y, config.epochs, config.step)
+    return mlp._adam_fit(params, X, y, config.epochs)
 
 
 def reference_nll_and_grads(params, X, target, counts=None, target_var=None):

@@ -265,3 +265,5 @@ class TestConfigValidation:
             GeneratorConfig(treatment_threshold=1.0)
         with pytest.raises(ValueError):
             GeneratorConfig(noise_family="levy")
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            GeneratorConfig(seed=-1)

@@ -292,9 +292,25 @@ class TestSettingsTable:
 
     def test_report_takes_no_seed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["report", "--seed", 1, "--lengths", "l.json", "--out-dir", tmp_path / "rep"])
+            run(["report", "--model", "m.json", "--test", "t.csv", "--seed", 1,
+                 "--out-dir", tmp_path / "rep"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--data", "d.csv", "--out", "{out}/m.json"], "--step"),
+        (["report", "--model", "m.json", "--test", "t.csv", "--out-dir", "{out}/rep"],
+         "--lengths"),
+        (["intervals", "--model", "m.json", "--data", "d.csv", "--gamma", "2", "--alpha", "0.2",
+          "--out", "{out}/iv.csv"], "--seed"),
+    ], ids=["train-step", "report-lengths", "intervals-seed"])
+    def test_retired_flag_is_unrecognized(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run([a.format(out=tmp_path) for a in argv] + [flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestConfigErrors:
@@ -305,7 +321,7 @@ class TestConfigErrors:
          "--target", "0.9", "--gamma-tol", "nan", "--out", "{tmp}/r.json"],
         ["train", "--data", "{data}/train.csv", "--members", "0",
          "--out", "{tmp}/m.json"],
-        ["train", "--data", "{data}/train.csv", "--step", "nan",
+        ["train", "--data", "{data}/train.csv", "--config", "{cfg}",
          "--out", "{tmp}/m.json"],
         ["report", "--model", "{model}", "--test", "{data}/test.csv",
          "--gammas", "1,nan", "--out-dir", "{tmp}/rep"],
@@ -319,17 +335,29 @@ class TestConfigErrors:
          "--alpha", "5e-324", "--out-dir", "{tmp}/rep"],
         ["gamma-search", "--model", "{model}", "--test", "{data}/test.csv",
          "--target", "0.9", "--config", "{cfg}", "--out", "{tmp}/r.json"],
+        ["generate", "--seed", "-1", "--out-dir", "{tmp}/gen"],
+        ["train", "--data", "{data}/train.csv", "--seed", "-1", "--members", "1",
+         "--hidden", "2", "--epochs", "1", "--out", "{tmp}/m.json"],
+        ["oracle-check", "--seed", "-1", "--m", "2", "--trials", "1"],
+        ["train", "--data", "{data}/train.csv", "--members", "1", "--hidden", "2",
+         "--epochs", "1", "--propensity-out", "{tmp}/missing/p.json", "--out", "{tmp}/m.json"],
     ], ids=["gamma-tol-0", "gamma-tol-nan", "members-0", "step-nan", "gamma-nan",
             "gammas-empty", "intervals-gamma-0.5", "report-gammas-0.5",
-            "report-alpha-halves-to-0", "gamma-search-file-arm-2"])
+            "report-alpha-halves-to-0", "gamma-search-file-arm-2", "generate-seed-negative",
+            "train-seed-negative", "oracle-check-seed-negative",
+            "train-propensity-out-dir-missing"])
     def test_config_error_exits_2(self, bench_dir, trained_model, tmp_path, argv, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma-search": {"arm": 2}}))
+        # the retired step setting is an error at any value but 0.01
+        cfg.write_text(json.dumps({"gamma-search": {"arm": 2}, "train": {"step": float("nan")}}))
         out = tmp_path / "out"
         out.mkdir()
         paths = {"model": trained_model, "data": bench_dir, "tmp": out, "cfg": cfg}
         assert run([a.format(**paths) for a in argv]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if "--seed" in argv:
+            assert "seed must be >= 0, got -1" in err
         assert not [f for f in out.rglob("*") if f.is_file()]
         assert not (out / "rep").exists()
 
@@ -389,10 +417,9 @@ class TestSubcommandConfigFiles:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", [{"gamma": "2"}, {"gamma": True}, {"arm": 2},
-                                         {"seed": 1.5}, {"alpha": None}, {"alpha": 5e-324},
-                                         {"gamma": 0.5}],
-                             ids=["gamma-str", "gamma-bool", "arm-2", "seed-float",
-                                  "alpha-null", "alpha-halves-to-0", "gamma-0.5"])
+                                         {"alpha": None}, {"alpha": 5e-324}, {"gamma": 0.5}],
+                             ids=["gamma-str", "gamma-bool", "arm-2", "alpha-null",
+                                  "alpha-halves-to-0", "gamma-0.5"])
     def test_bad_intervals_setting_exits_2(self, bench_dir, trained_model, tmp_path,
                                            setting, capsys):
         cfg = tmp_path / "iv.json"
@@ -582,6 +609,17 @@ class TestTrain:
                     "--out", tmp_path / "x.json"]) == 2
         assert "Gaussian heads train on standardized outcomes" in capsys.readouterr().err
 
+    def test_failed_propensity_fit_writes_nothing(self, bench_dir, tmp_path, monkeypatch,
+                                                  capsys):
+        def diverge(*args):
+            raise cli.mlp.TrainingDivergedError("propensity diverged")
+
+        monkeypatch.setattr(cli.mlp, "fit_propensity", diverge)
+        assert run(["train", "--data", bench_dir / "train.csv", "--members", 1,
+                    "--hidden", "2", "--epochs", 2, "--out", tmp_path / "m.json"]) == 1
+        assert "propensity diverged" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_corrupt_csv_row_named_in_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,t,y\n0.1,0,1.0\n0.2,zzz,2.0\n")
@@ -599,6 +637,56 @@ class TestTrain:
                     "--epochs", 5, "--out", tmp_path / "m.json"])
         assert code == 1
         assert f"{bad}: row 2: y must be finite, got '{value}'" in capsys.readouterr().err
+
+
+class TestRetiredSettings:
+    """Manifests written while train had ``step``, report had ``lengths``
+    and intervals had ``seed`` still replay when they record what the
+    program now does; any other step is a config error (any other lengths:
+    ``TestReport::test_malformed_lengths_exit_2``)."""
+
+    def replay(self, manifest, extra, argv):
+        old = manifest.parent / "old.json"
+        doc = json.loads(manifest.read_text())
+        old.write_text(json.dumps({"config": {**doc["config"], **extra}}))
+        return run(argv + ["--config", old])
+
+    def test_train_step(self, bench_dir, tmp_path, capsys):
+        first, replay = tmp_path / "a" / "m.json", tmp_path / "b" / "m.json"
+        first.parent.mkdir()
+        replay.parent.mkdir()
+        assert run(["train", "--data", bench_dir / "train.csv", "--head", "cauchy",
+                    "--seed", 3, "--members", 2, "--hidden", "4", "--epochs", 6,
+                    "--out", first]) == 0
+        manifest = first.with_suffix(".json.manifest.json")
+        assert "step" not in json.loads(manifest.read_text())["config"]
+        argv = ["train", "--data", bench_dir / "train.csv"]
+        assert self.replay(manifest, {"step": 0.01}, argv + ["--out", replay]) == 0
+        for name in ("m.json", "m.propensity.json", "m.json.manifest.json"):
+            assert (replay.parent / name).read_bytes() == (first.parent / name).read_bytes()
+        capsys.readouterr()
+        assert self.replay(manifest, {"step": 0.05}, argv + ["--out", tmp_path / "x.json"]) == 2
+        assert "config error: step=0.05 cannot be set" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_report_lengths(self, bench_dir, trained_model, tmp_path):
+        first, replay = tmp_path / "a", tmp_path / "b"
+        assert run(["report", "--model", trained_model, "--test", bench_dir / "test.csv",
+                    "--gammas", "1,3", "--out-dir", first]) == 0
+        manifest = first / "report.manifest.json"
+        assert "lengths" not in json.loads(manifest.read_text())["config"]
+        assert self.replay(manifest, {"lengths": None}, ["report", "--out-dir", replay]) == 0
+        for name in ("coverage_curve.csv", "report.manifest.json"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+    def test_intervals_seed_is_ignored(self, bench_dir, trained_model, tmp_path):
+        first, replay = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["intervals", "--model", trained_model, "--data", bench_dir / "valid.csv",
+                    "--gamma", 2, "--alpha", 0.2, "--out", first]) == 0
+        manifest = first.with_suffix(".csv.manifest.json")
+        assert "seed" not in json.loads(manifest.read_text())["config"]
+        assert self.replay(manifest, {"seed": 1.5}, ["intervals", "--out", replay]) == 0
+        assert replay.read_bytes() == first.read_bytes()
 
 
 class TestIntervals:
@@ -803,26 +891,18 @@ class TestOracleCheck:
 
 
 class TestReport:
-    def test_relative_costs_table(self, tmp_path):
-        lengths = tmp_path / "lengths.json"
-        lengths.write_text(json.dumps({"ours": 2.0, "baseline": 4.0}))
-        out = tmp_path / "rep"
-        assert run(["report", "--lengths", lengths, "--out-dir", out]) == 0
-        text = (out / "relative_costs.csv").read_text().splitlines()
-        assert text[0] == "method,mean_length,relative_cost,excess"
-        rows = {line.split(",")[0]: line.split(",") for line in text[1:]}
-        assert float(rows["ours"][2]) == 1.0
-        assert float(rows["baseline"][3]) == 1.0
-
     @pytest.mark.parametrize("doc", ['[2.0]', '{"a": null}', '{"a": "x"}', '{"a": true}',
                                      '{"a": Infinity}', '{}'])
     def test_malformed_lengths_exit_2(self, tmp_path, doc, capsys):
-        lengths = tmp_path / "lengths.json"
-        lengths.write_text(doc)
+        # lengths is retired: a config that still gives one, of any shape, is refused
+        # before any file is read or written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"report": {"lengths": json.loads(doc)}}))
         out = tmp_path / "rep"
-        assert run(["report", "--lengths", lengths, "--out-dir", out]) == 2
-        assert "finite positive numbers" in capsys.readouterr().err
-        assert not (out / "relative_costs.csv").exists()
+        assert run(["report", "--model", "m.json", "--test", "t.csv", "--config", cfg,
+                    "--out-dir", out]) == 2
+        assert "config error: lengths=" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_coverage_curve(self, bench_dir, trained_model, tmp_path):
         out = tmp_path / "rep"
@@ -835,12 +915,23 @@ class TestReport:
         covs = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(a <= b + 1e-12 for a, b in zip(covs, covs[1:]))
 
-    def test_no_mode_exits_2(self, tmp_path):
+    def test_no_mode_exits_2(self, tmp_path, capsys):
         assert run(["report", "--out-dir", tmp_path / "rep"]) == 2
+        assert "--model is required" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("given, missing", [(["--model", "m.json"], "--test"),
+                                                (["--test", "t.csv"], "--model")],
+                             ids=["model-only", "test-only"])
+    def test_model_and_test_are_required(self, tmp_path, capsys, given, missing):
+        # the one table, the coverage curve, needs both
+        assert run(["report", *given, "--out-dir", tmp_path / "rep"]) == 2
+        assert f"config error: {missing} is required" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
 
 class TestReportTableBytes:
-    """The four report tables, byte for byte, for fixed endpoints: the
+    """The three report tables, byte for byte, for fixed endpoints: the
     solver is stubbed so that only the table writer decides the text."""
 
     LO = np.array([-0.0, -0.1, -1.5])
@@ -880,17 +971,6 @@ class TestReportTableBytes:
             b"gamma,coverage,mean_length,cost_mass\n"
             b"1.0,0.3333333333333333,1.4666666666666668,0.39562841530054643\n"
             b"2.0,1.0,2.9333333333333336,0.6163934426229508\n")
-
-    def test_relative_costs_csv(self, tmp_path):
-        lengths = tmp_path / "lengths.json"
-        lengths.write_text(json.dumps({"ours": 0.5, "baseline": 2, "wide": 0.75}))
-        out = tmp_path / "rep"
-        assert run(["report", "--lengths", lengths, "--out-dir", out]) == 0
-        assert (out / "relative_costs.csv").read_bytes() == (
-            b"method,mean_length,relative_cost,excess\n"
-            b"baseline,2.0,4.0,3.0\n"
-            b"ours,0.5,1.0,0.0\n"
-            b"wide,0.75,1.5,0.5\n")
 
     def test_points_csv(self, tmp_path):
         from modens.evalharness import ExperimentReport

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from modens import (CostKind, EvalConfig, OutcomeInterval, cost_abs_std, cost_mass,
-                    cost_relative, coverage, gamma_star_search)
+                    coverage, gamma_star_search)
 
 
 def iv(lo, hi, alpha=0.1, gamma=1.0):
@@ -61,25 +61,6 @@ class TestCostAbsStd:
         scaled = [iv(3 * x.lo, 3 * x.hi) for x in ivs]
         assert cost_abs_std(*ends(scaled), std) == pytest.approx(3 * c1)
         assert cost_abs_std(*ends(scaled), 3 * std) == pytest.approx(c1)
-
-
-class TestCostRelative:
-    def test_two_methods(self):
-        out = cost_relative({"a": 2.0, "b": 4.0})
-        assert out == {"a": 1.0, "b": 2.0}
-
-    def test_single_method(self):
-        assert cost_relative({"x": 7.0}) == {"x": 1.0}
-
-    def test_equal_lengths(self):
-        out = cost_relative({"a": 3.0, "b": 3.0, "c": 3.0})
-        assert all(v == 1.0 for v in out.values())
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            cost_relative({"a": 0.0})
-        with pytest.raises(ValueError):
-            cost_relative({})
 
 
 class TestCostMass:
