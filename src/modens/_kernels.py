@@ -346,9 +346,6 @@ def interval_k(fam, loc, scale, lower, upper, alpha, tol):
 
 # ---------------------------------------------------- row-lockstep kernel
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def _cauchy_cdf_array(z):
     # cauchy_cdf's atan identities, without dividing by z where |z| <= 1
     far = np.abs(z) > 1.0
@@ -368,12 +365,12 @@ def signed_masses(fam, locs, scales, x, sign):
     with np.errstate(over="ignore"):
         z = (x[:, None] - locs) * np.reshape(sign, (-1, 1)) / scales
     gauss = fam == GAUSSIAN
-    if gauss.all():
-        return 0.5 * _erfc(-z / _SQRT2).astype(np.float64)
     if not gauss.any():
         return _cauchy_cdf_array(z)
     out = np.empty_like(z)
-    out[:, gauss] = 0.5 * _erfc(-z[:, gauss] / _SQRT2).astype(np.float64)
+    w = -z[:, gauss] / _SQRT2
+    out[:, gauss] = 0.5 * np.fromiter(map(math.erfc, w.ravel().tolist()), np.float64,
+                                      w.size).reshape(w.shape)
     out[:, ~gauss] = _cauchy_cdf_array(z[:, ~gauss])
     return out
 
@@ -511,14 +508,14 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
         hi = np.where(left, hi, x)
         fhi = np.where(left, fhi, fx)
         x1, f1 = x, fx
-        t = np.full(rows.size, 0.5)
-        i = np.flatnonzero(f3 != f2)
-        xi = (x1[i] - x2[i]) / (x3[i] - x2[i])
-        phi = (f1[i] - f2[i]) / (f3[i] - f2[i])
-        i = i[(phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)]
-        a1, a2, a3, b1, b2, b3 = x1[i], x2[i], x3[i], f1[i], f2[i], f3[i]
-        t[i] = (b1 / (b2 - b1) * b3 / (b2 - b3)
-                + (a3 - a1) / (a2 - a1) * b1 / (b3 - b1) * b2 / (b3 - b2))
+        # every row takes the formula; rows that fail the test (f3 == f2
+        # among them) discard its inf or NaN and take the midpoint
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (f3 != f2) & (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+            t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
     else:
         if np.any(hi - lo > tol):
             raise RuntimeError("mixture quantile bracket still open after "

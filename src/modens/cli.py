@@ -424,12 +424,12 @@ def _cmd_report(args, s: dict, _config: dict) -> int:
         check_arm(s["arm"])
     if not gammas:
         raise ConfigError(f"gammas must list at least one gamma, got {s['gammas']!r}")
-    out_dir = Path(args.out_dir)
-    _check_writable_dir(out_dir)
     model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
     test = load_dataset_csv(s["test"])
     if test.potential_outcomes is None:
         raise ConfigError(f"{s['test']}: report needs y0/y1 columns")
+    out_dir = Path(args.out_dir)
+    _check_writable_dir(out_dir)
     arm = s["arm"]
     intervals = modulated_interval_arrays(model, prop, test.covariates,
                                           np.full(test.n, arm), s["alpha"])

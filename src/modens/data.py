@@ -7,8 +7,11 @@ ends every line with CRLF, as ``csv.writer`` does, writes ``t`` as
 ``0``/``1`` and every float as its shortest round-trip ``repr``, so
 regeneration under a fixed seed is byte-identical.  It writes in blocks of
 rows: in each block it finds the distinct float bit patterns, and each
-cell's index into them, with ``np.unique``, and formats each distinct
-float once.  Report tables (``write_table``) end lines with LF instead.
+cell's index into them, with ``np.unique``.  It takes the texts of the
+patterns the previous block also held from that block, and formats only
+the others, so a float that recurs block after block (a value of the
+rank-normalized covariates' grid) is formatted once per file.  Report
+tables (``write_table``) end lines with LF instead.
 
 One reader parses dataset files and ``generate --features`` matrices (any
 header, every column a feature) with one ``np.loadtxt`` call.  It accepts
@@ -90,6 +93,9 @@ def _expected_header(d: int, with_potential: bool) -> list[str]:
 
 def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
     with_potential = ds.potential_outcomes is not None
+    # the previous block's distinct bit patterns, ascending, and their texts
+    known_bits = np.empty(0, dtype=np.int64)
+    known_text = np.empty(0, dtype=object)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_expected_header(ds.d, with_potential)) + _EOL)
         for start in range(0, ds.n, _WRITE_BLOCK_ROWS):
@@ -98,12 +104,19 @@ def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
                                + ([ds.potential_outcomes[block]] if with_potential else []))
             # Distinct bit patterns, not distinct values, so -0.0 keeps its
             # own text.  Rank-normalized covariates share one grid of
-            # values, so a block holds far fewer distinct floats than cells.
+            # values, so a block holds far fewer distinct floats than cells,
+            # and most of them were in the block before.
             bits, codes = np.unique(floats.view(np.int64), return_inverse=True)
-            text = np.array([repr(v) for v in bits.view(np.float64).tolist()] + ["0", "1"],
-                            dtype=object)
+            at = np.searchsorted(known_bits, bits)
+            hit = at < len(known_bits)
+            hit[hit] = known_bits[at[hit]] == bits[hit]
+            text = np.empty(len(bits), dtype=object)
+            text[hit] = known_text[at[hit]]
+            text[~hit] = [repr(v) for v in bits[~hit].view(np.float64).tolist()]
+            known_bits, known_text = bits, text
             cells = np.insert(codes.reshape(floats.shape), ds.d,
                               len(bits) + ds.treatments[block], axis=1)
+            text = np.append(text, ["0", "1"])
             fh.write("".join([",".join(row) + _EOL for row in text[cells].tolist()]))
 
 
@@ -206,7 +219,7 @@ def _treatment_column(path: Path, header: list[str]) -> int:
         d += 1
     if d == 0:
         raise DatasetFormatError(f"{path}: header must start with x1..xd, got {header[:3]}")
-    if header[d:] not in (["t", "y"], ["t", "y", "y0", "y1"]):
+    if header not in (_expected_header(d, False), _expected_header(d, True)):
         raise DatasetFormatError(
             f"{path}: expected columns t,y[,y0,y1] after x{d}, got {header[d:]}")
     return d

@@ -929,6 +929,17 @@ class TestReport:
         assert f"config error: {missing} is required" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("missing", ["--model", "--propensity-model", "--test"])
+    def test_unreadable_input_leaves_no_out_dir(self, bench_dir, trained_model, tmp_path,
+                                                capsys, missing):
+        # the inputs are read before --out-dir is created
+        inputs = {"--model": trained_model, "--test": bench_dir / "test.csv",
+                  missing: tmp_path / "missing"}
+        argv = [a for flag, path in inputs.items() for a in (flag, path)]
+        assert run(["report", *argv, "--out-dir", tmp_path / "rep"]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
 
 class TestReportTableBytes:
     """The three report tables, byte for byte, for fixed endpoints: the

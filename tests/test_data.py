@@ -86,7 +86,11 @@ class TestWriterBytes:
     def test_repeated_values_across_write_blocks(self, rng, tmp_path, potential):
         n = 2500
         grid = np.concatenate([rng.normal(0, 1, 200), [-0.0, 0.0]])
-        ds = Dataset(covariates=rng.choice(grid, (n, 4)),
+        covariates = rng.choice(grid, (n, 4))
+        # in the first and third blocks only: the third block has to format
+        # it again, since the writer keeps the texts of one block back
+        covariates[[5, 2100], [0, 3]] = 0.1234
+        ds = Dataset(covariates=covariates,
                      treatments=rng.integers(0, 2, n),
                      outcomes=rng.choice(np.concatenate([grid, rng.normal(0, 1, 200)]), n),
                      potential_outcomes=rng.choice(grid, (n, 2)) if potential else None)
@@ -106,8 +110,9 @@ class TestWriterBytes:
 
     def test_default_train_split_peak_memory(self, rng, tmp_path):
         # the writer codes the distinct floats of one 1024-row block at a
-        # time, so its working set is a few block-sized arrays, 3.4e6 B in
-        # all for the default train split, whatever the row count
+        # time and keeps the texts of one block back, so its working set is
+        # a few block-sized arrays, 3.6e6 B in all for the default train
+        # split, whatever the row count
         train, _, _ = benchgen.generate_dataset(None, GeneratorConfig(seed=0))
         save_dataset_csv(make_dataset(rng), tmp_path / "warm.csv")
         tracemalloc.start()
