@@ -50,9 +50,9 @@ S_j(q) = F_std((q - l)*(-1)/s) (:func:`component_mass_s`,
 ascending S_j, its target is the tail mass 1 - beta (exact for
 beta >= 1/2), and the bracket is the members' points l - s*Q_std(1 - beta)
 (:func:`component_point_s` at sign -1).  :func:`interval_k` passes alpha/2
-itself as the upper tail mass.  Conversely, whether an outcome y lies in
-the interval follows from the two envelope masses at y alone
-(:func:`covered_rows`).
+itself as the upper tail mass.  Conversely, y lies in the interval iff
+both envelope masses at y reach alpha/2, so the budgets at which it does
+follow in closed form from the member masses at y (:func:`critical_budgets`).
 """
 
 from __future__ import annotations
@@ -387,24 +387,38 @@ def rank_pattern_rows(lowers, uppers, m):
                     np.where(rank == k, frac[:, None], lowers[:, None]))
 
 
-def weighted_mass_rows(weights, masses):
-    """:func:`weighted_mass` of each row, summed by numpy instead of
-    ``math.fsum``."""
-    return (weights * masses).sum(axis=1) / weights.shape[1]
+def critical_budgets(masses, e, half):
+    """The smallest MSM budget gamma >= 1 at which each row's largest tail
+    mass over the weights reaches ``half`` (+inf where none does), from its
+    ascending member masses (n, m) and clamped propensity ``e`` (n,).
 
-
-def covered_rows(cdf, sf, lowers, uppers, alpha):
-    """Whether each row's outcome y lies in :func:`interval_rows`'s
-    interval, decided from its ascending member masses ``cdf`` F_j(y) and
-    ``sf`` S_j(y) without solving the interval: the largest lower-tail
-    mass over the weights reaches alpha/2 (y is at or above the min
-    alpha/2-quantile) and so does the largest upper-tail mass (at or below
-    the max (1-alpha/2)-quantile).  These are the masses and targets the
-    solver inverts, so the two agree unless y lies within the solver's
-    tol/2 of an endpoint."""
-    weights = rank_pattern_rows(lowers, uppers, cdf.shape[1])[:, ::-1]
-    half = alpha / 2.0
-    return (weighted_mass_rows(weights, cdf) >= half) & (weighted_mass_rows(weights, sf) >= half)
+    k = floor(m/(gamma+1)) members take the upper bound whatever e, so on
+    each of the floor(m/2)+1 stretches of [1, inf) where k is fixed,
+    gamma*(mass - half) = a*gamma^2 + b*gamma + c with a = (1-e)(T - k*c_f)/m,
+    b = e*mean + (1-e)*c_f - half and c = (1-e)(B - (m-k-1)*c_f)/m: c_f is
+    the fractional member's mass, T the sum of the k above it and B of
+    those below, so a >= 0 >= c.  Within a stretch the mass reaches half
+    at its left end, at the larger root or never; it is nondecreasing in
+    gamma, so the earliest over the stretches is the budget."""
+    n, m = masses.shape
+    k = np.arange(m // 2 + 1)
+    zero = np.zeros((n, 1))
+    above = np.concatenate([zero, np.cumsum(masses[:, ::-1], axis=1)], axis=1)[:, k]
+    below = np.concatenate([zero, np.cumsum(masses, axis=1)], axis=1)[:, m - k - 1]
+    frac = masses[:, m - k - 1]
+    free = (1.0 - e)[:, None]
+    # cumsum differences round: clamp to the signs the sorted masses give
+    a = free * np.maximum(above - k * frac, 0.0) / m
+    c = free * np.minimum(below - (m - k - 1) * frac, 0.0) / m
+    b = (e * masses.mean(axis=1))[:, None] + free * frac - half
+    left = np.maximum(m / (k + 1.0) - 1.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        right = np.where(k > 0, m / k - 1.0, np.inf)
+        # sqrt(b^2 - 4ac) without squaring, which underflows at tiny alpha
+        sq = np.hypot(b, 2.0 * np.sqrt(a) * np.sqrt(-c))
+        root = np.where(b >= 0.0, -2.0 * c / (b + sq), (sq - b) / (2.0 * a))
+    reached = np.where(root < right, root, np.inf)
+    return np.where((a * left + b) * left + c >= 0.0, left, reached).min(axis=1)
 
 
 def _halvings_rows(width, tol):
@@ -453,7 +467,7 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
 
     def mass(x, rows=slice(None)):
         masses = signed_masses(fam, locs[rows], scales[rows], x, sign[rows])
-        return sign[rows] * weighted_mass_rows(weights[rows], np.sort(masses, axis=1))
+        return sign[rows] * (weights[rows] * np.sort(masses, axis=1)).sum(axis=1) / m
 
     flo = mass(lo)
     fhi = mass(hi)

@@ -9,8 +9,8 @@ config file, else the default, before any file is read; the library's
 checks (``mlp.Head``, ``check_arm``, ``CostKind`` and the rest) are the
 only checks on its value, so a bad flag and a bad config value fail alike.
 A retired setting (``_RETIRED``) that an older config file or manifest
-still gives replays at the value the program now always uses; any other
-value is a configuration error.
+still gives replays at the value the program now always uses, of the
+same type; any other value is a configuration error.
 Every subcommand but oracle-check, which only prints, writes a manifest
 echoing the resolved configuration with its hash.  Every CSV, read or
 written, goes through ``data``.  Exit codes: 0 success (a FAILURE verdict
@@ -156,10 +156,15 @@ _SETTINGS = {
 _FLAGS = {"target_coverage": "--target", "cost_kind": "--cost"}
 
 # Settings since retired, by subcommand: (config key, the value the program
-# now always uses, why).  Older config files and manifests may still give
-# them; a different value would change the answer, so it is not ignored.
+# now always uses, why).  The value may be a function of the config section
+# and the resolved settings: standardize follows the head the section names.
+# Older config files and manifests may still give them; another value, or
+# the same of another type, would change the answer, so it is refused.
 _RETIRED = {
-    "train": (("step", mlp._ADAM_STEP, f"Adam's step size is fixed at {mlp._ADAM_STEP}"),),
+    "train": (("step", mlp._ADAM_STEP, f"Adam's step size is fixed at {mlp._ADAM_STEP}"),
+              ("standardize",
+               lambda config, s: config.get("head", s["head"]) == mlp.Head.GAUSSIAN.value,
+               "Gaussian heads train on standardized outcomes, Cauchy heads on raw outcomes")),
     "report": (("lengths", None, "report no longer writes a relative-cost table"),),
 }
 
@@ -170,13 +175,16 @@ def _flag(key: str) -> str:
 
 def _settings(args, config: dict) -> dict:
     """The subcommand's settings by config key, each resolved by
-    ``_setting`` from its flag and the config file section ``config``,
-    after any retired setting the section gives is checked."""
-    for key, value, why in _RETIRED.get(args.subcommand, ()):
-        if config.get(key) is not None and config[key] != value:
-            raise ConfigError(f"{key}={config[key]!r} cannot be set: {why}")
+    ``_setting`` from its flag and the config file section ``config``;
+    any retired setting the section gives is then checked."""
     s = {key: _setting(getattr(args, key), config, key, kind, default)
          for key, kind, default, _ in _SETTINGS[args.subcommand]}
+    for key, value, why in _RETIRED.get(args.subcommand, ()):
+        given = config.get(key)
+        if callable(value):
+            value = value(config, s)
+        if given is not None and (type(given) is not type(value) or given != value):
+            raise ConfigError(f"{key}={given!r} cannot be set: {why}")
     if "seed" in s:
         with _config_errors():
             benchgen.check_seed(s["seed"])
@@ -262,7 +270,6 @@ def _cmd_train(args, s: dict, config: dict) -> int:
         head = mlp.Head(s["head"])
     if head is mlp.Head.PROPENSITY:
         raise ConfigError("train fits outcome heads; the propensity model is fitted alongside")
-    _check_standardize_record(config, head)
     train_cfg = _train_config_from(s, config, head)
     with _config_errors():
         mlp.check_members(s["members"])
@@ -281,18 +288,6 @@ def _cmd_train(args, s: dict, config: dict) -> int:
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train", resolved)
     print(f"wrote {out} and {prop_path}")
     return 0
-
-
-def _check_standardize_record(config: dict, head: mlp.Head) -> None:
-    """``standardize`` is not a setting: Gaussian heads train on
-    standardized outcomes and Cauchy heads on raw ones.  Older manifests
-    record that rule for the head they name, so a matching value replays;
-    a ``--head`` flag that changes the head brings its own rule."""
-    value = config.get("standardize")
-    named = config.get("head", head.value)
-    if value is not None and value is not (named == mlp.Head.GAUSSIAN.value):
-        raise ConfigError(f"standardize={value!r} cannot be set: Gaussian heads train on "
-                          f"standardized outcomes, Cauchy heads on raw outcomes")
 
 
 def _propensity_path_for(model_path: Path, explicit: str | None) -> Path:
@@ -352,8 +347,7 @@ def _cmd_gamma_search(args, s: dict, _config: dict) -> int:
                             report_json=out, points_csv=out.with_suffix(".points.csv"))
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "gamma-search",
                     {**s, **eval_cfg.to_dict(), "propensity_model": prop_path},
-                    extra={"solved_gammas": list(report.solved_gammas),
-                           "predicted_steps": report.predicted_steps})
+                    extra={"solved_gammas": list(report.solved_gammas)})
     verdict = "FAILURE" if report.failed else f"gamma*={report.gamma_star:.4f}"
     print(f"{verdict} coverage={report.achieved_coverage:.4f} -> {out}")
     return 0
@@ -452,7 +446,7 @@ _COMMANDS = (
     ("generate", _cmd_generate, "write semi-synthetic benchmark CSVs"),
     ("train", _cmd_train, "train an outcome ensemble + propensity model"),
     ("intervals", _cmd_intervals, "per-row outcome intervals at fixed gamma"),
-    ("gamma-search", _cmd_gamma_search, "binary-search the smallest adequate gamma"),
+    ("gamma-search", _cmd_gamma_search, "search for the smallest adequate gamma"),
     ("oracle-check", _cmd_oracle_check,
      "envelope solver vs brute-force oracle on random instances"),
     ("report", _cmd_report, "plot-ready coverage/cost CSVs"),

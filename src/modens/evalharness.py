@@ -1,24 +1,20 @@
 """Coverage-cost evaluation protocol.
 
 Given a pipeline mapping a sensitivity budget gamma to per-point outcome
-intervals, binary-search the smallest gamma* in [1, 50] whose coverage of
-the de-confounded test outcomes reaches the target (gamma*=1 when no
-budget is needed; FAILURE when even gamma=50 falls short), then score the
+intervals, find the smallest gamma* in [1, 50] whose coverage of the
+de-confounded test outcomes reaches the target (gamma*=1 when no budget
+is needed; FAILURE when even gamma=50 falls short), then score the
 interval size at gamma* with one of two cost functions: absolute length
 scaled to the outcome standard deviation, or mass under the empirical
-outcome distribution.
+outcome distribution.  Row i is covered once gamma reaches its critical
+budget, which follows in closed form from its members' masses at the
+outcome y_i (``modulated_budgets``); ``run_experiment`` takes gamma* from
+the budgets and solves intervals only where the answer rests.
 
 Intervals travel as ``(lo, hi)`` endpoint arrays: the search turns each
 probe's intervals into arrays once, the costs and ``ExperimentReport``
 read arrays, and ``run_experiment`` runs the protocol on an already
-loaded test set, ensemble and propensity model.
-
-Whether row i is covered at gamma follows from the envelope masses of its
-members at the outcome y_i alone, so ``run_experiment`` hands the search a
-coverage prediction (``modulated_coverage``) that needs no root-finding:
-one pattern matrix and two row sums per gamma.  The bisection takes
-every step from it, and intervals are solved only at the gammas the
-answer rests on, whose solved coverage certifies it."""
+loaded test set, ensemble and propensity model."""
 
 from __future__ import annotations
 
@@ -40,6 +36,10 @@ from .dist import Family
 from .sensitivity import PROPENSITY_CLAMP, msm_bounds_arrays
 
 GAMMA_MAX = 50.0   # top of the gamma* search range [1, GAMMA_MAX]
+# gamma* from budgets sits this relative step above the deciding budget, so
+# that an outcome within solver tolerance of its endpoint there is covered
+# (of 82 targets on small trained ensembles, no step failed 42, this one 0)
+BUDGET_STEP = 1e-6
 
 
 class CostKind(enum.Enum):
@@ -86,8 +86,7 @@ class ExperimentReport:
     never reached the target); FAILURE reports carry no coverage cost.
     ``lo`` and ``hi`` are the endpoint arrays at gamma_star, or at the top
     of the gamma range on FAILURE.  ``solved_gammas`` are the gammas whose
-    intervals the search solved, in order, and ``predicted_steps`` counts
-    its decisions taken from predicted coverage; neither is written to the
+    intervals the search solved, in order; they are not written to the
     report files."""
 
     gamma_star: float | None
@@ -100,7 +99,6 @@ class ExperimentReport:
     seed: int | None = None
     runtime_seconds: float = 0.0
     solved_gammas: tuple[float, ...] = ()
-    predicted_steps: int = 0
 
     def __post_init__(self):
         if self.gamma_star is None and self.coverage_cost is not None:
@@ -177,20 +175,14 @@ def _cost_at(lo: np.ndarray, hi: np.ndarray, outcomes: np.ndarray,
 
 def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
                       outcomes: Sequence[float], config: EvalConfig,
-                      seed: int | None = None,
-                      predicted_coverage: Callable[[float], float] | None = None
+                      seed: int | None = None, budgets: np.ndarray | None = None
                       ) -> ExperimentReport:
-    """Binary search for the smallest gamma in [1, 50] reaching the coverage
-    target; reports the feasible (upper) endpoint of the final bracket.
-
-    Without ``predicted_coverage`` every bisection step solves the
-    pipeline's intervals at its gamma.  With it, each step is decided by
-    the predicted coverage, and only the gammas the answer rests on are
-    solved: both ends of the final bracket, gamma=1 alone when it already
-    reaches the target, or the top of the range alone on FAILURE.  Their
-    solved coverage certifies the answer; if it disagrees with the
-    prediction, the search runs again on solved coverage only, so the
-    report is the one the search without a prediction gives.
+    """The smallest gamma in [1, 50] whose intervals reach the coverage
+    target.  Without ``budgets``, the rows' ``modulated_budgets``, a
+    bisection solves intervals at every step and reports the feasible
+    (upper) end of its final bracket.  With them, ``_budget_answer``
+    names the gammas to solve; if the solved coverage at any of them
+    disagrees with the budgets, the bisection runs instead.
 
     Assumes the pipeline is deterministic in gamma and coverage is
     nondecreasing in gamma (guaranteed by interval nesting).
@@ -199,43 +191,33 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
     outcomes = np.asarray(outcomes, dtype=np.float64)
     target = config.target_coverage
     solved: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
-    predicted_steps = 0
 
-    def probe(gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
+    def reaches(gamma: float) -> bool:
         if gamma not in solved:
             intervals = list(pipeline(gamma))
             lo = np.array([iv.lo for iv in intervals], dtype=np.float64)
             hi = np.array([iv.hi for iv in intervals], dtype=np.float64)
             solved[gamma] = (lo, hi, coverage(lo, hi, outcomes))
-        return solved[gamma]
+        return solved[gamma][2] >= target
 
-    def reaches(gamma: float) -> bool:
-        nonlocal predicted_steps
-        if predicted_coverage is None:
-            return probe(gamma)[2] >= target
-        predicted_steps += 1
-        return predicted_coverage(gamma) >= target
-
-    g_lo, g_hi = 1.0, GAMMA_MAX
-    while True:
-        if reaches(g_lo):
-            gamma_star, decided = g_lo, {g_lo: True}
-        elif not reaches(g_hi):
-            gamma_star, decided = None, {g_hi: False}
+    if budgets is not None:
+        gamma_star, decided = _budget_answer(budgets, target, config.gamma_tol)
+    if budgets is None or not all(reaches(g) == d for g, d in decided.items()):
+        if reaches(1.0):
+            gamma_star = 1.0
+        elif not reaches(GAMMA_MAX):
+            gamma_star = None
         else:
-            lo, hi = g_lo, g_hi
+            lo, hi = 1.0, GAMMA_MAX
             while hi - lo > config.gamma_tol:
                 mid = 0.5 * (lo + hi)
                 if reaches(mid):
                     hi = mid
                 else:
                     lo = mid
-            gamma_star, decided = hi, {lo: False, hi: True}
-        if all((probe(g)[2] >= target) == d for g, d in decided.items()):
-            break
-        predicted_coverage = None  # a certificate disagreed: search on solved probes
+            gamma_star = hi
 
-    lo, hi, cov = probe(g_hi if gamma_star is None else gamma_star)
+    lo, hi, cov = solved[GAMMA_MAX if gamma_star is None else gamma_star]
     return ExperimentReport(
         gamma_star=gamma_star, achieved_coverage=cov,
         coverage_cost=(None if gamma_star is None
@@ -243,7 +225,26 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
         mean_length=float(np.mean(hi - lo)), lo=lo, hi=hi,
         config=config.to_dict(), seed=seed,
         runtime_seconds=time.perf_counter() - t0,
-        solved_gammas=tuple(solved), predicted_steps=predicted_steps)
+        solved_gammas=tuple(solved))
+
+
+def _budget_answer(budgets: np.ndarray, target: float, gamma_tol: float
+                   ) -> tuple[float | None, dict[float, bool]]:
+    """gamma* from the rows' critical budgets, and the gammas to solve with
+    whether each reaches the target: gamma=1 alone when the deciding budget
+    is 1, the top of the range alone (FAILURE) when it is above it, else
+    the budget stepped up by ``BUDGET_STEP`` and half a tolerance below."""
+    n = len(budgets)
+    # the fewest covered rows reaching the target, divided as ``coverage``
+    # divides: ceil(target * n) can round one too high
+    need = int(np.argmax(np.arange(n + 1) / n >= target))
+    deciding = float(np.sort(budgets)[need - 1])
+    if deciding <= 1.0:
+        return 1.0, {1.0: True}
+    if deciding > GAMMA_MAX:
+        return None, {GAMMA_MAX: False}
+    gamma_star = min(deciding * (1.0 + BUDGET_STEP), GAMMA_MAX)
+    return gamma_star, {gamma_star: True, max(1.0, gamma_star - 0.5 * gamma_tol): False}
 
 
 # member family codes (m,), member locations and scales (n, m), and the
@@ -281,32 +282,25 @@ def modulated_interval_arrays(model: mlp.EnsembleModel, propensity: mlp.MlpParam
     return intervals
 
 
-def modulated_coverage(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
-                       covariates: np.ndarray, t: np.ndarray,
-                       outcomes: Sequence[float], alpha: float, *,
-                       scored: ScoredArm | None = None) -> Callable[[float], float]:
-    """The gamma -> coverage map of ``modulated_interval_arrays``'s
-    intervals, predicted without solving them.  The (n, m) member masses
-    F_j(y_i) and S_j(y_i) = 1 - F_j(y_i) are computed and sorted along rows
-    once; at each gamma, ``_kernels.covered_rows`` weighs them by each
-    row's rank pattern under its MSM weight bounds.  Equal to the coverage
-    of the solved intervals unless an outcome lies within the solver
-    tolerance of an endpoint.  ``scored`` is as in
-    ``modulated_interval_arrays``."""
+def modulated_budgets(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
+                      covariates: np.ndarray, t: np.ndarray,
+                      outcomes: Sequence[float], alpha: float, *,
+                      scored: ScoredArm | None = None) -> np.ndarray:
+    """Each row's critical budget, the smallest gamma >= 1 at which
+    ``modulated_interval_arrays``'s interval covers its outcome y_i (+inf
+    if none does), unless y_i lies within solver tolerance of an endpoint:
+    the later of the ``_kernels.critical_budgets`` of the sorted member
+    masses F_j(y_i) and S_j(y_i).  ``scored`` is as there."""
     fam, locs, scales, e_t = scored or _scored_arm(model, propensity, covariates, t)
     y = np.asarray(outcomes, dtype=np.float64).ravel()
     if len(y) != len(e_t):
         raise ValueError(f"{len(e_t)} rows vs {len(y)} outcomes")
     if len(y) == 0:
         raise ValueError("empty inputs")
-    cdf = np.sort(K.signed_masses(fam, locs, scales, y, 1.0), axis=1)
-    sf = np.sort(K.signed_masses(fam, locs, scales, y, -1.0), axis=1)
-
-    def predicted(gamma: float) -> float:
-        covered = K.covered_rows(cdf, sf, *msm_bounds_arrays(e_t, gamma), alpha)
-        return int(np.count_nonzero(covered)) / len(y)
-
-    return predicted
+    lower, upper = (K.critical_budgets(np.sort(K.signed_masses(fam, locs, scales, y, sign),
+                                               axis=1), e_t, alpha / 2.0)
+                    for sign in (1.0, -1.0))
+    return np.maximum(lower, upper)
 
 
 def modulated_pipeline(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
@@ -334,10 +328,9 @@ def run_experiment(test_data: Dataset, eval_config: EvalConfig, *,
                    points_csv: str | Path | None = None) -> ExperimentReport:
     """End-to-end protocol on loaded objects: per-point components and MSM
     bounds for the scored arm from the trained ensemble and propensity
-    model, then the gamma* search guided by ``modulated_coverage``,
+    model, then the gamma* search from the rows' ``modulated_budgets``,
     optionally writing the report JSON and the per-point CSV.  The arm is
-    scored once for both.  The report is the one the search without the
-    prediction gives."""
+    scored once for both."""
     t0 = time.perf_counter()
     if test_data.potential_outcomes is None:
         raise ValueError("test data must carry y0/y1 potential-outcome columns")
@@ -345,10 +338,9 @@ def run_experiment(test_data: Dataset, eval_config: EvalConfig, *,
     t = np.full(test_data.n, eval_config.arm)
     scored = _scored_arm(model, propensity, test_data.covariates, t)
     pipeline = modulated_pipeline(model, propensity, test_data, eval_config, scored=scored)
-    predicted = modulated_coverage(model, propensity, test_data.covariates, t, outcomes,
-                                   eval_config.alpha, scored=scored)
-    report = gamma_star_search(pipeline, outcomes, eval_config, seed=seed,
-                               predicted_coverage=predicted)
+    budgets = modulated_budgets(model, propensity, test_data.covariates, t, outcomes,
+                                eval_config.alpha, scored=scored)
+    report = gamma_star_search(pipeline, outcomes, eval_config, seed=seed, budgets=budgets)
     report.runtime_seconds = time.perf_counter() - t0
     if report_json is not None:
         report.write_json(report_json)

@@ -608,6 +608,13 @@ class TestTrain:
         assert run(["train", "--data", bench_dir / "train.csv", "--config", old,
                     "--out", tmp_path / "x.json"]) == 2
         assert "Gaussian heads train on standardized outcomes" in capsys.readouterr().err
+        # the rule recorded is the one of the head the manifest names: a
+        # --head flag that changes the head brings its own
+        other = "cauchy" if head == "gaussian" else "gaussian"
+        old.write_text(json.dumps({"config": {**doc["config"],
+                                              "standardize": head == "gaussian"}}))
+        assert run(["train", "--data", bench_dir / "train.csv", "--config", old,
+                    "--head", other, "--out", tmp_path / "y.json"]) == 0
 
     def test_failed_propensity_fit_writes_nothing(self, bench_dir, tmp_path, monkeypatch,
                                                   capsys):
@@ -843,10 +850,8 @@ class TestGammaSearch:
         manifest = json.loads(out.with_suffix(".json.manifest.json").read_text())
         # FAILURE rests on the intervals solved at the top of the range alone
         assert manifest["solved_gammas"] == [50.0]
-        assert manifest["predicted_steps"] == 2
-        for key in ("solved_gammas", "predicted_steps"):
-            assert key not in manifest["config"]
-            assert key not in json.loads(out.read_text())
+        assert "solved_gammas" not in manifest["config"]
+        assert "solved_gammas" not in json.loads(out.read_text())
 
 
 class TestOracleCheck:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -310,44 +311,64 @@ def trained():
                   for head in (Head.CAUCHY, Head.GAUSSIAN)}
 
 
-def visited_gammas(model, prop, test, cfg):
-    """Every gamma the search visits with and without the prediction."""
-    from modens.evalharness import modulated_coverage, modulated_pipeline
+def solved_at_own_gammas(model, prop, test, arm, alpha, gammas):
+    """Each row's interval solved at its own gamma."""
+    from modens import modulated_intervals_batch
+    from modens.evalharness import _scored_arm
 
-    pipeline = modulated_pipeline(model, prop, test, cfg)
-    outcomes = test.potential_outcomes[:, cfg.arm]
-    predicted = modulated_coverage(model, prop, test.covariates,
-                                   np.full(test.n, cfg.arm), outcomes, cfg.alpha)
-    seen = list(gamma_star_search(pipeline, outcomes, cfg).solved_gammas)
-    gamma_star_search(pipeline, outcomes, cfg,
-                      predicted_coverage=lambda g: seen.append(g) or predicted(g))
-    return sorted(set(seen)), predicted
+    fam, locs, scales, e = _scored_arm(model, prop, test.covariates, np.full(test.n, arm))
+    return modulated_intervals_batch(fam, locs, scales, e + (1.0 - e) / gammas,
+                                     e + gammas * (1.0 - e), alpha)
 
 
 class TestPredictedCoverage:
-    """``modulated_coverage`` predicts, from envelope masses at the
-    outcomes, exactly the coverage of the intervals the solver returns."""
+    """The coverage the critical budgets predict at gamma, #{i : gamma_i <=
+    gamma}/n, is the coverage of the intervals the solver returns there,
+    and each row's budget is where its solved interval starts to cover."""
 
-    def assert_agrees(self, model, prop, test, alpha, extra=(1.0, 3.0, 12.0, 50.0)):
-        """At every gamma a search with a target between the coverages at
-        gamma 1 and 50 visits, and at ``extra``."""
-        from modens.evalharness import modulated_interval_arrays
+    DELTA = 1e-4
 
-        arrays = modulated_interval_arrays(model, prop, test.covariates,
-                                           np.ones(test.n), alpha)
-        y = test.potential_outcomes[:, 1]
+    def assert_agrees(self, model, prop, test, alpha, arm=1,
+                      extra=(1.0, 3.0, 12.0, 49.9, 50.0)):
+        """At every gamma the plain search visits with a target between the
+        coverages at gamma 1 and 50, and at ``extra``; returns the budgets."""
+        from modens.evalharness import (modulated_budgets, modulated_interval_arrays,
+                                        modulated_pipeline)
+
+        t, y = np.full(test.n, arm), test.potential_outcomes[:, arm]
+        arrays = modulated_interval_arrays(model, prop, test.covariates, t, alpha)
+        budgets = modulated_budgets(model, prop, test.covariates, t, y, alpha)
         cov_1, cov_50 = coverage(*arrays(1.0), y), coverage(*arrays(50.0), y)
         assert cov_1 < cov_50  # so the bisection runs inside the range
-        cfg = EvalConfig(target_coverage=0.5 * (cov_1 + cov_50), alpha=alpha)
-        gammas, predicted = visited_gammas(model, prop, test, cfg)
+        cfg = EvalConfig(target_coverage=0.5 * (cov_1 + cov_50), alpha=alpha, arm=arm)
+        gammas = gamma_star_search(modulated_pipeline(model, prop, test, cfg), y,
+                                   cfg).solved_gammas
         assert len(gammas) > 2
         for g in [*gammas, *extra]:
-            assert predicted(g) == coverage(*arrays(g), y), g
+            assert np.count_nonzero(budgets <= g) / test.n == coverage(*arrays(g), y), g
+        self.assert_rows_cover_from_their_budgets(model, prop, test, alpha, arm, budgets)
+        return budgets
+
+    def assert_rows_cover_from_their_budgets(self, model, prop, test, alpha, arm, budgets):
+        """Solved at gamma_i (1 + delta), row i covers y_i; solved at
+        gamma_i (1 - delta), where that is a budget, it does not."""
+        y = test.potential_outcomes[:, arm]
+        finite = np.isfinite(budgets)
+        assert finite.any()
+        lo, hi = solved_at_own_gammas(model, prop, test, arm, alpha,
+                                      np.where(finite, budgets * (1.0 + self.DELTA), 1.0))
+        assert np.all(((lo <= y) & (y <= hi))[finite])
+        lower = budgets * (1.0 - self.DELTA)
+        inside = finite & (lower >= 1.0)
+        lo, hi = solved_at_own_gammas(model, prop, test, arm, alpha,
+                                      np.where(inside, lower, 1.0))
+        assert not np.any(((lo <= y) & (y <= hi))[inside])
 
     @pytest.mark.parametrize("head", ["cauchy", "gaussian"])
     def test_trained_heads(self, trained, head):
         test, models = trained
-        self.assert_agrees(*models[head], test, alpha=0.3)
+        budgets = self.assert_agrees(*models[head], test, alpha=0.3)
+        assert ((1.0 < budgets) & (budgets < 50.0)).any()
 
     @pytest.mark.parametrize("alpha, spread", [(0.02, 3.0), (0.98, 1.0)])
     def test_extreme_alpha(self, trained, alpha, spread):
@@ -361,25 +382,28 @@ class TestPredictedCoverage:
     @pytest.mark.parametrize("head", ["cauchy", "gaussian"])
     def test_identical_members(self, trained, head):
         from modens import EnsembleModel
+        from modens.evalharness import modulated_budgets, modulated_interval_arrays
 
         test, models = trained
         model, prop = models[head]
         a, b = model.members[:2]
         pairs = EnsembleModel(members=(a, a, b, b), seed=model.seed)
         self.assert_agrees(pairs, prop, test, alpha=0.3)
-        # all tied: the modulated mixture is the member, whatever the weights
-        tied = EnsembleModel(members=(a,) * 4, seed=model.seed)
-        from modens.evalharness import modulated_coverage, modulated_interval_arrays
-
+        # all tied: the modulated mixture is the member, whatever the weights,
+        # so each budget is 1 or none.  Summed one by one, 16 equal masses
+        # round away from 16 times one of them, which must not make the mass
+        # grow with gamma.
         t, y = np.ones(test.n), test.potential_outcomes[:, 1]
-        arrays = modulated_interval_arrays(tied, prop, test.covariates, t, 0.3)
-        predicted = modulated_coverage(tied, prop, test.covariates, t, y, 0.3)
-        for g in (1.0, 4.0, 50.0):
-            assert predicted(g) == coverage(*arrays(g), y) == predicted(1.0), g
+        for m in (4, 16):
+            tied = EnsembleModel(members=(a,) * m, seed=model.seed)
+            arrays = modulated_interval_arrays(tied, prop, test.covariates, t, 0.3)
+            budgets = modulated_budgets(tied, prop, test.covariates, t, y, 0.3)
+            assert set(budgets.tolist()) == {1.0, math.inf}, m
+            for g in (1.0, 3.0, 12.0, 49.9, 50.0):
+                assert np.count_nonzero(budgets <= g) / test.n == coverage(*arrays(g), y), g
 
     def test_propensity_at_clamp_and_gamma_50(self, trained):
         from modens import PROPENSITY_CLAMP, predict_propensity_batch
-        from modens.evalharness import modulated_coverage, modulated_interval_arrays
 
         test, models = trained
         model, prop = models["cauchy"]
@@ -387,28 +411,49 @@ class TestPredictedCoverage:
             prop, biases=[*prop.biases[:-1], prop.biases[-1] + 60.0])
         e1 = predict_propensity_batch(saturated, test.covariates)
         assert np.all(1.0 - e1 < PROPENSITY_CLAMP)  # arm 0 sits at the clamp
-        t = np.zeros(test.n)
-        y = test.potential_outcomes[:, 0]
-        arrays = modulated_interval_arrays(model, saturated, test.covariates, t, 0.3)
-        predicted = modulated_coverage(model, saturated, test.covariates, t, y, 0.3)
-        for g in (1.0, 2.0, 49.9, 50.0):
-            assert predicted(g) == coverage(*arrays(g), y), g
+        self.assert_agrees(model, saturated, test, alpha=0.3, arm=0,
+                           extra=(1.0, 2.0, 3.0, 12.0, 49.9, 50.0))
+
+    def test_cauchy_far_tails(self, trained):
+        # at alpha/2 = 1e-6 the upper ends sit where 1 - F_j rounds to
+        # ulp(1); outcomes spread that far leave some to the bisection
+        test, models = trained
+        far_test = dataclasses.replace(
+            test, potential_outcomes=3e4 * test.potential_outcomes)
+        self.assert_agrees(*models["cauchy"], far_test, alpha=2e-6)
+
+    def test_budgets_on_a_stretch_boundary(self, trained):
+        # with m = 3 members, k = floor(3/(gamma+1)) drops from 1 to 0 at
+        # gamma = 2: outcomes at the lower ends solved there have budgets 2
+        from modens.evalharness import modulated_interval_arrays
+
+        test, models = trained
+        model, prop = models["cauchy"]
+        assert model.m == 3
+        lo, _ = modulated_interval_arrays(model, prop, test.covariates, np.ones(test.n),
+                                          0.3)(2.0)
+        on_boundary = dataclasses.replace(
+            test, potential_outcomes=np.column_stack([lo, lo]))
+        budgets = self.assert_agrees(model, prop, on_boundary, alpha=0.3,
+                                     extra=(1.0, 1.999, 2.001, 3.0, 12.0, 49.9, 50.0))
+        assert np.allclose(budgets, 2.0, rtol=1e-6, atol=0.0)
 
     def test_outcome_count_mismatch_and_empty_rejected(self, trained):
-        from modens.evalharness import modulated_coverage
+        from modens.evalharness import modulated_budgets
 
         test, models = trained
         with pytest.raises(ValueError, match="outcomes"):
-            modulated_coverage(*models["cauchy"], test.covariates, np.ones(test.n),
-                               np.zeros(test.n + 1), 0.3)
+            modulated_budgets(*models["cauchy"], test.covariates, np.ones(test.n),
+                              np.zeros(test.n + 1), 0.3)
         with pytest.raises(ValueError, match="empty"):
-            modulated_coverage(*models["cauchy"], test.covariates[:0], np.ones(0),
-                               np.zeros(0), 0.3)
+            modulated_budgets(*models["cauchy"], test.covariates[:0], np.ones(0),
+                              np.zeros(0), 0.3)
 
 
 class TestPredictedSearch:
-    """``run_experiment`` decides the bisection from the predicted coverage
-    and reports what the search without a prediction reports."""
+    """``run_experiment`` takes gamma* from the critical budgets, solves
+    intervals only at the gammas its answer rests on, and otherwise
+    reports what the plain search reports."""
 
     @staticmethod
     def plain(model, prop, test, cfg):
@@ -430,8 +475,19 @@ class TestPredictedSearch:
         b_doc.pop("runtime_seconds")
         assert a_doc == b_doc
 
+    @staticmethod
+    def assert_interior(exact, plain, cfg):
+        """gamma* within gamma_tol below the plain search's, solved with the
+        probe half a tolerance below it, which misses the target."""
+        tol = cfg.gamma_tol
+        assert 1.0 < exact.gamma_star <= plain.gamma_star < exact.gamma_star + tol
+        assert exact.solved_gammas == (exact.gamma_star, exact.gamma_star - tol / 2)
+        assert exact.achieved_coverage >= cfg.target_coverage
+
     @pytest.mark.parametrize("head", ["cauchy", "gaussian"])
     def test_paths_match_plain_search(self, trained, head):
+        # at gamma* = 1 and on FAILURE, bit for bit; inside the range,
+        # within gamma_tol below the plain search's bracket end
         from modens import run_experiment
         from modens.evalharness import modulated_interval_arrays
 
@@ -447,31 +503,30 @@ class TestPredictedSearch:
                                 (0.5 * (cov_50 + 1.0), "failure")):
             cfg = EvalConfig(target_coverage=target, alpha=alpha)
             plain = self.plain(model, prop, test, cfg)
-            fast = run_experiment(test, cfg, model=model, propensity=prop, seed=0)
-            self.assert_same_report(fast, plain)
-            assert fast.predicted_steps > 0 and plain.predicted_steps == 0
+            exact = run_experiment(test, cfg, model=model, propensity=prop, seed=0)
             if outcome == "interior":
-                assert 1.0 < plain.gamma_star < 50.0 and len(plain.solved_gammas) > 2
-                below = max(g for g in plain.solved_gammas if g < plain.gamma_star)
-                assert fast.solved_gammas == (below, plain.gamma_star)
+                self.assert_interior(exact, plain, cfg)
+                lo, hi = arrays(exact.gamma_star)
+                assert lo.tobytes() == exact.lo.tobytes() and hi.tobytes() == exact.hi.tobytes()
             elif outcome == "gamma one":
-                assert plain.gamma_star == 1.0 and fast.solved_gammas == (1.0,)
+                self.assert_same_report(exact, plain)
+                assert plain.gamma_star == 1.0 and exact.solved_gammas == (1.0,)
             else:
-                assert plain.failed and fast.solved_gammas == (50.0,)
+                self.assert_same_report(exact, plain)
+                assert plain.failed and exact.solved_gammas == (50.0,)
 
     def test_run_experiment_scores_the_arm_once(self, trained, monkeypatch):
         from modens import mlp, run_experiment
-        from modens.evalharness import modulated_coverage, modulated_pipeline
+        from modens.evalharness import modulated_budgets, modulated_pipeline
 
         test, models = trained
         model, prop = models["cauchy"]
         cfg = EvalConfig(target_coverage=0.76, alpha=0.2)
         y = test.potential_outcomes[:, 1]
-        # the pipeline and the prediction each scoring the rows themselves
+        # the pipeline and the budgets each scoring the rows themselves
         unshared = gamma_star_search(
             modulated_pipeline(model, prop, test, cfg), y, cfg, seed=0,
-            predicted_coverage=modulated_coverage(model, prop, test.covariates,
-                                                  np.ones(test.n), y, 0.2))
+            budgets=modulated_budgets(model, prop, test.covariates, np.ones(test.n), y, 0.2))
         calls = []
         predict = mlp.predict_components_batch
         monkeypatch.setattr(mlp, "predict_components_batch",
@@ -480,42 +535,83 @@ class TestPredictedSearch:
         assert len(calls) == 1
         self.assert_same_report(report, unshared)
         assert report.solved_gammas == unshared.solved_gammas
-        assert report.predicted_steps == unshared.predicted_steps > 0
+        self.assert_interior(report, self.plain(model, prop, test, cfg), cfg)
 
-    @pytest.mark.parametrize("wrong", [lambda real, g: 1.0, lambda real, g: 0.0,
-                                       lambda real, g: real(g + 1.0),
-                                       lambda real, g: real(max(1.0, g - 1.0))],
+    @pytest.mark.parametrize("wrong", [lambda real: np.ones_like(real),
+                                       lambda real: np.full_like(real, math.inf),
+                                       lambda real: real / 2.0, lambda real: real * 2.0],
                              ids=["always-covered", "never-covered", "shifted-down",
                                   "shifted-up"])
     def test_wrong_prediction_falls_back_to_plain_search(self, trained, wrong):
-        from modens.evalharness import modulated_coverage, modulated_pipeline
+        from modens.evalharness import modulated_budgets, modulated_pipeline
 
         test, models = trained
         model, prop = models["cauchy"]
         cfg = EvalConfig(target_coverage=0.76, alpha=0.2)
         y = test.potential_outcomes[:, 1]
-        real = modulated_coverage(model, prop, test.covariates, np.ones(test.n), y, 0.2)
+        real = modulated_budgets(model, prop, test.covariates, np.ones(test.n), y, 0.2)
         plain = self.plain(model, prop, test, cfg)
         assert 1.0 < plain.gamma_star < 50.0
         guided = gamma_star_search(modulated_pipeline(model, prop, test, cfg), y, cfg,
-                                   seed=0, predicted_coverage=lambda g: wrong(real, g))
+                                   seed=0, budgets=wrong(real))
         self.assert_same_report(guided, plain)
-        assert guided.predicted_steps > 0
         assert set(plain.solved_gammas) <= set(guided.solved_gammas)
 
     @pytest.mark.parametrize("threshold", [1.0, 7.0, 60.0])
     def test_scripted_prediction_solves_only_the_ends(self, threshold):
+        from modens.evalharness import BUDGET_STEP
+
         outcomes = np.linspace(4.0, 6.0, 20)
         cfg = EvalConfig(target_coverage=0.9, alpha=0.1)
         plain = gamma_star_search(step_pipeline(threshold), outcomes, cfg)
-        fast = gamma_star_search(step_pipeline(threshold), outcomes, cfg,
-                                 predicted_coverage=lambda g: float(g >= threshold))
-        TestPredictedSearch.assert_same_report(fast, plain)
-        assert plain.predicted_steps == 0
+        exact = gamma_star_search(step_pipeline(threshold), outcomes, cfg,
+                                  budgets=np.full(20, threshold))
         if threshold == 7.0:
             assert plain.solved_gammas[:2] == (1.0, 50.0) and len(plain.solved_gammas) == 12
-            assert fast.predicted_steps == 12
-            below = max(g for g in plain.solved_gammas if g < plain.gamma_star)
-            assert fast.solved_gammas == (below, plain.gamma_star)
+            assert exact.gamma_star == 7.0 * (1.0 + BUDGET_STEP)
+            self.assert_interior(exact, plain, cfg)
         else:
-            assert fast.solved_gammas == ((1.0,) if threshold == 1.0 else (50.0,))
+            self.assert_same_report(exact, plain)
+            assert exact.solved_gammas == ((1.0,) if threshold == 1.0 else (50.0,))
+
+    def test_budget_step_certifies_every_interior_target(self, trained):
+        # every coverage reachable inside (1, 50] on both heads, three
+        # alphas and both arms: no certificate falls back to the bisection
+        from modens import run_experiment
+        from modens.evalharness import modulated_interval_arrays
+
+        test, models = trained
+        targets = 0
+        for model, prop in models.values():
+            for alpha in (0.1, 0.3, 0.6):
+                for arm in (0, 1):
+                    arrays = modulated_interval_arrays(model, prop, test.covariates,
+                                                       np.full(test.n, arm), alpha)
+                    y = test.potential_outcomes[:, arm]
+                    cov_1, cov_50 = coverage(*arrays(1.0), y), coverage(*arrays(50.0), y)
+                    for target in (k / test.n for k in range(test.n + 1)
+                                   if cov_1 < k / test.n <= cov_50):
+                        cfg = EvalConfig(target_coverage=target, alpha=alpha, arm=arm)
+                        report = run_experiment(test, cfg, model=model, propensity=prop)
+                        assert len(report.solved_gammas) == 2, (alpha, arm, target)
+                        targets += 1
+        assert targets > 50
+
+    def test_need_divides_as_coverage_does(self):
+        # row i covered from gamma = i + 2 on: at target 0.28 on 25 rows the
+        # 7th budget decides, as 7/25 >= 0.28, though ceil(0.28 * 25) is 8
+        from modens.evalharness import BUDGET_STEP
+
+        budgets = np.arange(2.0, 27.0)
+        assert math.ceil(0.28 * 25) == 8 and 7 / 25 >= 0.28
+
+        def pipeline(gamma):
+            return [iv(-1.0, 1.0, gamma=gamma) if gamma >= b else iv(1.0, 2.0, gamma=gamma)
+                    for b in budgets.tolist()]
+
+        cfg = EvalConfig(target_coverage=0.28, alpha=0.1)
+        y = np.linspace(-0.5, 0.5, 25)
+        exact = gamma_star_search(pipeline, y, cfg, budgets=budgets)
+        assert exact.gamma_star == 8.0 * (1.0 + BUDGET_STEP)
+        assert exact.achieved_coverage == 7 / 25
+        self.assert_interior(exact, gamma_star_search(pipeline, y, cfg), cfg)

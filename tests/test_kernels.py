@@ -311,22 +311,28 @@ def test_random_ensembles_within_budget_and_half_tol(monkeypatch):
         assert abs(q - oracles.mixture_quantile_ref(comps, w, beta)) <= tol / 2 + 1e-12
 
 
-def assert_covered_rows_agrees(comps, bounds, alpha):
+def budgets_at(fam, locs, scales, y, e, alpha):
+    """Each row's critical budget: the later of its two tails'."""
+    return np.maximum(*(K.critical_budgets(np.sort(K.signed_masses(fam, locs, scales, y, sign),
+                                                   axis=1), e, alpha / 2.0)
+                        for sign in (1.0, -1.0)))
+
+
+def assert_budgets_agree(comps, e, gamma, alpha):
     # five outcomes per ensemble: one tolerance outside and inside each
-    # solved endpoint, and the midpoint
+    # endpoint solved at gamma, and the midpoint; exactly the inner three
+    # have budgets at most gamma
     fam, loc, scale = pack_components(comps)
     fam = np.array(fam)
     tol = default_quantile_tol(comps)
-    locs = np.tile(loc, (5, 1))
-    scales = np.tile(scale, (5, 1))
-    lowers, uppers = np.full(5, bounds.lower), np.full(5, bounds.upper)
-    lo, hi = K.interval_rows(fam, locs[:1], scales[:1], lowers[:1], uppers[:1], alpha,
+    bounds = msm_bounds(e, SensitivityConfig(gamma))
+    lo, hi = K.interval_rows(fam, np.array([loc]), np.array([scale]),
+                             np.array([bounds.lower]), np.array([bounds.upper]), alpha,
                              np.array([tol]))
     y = np.array([lo[0] - tol, lo[0] + tol, 0.5 * (lo[0] + hi[0]), hi[0] - tol, hi[0] + tol])
-    cdf = np.sort(K.signed_masses(fam, locs, scales, y, 1.0), axis=1)
-    sf = np.sort(K.signed_masses(fam, locs, scales, y, -1.0), axis=1)
-    covered = K.covered_rows(cdf, sf, lowers, uppers, alpha)
-    assert covered.tolist() == [False, True, True, True, False]
+    budgets = budgets_at(fam, np.tile(loc, (5, 1)), np.tile(scale, (5, 1)), y,
+                         np.full(5, e), alpha)
+    assert (budgets <= gamma).tolist() == [False, True, True, True, False]
 
 
 @pytest.mark.parametrize("fam", [K.GAUSSIAN, K.CAUCHY], ids=["gaussian", "cauchy"])
@@ -347,19 +353,51 @@ def test_upper_tail_is_the_reflected_lower_tail_bit_for_bit(fam):
 
 
 @pytest.mark.filterwarnings("error")
-def test_covered_rows_matches_the_solved_interval():
-    # one tolerance away from an endpoint, the envelope masses at the
-    # outcome decide its coverage as the solved interval does
+def test_critical_budgets_match_the_solved_interval():
+    # one tolerance away from an endpoint, the budget of the outcome
+    # decides its coverage as the solved interval does
     rng = np.random.default_rng(11)
     for _ in range(60):
         comps = oracles.random_components(rng, int(rng.integers(1, 9)))
-        bounds = oracles.random_bounds(rng, float(rng.uniform(1.0, 50.0)))
-        assert_covered_rows_agrees(comps, bounds, float(rng.uniform(0.02, 0.98)))
+        gamma = float(rng.uniform(1.0, 50.0))
+        e = float(rng.uniform(0.05, 0.95))
+        assert_budgets_agree(comps, e, gamma, float(rng.uniform(0.02, 0.98)))
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("gamma", [1.0, 4.0, 50.0])
-def test_covered_rows_matches_the_solved_interval_in_far_tails(gamma):
+def test_critical_budgets_match_the_solved_interval_in_far_tails(gamma):
     # at alpha/2 = 1e-6 the upper end sits where 1 - F_j rounds to ulp(1)
-    comps = CASES["cauchy-tails"][0]
-    assert_covered_rows_agrees(comps, msm_bounds(0.3, SensitivityConfig(gamma)), 2e-6)
+    assert_budgets_agree(CASES["cauchy-tails"][0], 0.3, gamma, 2e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [0.3, 1e-300])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 16])
+def test_critical_budgets_match_the_envelope_mass_on_a_gamma_grid(m, alpha):
+    # row i reaches alpha/2 at gamma iff its budget is at most gamma, with
+    # the largest tail mass taken from the rank pattern of the bounds; at
+    # alpha 1e-300 the outcomes sit far in Cauchy members' lower tails,
+    # where the masses are of order alpha and their squares underflow
+    rng = np.random.default_rng(m)
+    n = 200
+    locs = rng.normal(0.0, 2.0, (n, m))
+    scales = rng.uniform(0.2, 3.0, (n, m))
+    if alpha < 0.01:
+        fam = np.full(m, K.CAUCHY)
+        y = -scales.mean(axis=1) / (rng.uniform(0.5, 1.5, n) * math.pi * alpha / 2.0)
+    else:
+        fam = np.where(rng.random(m) < 0.5, K.GAUSSIAN, K.CAUCHY)
+        y = rng.normal(0.0, 4.0, n)
+    e = rng.uniform(PROPENSITY_CLAMP, 1.0 - PROPENSITY_CLAMP, n)
+    budgets = budgets_at(fam, locs, scales, y, e, alpha)
+    assert (budgets == 1.0).any() and np.isinf(budgets).any()
+    assert m == 1 or ((1.0 < budgets) & (budgets < 50.0)).any()
+    masses = [np.sort(K.signed_masses(fam, locs, scales, y, sign), axis=1)
+              for sign in (1.0, -1.0)]
+    for gamma in np.geomspace(1.0, 50.0, 200).tolist():
+        lowers, uppers = e + (1.0 - e) / gamma, e + gamma * (1.0 - e)
+        weights = K.rank_pattern_rows(lowers, uppers, m)[:, ::-1]
+        reached = np.logical_and(*((weights * c).sum(axis=1) / m >= alpha / 2.0
+                                   for c in masses))
+        assert np.array_equal(budgets <= gamma, reached), gamma
