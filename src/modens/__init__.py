@@ -18,8 +18,7 @@ from .data import Dataset, DatasetFormatError, load_dataset_csv, save_dataset_cs
 from .dist import (ComponentDistribution, Family, WeightedMixture,
                    default_quantile_tol, mixture_pdf, mixture_quantile)
 from .benchgen import (GeneratorConfig, binarize_treatment, generate_dataset,
-                       generate_panel, random_projection, rank_normalize,
-                       synthetic_features, write_benchmark)
+                       generate_panel, rank_normalize, write_benchmark)
 from .evalharness import (CostKind, EvalConfig, ExperimentReport, cost_abs_std,
                           cost_mass, coverage, gamma_star_search, run_experiment)
 from .mlp import (EnsembleModel, Head, MlpParams, ModelFileError, TrainConfig,
@@ -41,7 +40,7 @@ __all__ = [
     "ComponentDistribution", "Family", "WeightedMixture",
     "default_quantile_tol", "mixture_pdf", "mixture_quantile",
     "GeneratorConfig", "binarize_treatment", "generate_dataset", "generate_panel",
-    "random_projection", "rank_normalize", "synthetic_features", "write_benchmark",
+    "rank_normalize", "write_benchmark",
     "CostKind", "EvalConfig", "ExperimentReport", "cost_abs_std", "cost_mass",
     "coverage", "gamma_star_search", "run_experiment",
     "EnsembleModel", "Head", "MlpParams", "ModelFileError", "TrainConfig",

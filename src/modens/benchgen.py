@@ -120,7 +120,7 @@ class GeneratedPanel:
 def _draw_factor_model(n: int, rng: np.random.Generator
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Factors (n, 8) and signed loadings (8, 128) of the fallback feature
-    matrix, drawn in this order: factors, loadings, signs."""
+    matrix factors @ loadings, drawn in this order: factors, loadings, signs."""
     factors = rng.standard_normal((n, SYNTHETIC_RANK))
     loadings = np.exp(rng.standard_normal((SYNTHETIC_RANK, SYNTHETIC_FEATURES)))
     loadings *= rng.choice((-1.0, 1.0), size=loadings.shape)
@@ -130,30 +130,6 @@ def _draw_factor_model(n: int, rng: np.random.Generator
 def _draw_projection(n_features: int, config: GeneratorConfig,
                      rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((n_features, config.n_projected))
-
-
-def _as_features(features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] == 0 or features.shape[1] == 0:
-        raise ValueError("features must be a nonempty 2-d matrix")
-    return features
-
-
-def synthetic_features(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Fallback feature matrix: n x 128 from a rank-8 factor model with
-    signed, heavy-tailed log-normal loadings, so projected columns end up
-    with nontrivial cross-correlations like real expression data."""
-    factors, loadings = _draw_factor_model(n, rng)
-    return factors @ loadings
-
-
-def random_projection(features: np.ndarray, config: GeneratorConfig,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Project n x p features into n_visible + 1 + n_hidden columns, each a
-    linear combination with i.i.d. standard normal coefficients.  Column
-    order: visible block, treatment column, hidden block."""
-    features = _as_features(features)
-    return features @ _draw_projection(features.shape[1], config, rng)
 
 
 def rank_normalize(column: np.ndarray) -> np.ndarray:
@@ -216,10 +192,11 @@ def generate_panel(features: np.ndarray | None, config: GeneratorConfig) -> Gene
             return factors[rows] @ loadings
     else:
         features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] == 0:
+            raise ValueError("features must be a 2-d matrix with at least one column")
         if features.shape[0] < n:
             raise ValueError(
                 f"requested {n} rows but features provide only {features.shape[0]}")
-        features = _as_features(features)
         n_rows, n_features = features.shape
 
         def feature_rows(rows):

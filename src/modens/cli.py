@@ -216,11 +216,9 @@ def _setting(flag_value, config: dict, key: str, kind: type, default):
 
 def _command_config(args) -> dict:
     """The config file's settings for this subcommand: its section named
-    after the subcommand, else the top level (a replayed manifest).  A
-    generate config is a generator config or a generate manifest, whole."""
+    after the subcommand, else the top level (a replayed manifest, or a
+    generator config, which has no ``generate`` key)."""
     cfg_file = _load_config_file(args.config)
-    if args.subcommand == "generate":
-        return cfg_file
     section = cfg_file.get(args.subcommand, cfg_file)
     if not isinstance(section, dict):
         raise ConfigError(f"config file {args.config}: {args.subcommand!r} must be an object")
@@ -343,8 +341,10 @@ def _cmd_gamma_search(args, s: dict, _config: dict) -> int:
     if test.potential_outcomes is None:
         raise ConfigError(f"{s['test']}: gamma-search needs y0/y1 potential-outcome columns")
     model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
-    report = run_experiment(test, eval_cfg, model=model, propensity=prop, seed=s["seed"],
-                            report_json=out, points_csv=out.with_suffix(".points.csv"))
+    report = run_experiment(test, eval_cfg, model=model, propensity=prop, seed=s["seed"])
+    report.write_json(out)
+    report.write_points_csv(out.with_suffix(".points.csv"),
+                            test.potential_outcomes[:, eval_cfg.arm])
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "gamma-search",
                     {**s, **eval_cfg.to_dict(), "propensity_model": prop_path},
                     extra={"solved_gammas": list(report.solved_gammas)})

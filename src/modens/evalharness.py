@@ -180,9 +180,11 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
     """The smallest gamma in [1, 50] whose intervals reach the coverage
     target.  Without ``budgets``, the rows' ``modulated_budgets``, a
     bisection solves intervals at every step and reports the feasible
-    (upper) end of its final bracket.  With them, ``_budget_answer``
-    names the gammas to solve; if the solved coverage at any of them
-    disagrees with the budgets, the bisection runs instead.
+    (upper) end of its final bracket, at most ``gamma_tol`` wide or with
+    adjacent floats as ends.  With them, ``_budget_answer`` names the
+    gammas to solve; if the solved coverage at any of them disagrees with
+    the budgets, the bisection runs instead, as for any ``gamma_tol``
+    below about 2 gamma* ``BUDGET_STEP``.
 
     Assumes the pipeline is deterministic in gamma and coverage is
     nondecreasing in gamma (guaranteed by interval nesting).
@@ -211,6 +213,8 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
             lo, hi = 1.0, GAMMA_MAX
             while hi - lo > config.gamma_tol:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:   # lo and hi are adjacent floats
+                    break
                 if reaches(mid):
                     hi = mid
                 else:
@@ -233,7 +237,7 @@ def _budget_answer(budgets: np.ndarray, target: float, gamma_tol: float
     """gamma* from the rows' critical budgets, and the gammas to solve with
     whether each reaches the target: gamma=1 alone when the deciding budget
     is 1, the top of the range alone (FAILURE) when it is above it, else
-    the budget stepped up by ``BUDGET_STEP`` and half a tolerance below."""
+    the budget stepped up by ``BUDGET_STEP`` and half a tolerance (or a float) below."""
     n = len(budgets)
     # the fewest covered rows reaching the target, divided as ``coverage``
     # divides: ceil(target * n) can round one too high
@@ -244,7 +248,8 @@ def _budget_answer(budgets: np.ndarray, target: float, gamma_tol: float
     if deciding > GAMMA_MAX:
         return None, {GAMMA_MAX: False}
     gamma_star = min(deciding * (1.0 + BUDGET_STEP), GAMMA_MAX)
-    return gamma_star, {gamma_star: True, max(1.0, gamma_star - 0.5 * gamma_tol): False}
+    below = min(gamma_star - 0.5 * gamma_tol, math.nextafter(gamma_star, 0.0))
+    return gamma_star, {gamma_star: True, max(1.0, below): False}
 
 
 # member family codes (m,), member locations and scales (n, m), and the
@@ -323,14 +328,13 @@ def modulated_pipeline(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
 
 
 def run_experiment(test_data: Dataset, eval_config: EvalConfig, *,
-                   model: mlp.EnsembleModel, propensity: mlp.MlpParams, seed: int = 0,
-                   report_json: str | Path | None = None,
-                   points_csv: str | Path | None = None) -> ExperimentReport:
+                   model: mlp.EnsembleModel, propensity: mlp.MlpParams, seed: int = 0
+                   ) -> ExperimentReport:
     """End-to-end protocol on loaded objects: per-point components and MSM
     bounds for the scored arm from the trained ensemble and propensity
-    model, then the gamma* search from the rows' ``modulated_budgets``,
-    optionally writing the report JSON and the per-point CSV.  The arm is
-    scored once for both."""
+    model, then the gamma* search from the rows' ``modulated_budgets``.
+    The arm is scored once for both.  The caller writes the report with
+    ``write_json`` and ``write_points_csv``."""
     t0 = time.perf_counter()
     if test_data.potential_outcomes is None:
         raise ValueError("test data must carry y0/y1 potential-outcome columns")
@@ -342,8 +346,4 @@ def run_experiment(test_data: Dataset, eval_config: EvalConfig, *,
                                 eval_config.alpha, scored=scored)
     report = gamma_star_search(pipeline, outcomes, eval_config, seed=seed, budgets=budgets)
     report.runtime_seconds = time.perf_counter() - t0
-    if report_json is not None:
-        report.write_json(report_json)
-    if points_csv is not None:
-        report.write_points_csv(points_csv, outcomes)
     return report

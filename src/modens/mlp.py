@@ -18,10 +18,10 @@ the n propensities e_1(x); both reject covariates of the wrong width.
 Backpropagation is hand-rolled for this fixed architecture so the gradient
 check against finite differences stays meaningful.  It frees each hidden
 activation once it has read it for the last time, and each delta once the
-next one is formed; forward passes that need only the output keep no
-activation.  So training a member holds at most its design rows, two
-hidden activations and two deltas at once, beside O(n) bootstrap
-bookkeeping.
+next one is formed, so training a member holds at most its design rows,
+two hidden activations and two deltas at once, beside O(n) bootstrap
+bookkeeping.  Output-only forward passes (prediction, ``nll``, the Cauchy
+warm-up's quartile map) hold every hidden activation until they return.
 """
 
 from __future__ import annotations

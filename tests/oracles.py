@@ -275,15 +275,17 @@ def rank_normalize_ref(column) -> np.ndarray:
 
 def reference_generate_panel(features, config) -> benchgen.GeneratedPanel:
     """`benchgen.generate_panel` built column by column: the same RNG draws,
-    each confounder column ranked on its own and stacked, and u = V' M V
-    evaluated as one 3-operand einsum per forced arm."""
+    the whole feature matrix built and projected at once rather than in row
+    blocks, each confounder column ranked on its own and stacked, and
+    u = V' M V evaluated as one 3-operand einsum per forced arm."""
     rng = np.random.default_rng(config.seed)
     n = config.n_total
     if features is None:
-        features = benchgen.synthetic_features(n, rng=rng)
+        factors, loadings = benchgen._draw_factor_model(n, rng)
+        features = factors @ loadings
     features = np.asarray(features, dtype=np.float64)
     features = features[rng.permutation(features.shape[0])[:n]]
-    projected = benchgen.random_projection(features, config, rng)
+    projected = features @ benchgen._draw_projection(features.shape[1], config, rng)
     ti = config.treatment_index
     visible = np.column_stack([rank_normalize_ref(projected[:, j]) for j in range(ti)])
     hidden = np.column_stack([rank_normalize_ref(projected[:, j])

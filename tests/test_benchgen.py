@@ -6,9 +6,8 @@ from scipy import stats
 
 from modens import (GeneratorConfig, TrainConfig, binarize_treatment, fit_propensity,
                     generate_dataset, generate_panel, predict_propensity_batch,
-                    random_projection, rank_normalize, synthetic_features,
-                    write_benchmark)
-from modens.benchgen import outcome_link_matrix
+                    rank_normalize, write_benchmark)
+from modens.benchgen import _draw_factor_model, _draw_projection, outcome_link_matrix
 from modens.mlp import Head
 from oracles import rank_normalize_ref, reference_generate_panel
 
@@ -79,32 +78,6 @@ class TestQuadraticOutcome:
         assert e_t @ M @ e_t == pytest.approx(M[ti, ti])
 
 
-class TestRandomProjection:
-    def test_single_feature_column_gives_scalar_multiples(self, rng):
-        cfg = small_config(n_visible=2, n_hidden=2)
-        col = rng.normal(0, 1, (50, 1))
-        out = random_projection(col, cfg, np.random.default_rng(0))
-        for j in range(out.shape[1]):
-            ratio = out[:, j] / col[:, 0]
-            assert np.allclose(ratio, ratio[0])
-
-    def test_zero_features_give_zero_projection(self):
-        cfg = small_config()
-        out = random_projection(np.zeros((10, 4)), cfg, np.random.default_rng(0))
-        assert np.all(out == 0.0)
-
-    def test_fixed_seed_reproducible(self, rng):
-        cfg = small_config()
-        feats = rng.normal(0, 1, (30, 6))
-        a = random_projection(feats, cfg, np.random.default_rng(7))
-        b = random_projection(feats, cfg, np.random.default_rng(7))
-        assert np.array_equal(a, b)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            random_projection(np.zeros((0, 3)), small_config(), np.random.default_rng(0))
-
-
 class TestGeneratePanel:
     def test_noiseless_mode_y_equals_u(self):
         panel = generate_panel(None, small_config(noiseless=True))
@@ -121,9 +94,9 @@ class TestGeneratePanel:
         cfg = small_config(n_visible=4, n_hidden=3)
         panel = generate_panel(None, cfg)
         rng = np.random.default_rng(cfg.seed)
-        synthetic_features(cfg.n_total, rng=rng)
+        _draw_factor_model(cfg.n_total, rng)
         rng.permutation(cfg.n_total)
-        rng.standard_normal((128, cfg.n_projected))
+        _draw_projection(128, cfg, rng)
         M = outcome_link_matrix(cfg, rng)
         i = 5
         for arm in (0, 1):
@@ -153,6 +126,11 @@ class TestGeneratePanel:
         cfg = small_config()
         with pytest.raises(ValueError, match="rows"):
             generate_panel(np.zeros((10, 4)) + np.arange(40).reshape(10, 4), cfg)
+
+    @pytest.mark.parametrize("shape", [(400,), (400, 0)], ids=["1-d", "no-columns"])
+    def test_features_must_be_a_matrix_with_columns(self, shape):
+        with pytest.raises(ValueError, match="2-d matrix with at least one column"):
+            generate_panel(np.zeros(shape), small_config())
 
     def test_potential_outcome_noise_is_fresh_per_arm(self):
         panel = generate_panel(None, small_config())

@@ -2,6 +2,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import returns_within
 from modens import CostKind, GeneratorConfig, Head, cli, load_dataset_csv, write_benchmark
 from modens.cli import main
 from modens.evalharness import check_arm
@@ -44,6 +45,19 @@ class TestGenerate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "config_hash" in manifest
         assert manifest["files"]["train"] == "train.csv"
+
+    def test_combined_config_reads_generate_section(self, tmp_path):
+        sizes = {"n_train": 30, "n_valid": 6, "n_test": 6, "seed": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"generate": {"generator": sizes},
+                                        "train": {"head": "cauchy", "members": 2}}))
+        out, ref = tmp_path / "data", tmp_path / "ref"
+        assert run(["generate", "--config", cfg_path, "--out-dir", out]) == 0
+        write_benchmark(None, GeneratorConfig(**sizes), ref)
+        for name in ("train.csv", "valid.csv", "test.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+        generator = json.loads((out / "manifest.json").read_text())["config"]["generator"]
+        assert {k: generator[k] for k in sizes} == sizes
 
     def test_repeat_invocation_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -823,6 +837,24 @@ class TestGammaSearch:
         b.pop("runtime_seconds")
         assert a == b
         assert (tmp_path / "r1.points.csv").exists()
+
+    def test_tolerance_below_float_spacing_ends(self, bench_dir, trained_model, tmp_path):
+        # an interior gamma* (about 1.1) at the default tolerance and at one
+        # far below the float spacing there, where the search bisects to
+        # adjacent floats
+        docs = {}
+        for tol in ("0.05", "1e-20"):
+            out = tmp_path / f"r-{tol}.json"
+            argv = ["gamma-search", "--model", trained_model, "--test",
+                    bench_dir / "test.csv", "--target", 0.7, "--alpha", 0.3,
+                    "--gamma-tol", tol, "--out", out]
+            assert returns_within(60, run, argv) == 0
+            manifest = json.loads(out.with_suffix(".json.manifest.json").read_text())
+            docs[tol] = json.loads(out.read_text()), len(manifest["solved_gammas"])
+        (default, n_default), (fine, n_fine) = docs["0.05"], docs["1e-20"]
+        assert 1.0 < default["gamma_star"] < 50.0 and n_default == 2 < n_fine
+        assert fine["achieved_coverage"] == default["achieved_coverage"]
+        assert fine["gamma_star"] == pytest.approx(default["gamma_star"], rel=2e-6)
 
     def test_missing_potential_columns_exit_2(self, bench_dir, trained_model, tmp_path):
         code = run(["gamma-search", "--model", trained_model, "--test",

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import returns_within
 from modens import (CostKind, EvalConfig, OutcomeInterval, cost_abs_std, cost_mass,
                     coverage, gamma_star_search)
 
@@ -250,9 +252,11 @@ class TestRunExperiment:
         report = run_experiment(
             test, cfg, model=train_ensemble(train, train_cfg, 3, m=2),
             propensity=fit_propensity(train, train_cfg, 3),
-            seed=3, report_json=report_path, points_csv=points_path)
+            seed=3)
+        report.write_json(report_path)
+        report.write_points_csv(points_path, test.potential_outcomes[:, cfg.arm])
         assert len(report.lo) == len(report.hi) == test.n
-        assert report_path.exists()
+        assert json.loads(report_path.read_text())["n_points"] == test.n
         lines = points_path.read_text().splitlines()
         assert lines[0] == "index,lo,hi,y,covered"
         assert len(lines) == test.n + 1
@@ -573,6 +577,42 @@ class TestPredictedSearch:
         else:
             self.assert_same_report(exact, plain)
             assert exact.solved_gammas == ((1.0,) if threshold == 1.0 else (50.0,))
+
+    def test_scripted_search_ends_below_float_spacing(self):
+        # a tolerance below the float spacing near gamma*: both paths bisect
+        # until the bracket's ends are adjacent floats; the budgets' lower
+        # certificate, one float below gamma*, still reaches the target
+        from modens.evalharness import BUDGET_STEP
+
+        outcomes = np.linspace(4.0, 6.0, 16)
+        cfg = EvalConfig(target_coverage=0.9, alpha=0.1, gamma_tol=1e-20)
+        plain = returns_within(30, gamma_star_search, step_pipeline(7.0, n=16), outcomes, cfg)
+        exact = returns_within(30, gamma_star_search, step_pipeline(7.0, n=16), outcomes, cfg,
+                               budgets=np.full(16, 7.0))
+        assert plain.gamma_star == 7.0 and math.nextafter(7.0, 0.0) in plain.solved_gammas
+        self.assert_same_report(exact, plain)
+        certified = 7.0 * (1.0 + BUDGET_STEP)
+        assert exact.solved_gammas[:2] == (certified, math.nextafter(certified, 0.0))
+
+    @pytest.mark.parametrize("head", ["cauchy", "gaussian"])
+    def test_trained_search_ends_below_float_spacing(self, trained, head):
+        from modens import run_experiment
+        from modens.evalharness import modulated_interval_arrays
+
+        test, models = trained
+        model, prop = models[head]
+        arrays = modulated_interval_arrays(model, prop, test.covariates, np.ones(test.n), 0.6)
+        y = test.potential_outcomes[:, 1]
+        cfg = EvalConfig(target_coverage=0.5 * (coverage(*arrays(1.0), y)
+                                                + coverage(*arrays(50.0), y)), alpha=0.6)
+        default = run_experiment(test, cfg, model=model, propensity=prop)
+        self.assert_interior(default, self.plain(model, prop, test, cfg), cfg)
+        fine = returns_within(30, run_experiment, test,
+                              dataclasses.replace(cfg, gamma_tol=1e-20),
+                              model=model, propensity=prop)
+        assert fine.achieved_coverage == default.achieved_coverage
+        assert fine.gamma_star == pytest.approx(default.gamma_star, rel=2e-6)
+        assert len(fine.solved_gammas) > 2
 
     def test_budget_step_certifies_every_interior_target(self, trained):
         # every coverage reachable inside (1, 50] on both heads, three
