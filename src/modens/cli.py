@@ -1,20 +1,23 @@
 """Command-line surface: generate / train / intervals / gamma-search /
 oracle-check / report.
 
-Every setting a flag or a ``--config`` file may give is declared once,
-in ``_SETTINGS``: its config key, type, default (or required) and help.
-The flag is the key with dashes, except where ``_FLAGS`` renames it, and
-``--help`` prints every default.  A setting resolves as its flag, else the
-config file, else the default, before any file is read; the library's
-checks (``mlp.Head``, ``check_arm``, ``CostKind`` and the rest) are the
-only checks on its value, so a bad flag and a bad config value fail alike.
-A retired setting (``_RETIRED``) that an older config file or manifest
-still gives replays at the value the program now always uses, of the
-same type; any other value is a configuration error.
-Every subcommand but oracle-check, which only prints, writes a manifest
-echoing the resolved configuration with its hash.  Every CSV, read or
-written, goes through ``data``.  Exit codes: 0 success (a FAILURE verdict
-is still a success), 1 operational error, 2 usage or configuration error.
+Every setting a flag or a ``--config`` file may give is declared once, in
+``_SETTINGS``: its config key, type, default (or required) and help; only
+``--config`` and the output paths are flags outside it.  The flag is the key
+with dashes, except where ``_FLAGS`` renames it, and ``--help`` prints every
+default.  A setting resolves as its flag, else the config file, else the
+default, before any file is read; the library's checks (``mlp.Head``,
+``check_arm``, ``CostKind`` and the rest) are the only checks on its value,
+so a bad flag and a bad config value fail alike.  A retired setting
+(``_RETIRED``) that an older config file or manifest still gives replays at
+the value the program now always uses, of the same type; any other value is
+a configuration error.  Every subcommand but oracle-check, which only
+prints, writes a manifest echoing the resolved configuration with its hash,
+which only that subcommand replays.  An output file that is a directory, or
+whose directory is missing, is refused before any input is read (by report,
+before any solve).  Every CSV, read or written, goes through ``data``.
+Exit codes: 0 success (a FAILURE verdict is still a success), 1 operational
+error, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -58,19 +61,6 @@ def _config_errors(prefix: str = "", errors=(TypeError, ValueError)):
         raise ConfigError(f"{prefix}: {exc}" if prefix else str(exc)) from None
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with _config_errors(f"config file {path}", (OSError, json.JSONDecodeError)):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path}: expected a JSON object")
-    # a previously written manifest can be replayed directly
-    if "config" in doc and isinstance(doc["config"], dict):
-        return doc["config"]
-    return doc
-
-
 def _config_hash(resolved: dict) -> str:
     blob = json.dumps(resolved, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -85,20 +75,24 @@ def _write_manifest(path: Path, subcommand: str, resolved: dict,
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _check_writable_dir(out_dir: Path) -> None:
+def _out_dir_files(out_dir: Path, *names: str) -> list[Path]:
+    """Make ``out_dir`` and return its files ``names``, checked by ``_check_outputs``."""
     with _config_errors(f"out-dir {out_dir} is not writable", OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".modens-write-probe"
-        probe.write_text("", encoding="utf-8")
-        probe.unlink()
+    paths = [out_dir / name for name in names]
+    _check_outputs(*paths)
+    return paths
 
 
-def _check_writable_parent(out: Path) -> None:
-    parent = out.parent if out.parent != Path("") else Path(".")
-    if not parent.exists():
-        raise ConfigError(f"output directory {parent} does not exist")
-    if not os.access(parent, os.W_OK):
-        raise ConfigError(f"output directory {parent} is not writable")
+def _check_outputs(*paths: Path) -> None:
+    """Refuse an output file that is a directory, or whose directory is missing or read-only."""
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"output {path} is a directory")
+        if not path.parent.exists():
+            raise ConfigError(f"output directory {path.parent} does not exist")
+        if not os.access(path.parent, os.W_OK):
+            raise ConfigError(f"output directory {path.parent} is not writable")
 
 
 _REQUIRED = object()
@@ -117,13 +111,17 @@ _SETTINGS = {
     "generate": (
         ("features", str, "none", "numeric CSV with one header row, every column a "
                                   "feature, or 'none' for the built-in surrogate"),
+        ("seed", int, None, "RNG seed, >= 0; without it, the generator config's"),
     ),
     "train": (
+        ("data", str, _REQUIRED, "training CSV"),
         ("head", str, "gaussian", "outcome head, gaussian or cauchy"),
         ("members", int, 16, "ensemble size"),
         _SEED,
         ("hidden", (str, list), "64,64", "comma-separated hidden-layer widths"),
         ("epochs", int, 2000, "training epochs per member"),
+        ("warmup_epochs", int, None, "Gaussian warm-up epochs before Cauchy fine-tuning, "
+                                     ">= 1; without it, epochs // 2"),
     ),
     "intervals": (
         _MODEL, _PROPENSITY,
@@ -185,7 +183,7 @@ def _settings(args, config: dict) -> dict:
             value = value(config, s)
         if given is not None and (type(given) is not type(value) or given != value):
             raise ConfigError(f"{key}={given!r} cannot be set: {why}")
-    if "seed" in s:
+    if s.get("seed") is not None:
         with _config_errors():
             benchgen.check_seed(s["seed"])
     return s
@@ -216,9 +214,21 @@ def _setting(flag_value, config: dict, key: str, kind: type, default):
 
 def _command_config(args) -> dict:
     """The config file's settings for this subcommand: its section named
-    after the subcommand, else the top level (a replayed manifest, or a
-    generator config, which has no ``generate`` key)."""
-    cfg_file = _load_config_file(args.config)
+    after the subcommand, else the top level (a generator config has no
+    ``generate`` key).  A manifest is read as its ``config``, and only by
+    the subcommand that wrote it."""
+    if args.config is None:
+        return {}
+    with _config_errors(f"config file {args.config}", (OSError, json.JSONDecodeError)):
+        cfg_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(cfg_file, dict):
+        raise ConfigError(f"config file {args.config}: expected a JSON object")
+    writer = cfg_file.get("subcommand", args.subcommand)
+    if writer != args.subcommand:
+        raise ConfigError(f"config file {args.config} is a {writer} manifest, "
+                          f"which {args.subcommand} cannot replay")
+    if isinstance(cfg_file.get("config"), dict):
+        cfg_file = cfg_file["config"]
     section = cfg_file.get(args.subcommand, cfg_file)
     if not isinstance(section, dict):
         raise ConfigError(f"config file {args.config}: {args.subcommand!r} must be an object")
@@ -233,16 +243,18 @@ def _cmd_generate(args, s: dict, config: dict) -> int:
     gen_cfg = rest.get("generator", rest)
     if not isinstance(gen_cfg, dict):
         raise ConfigError(f"config file {args.config}: 'generator' must be an object")
-    if args.seed is not None:
-        gen_cfg = {**gen_cfg, "seed": args.seed}
+    if s["seed"] is not None:
+        gen_cfg = {**gen_cfg, "seed": s["seed"]}
     with _config_errors("generator config"):
         gen = benchgen.config_from_dict(gen_cfg)
     out_dir = Path(args.out_dir)
-    _check_writable_dir(out_dir)
+    # the three CSVs write_benchmark writes, and the manifest
+    *_, manifest = _out_dir_files(out_dir, "train.csv", "valid.csv", "test.csv",
+                                  "manifest.json")
     features_path = s["features"]
     features = None if features_path.lower() == "none" else load_feature_csv(features_path)
     paths = benchgen.write_benchmark(features, gen, out_dir)
-    _write_manifest(out_dir / "manifest.json", "generate",
+    _write_manifest(manifest, "generate",
                     {"generator": benchgen.config_to_dict(gen), "features": features_path},
                     extra={"files": {k: p.name for k, p in paths.items()}})
     print(f"wrote {paths['train']}, {paths['valid']}, {paths['test']}")
@@ -251,7 +263,7 @@ def _cmd_generate(args, s: dict, config: dict) -> int:
 
 # ------------------------------------------------------------------- train
 
-def _train_config_from(s: dict, config: dict, head: mlp.Head) -> mlp.TrainConfig:
+def _train_config_from(s: dict, head: mlp.Head) -> mlp.TrainConfig:
     hidden = s["hidden"]
     widths = ([int(h) if h.strip().isdecimal() else h for h in hidden.split(",") if h]
               if isinstance(hidden, str) else hidden)
@@ -260,30 +272,30 @@ def _train_config_from(s: dict, config: dict, head: mlp.Head) -> mlp.TrainConfig
                           f"integers, got {hidden!r}")
     with _config_errors("train config"):
         return mlp.TrainConfig(hidden=tuple(widths), epochs=s["epochs"], head=head,
-                               warmup_epochs=config.get("warmup_epochs"))
+                               warmup_epochs=s["warmup_epochs"])
 
 
-def _cmd_train(args, s: dict, config: dict) -> int:
+def _cmd_train(args, s: dict, _config: dict) -> int:
     with _config_errors("head"):
         head = mlp.Head(s["head"])
     if head is mlp.Head.PROPENSITY:
         raise ConfigError("train fits outcome heads; the propensity model is fitted alongside")
-    train_cfg = _train_config_from(s, config, head)
+    train_cfg = _train_config_from(s, head)
     with _config_errors():
         mlp.check_members(s["members"])
     out = Path(args.out)
     prop_path = _propensity_path_for(out, args.propensity_out)
-    _check_writable_parent(out)
-    _check_writable_parent(prop_path)
-    data = load_dataset_csv(args.data)
+    manifest = out.with_suffix(out.suffix + ".manifest.json")
+    _check_outputs(out, prop_path, manifest)
+    data = load_dataset_csv(s["data"])
     model = mlp.train_ensemble(data, train_cfg, s["seed"], m=s["members"])
     prop = mlp.fit_propensity(data, train_cfg, s["seed"])
     # nothing is written until both fits succeed
     mlp.save_model(model, out)
     mlp.save_propensity(prop, prop_path, seed=s["seed"])
-    resolved = {**s, "data": str(args.data), "hidden": list(train_cfg.hidden),
+    resolved = {**s, "hidden": list(train_cfg.hidden),
                 "warmup_epochs": train_cfg.resolved_warmup_epochs()}
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train", resolved)
+    _write_manifest(manifest, "train", resolved)
     print(f"wrote {out} and {prop_path}")
     return 0
 
@@ -311,15 +323,15 @@ def _cmd_intervals(args, s: dict, _config: dict) -> int:
         if arm is not None:
             check_arm(arm)
     out = Path(args.out)
-    _check_writable_parent(out)
+    manifest = out.with_suffix(out.suffix + ".manifest.json")
+    _check_outputs(out, manifest)
     model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
     data = load_dataset_csv(s["data"])
     t = data.treatments if arm is None else np.full(data.n, arm)
     lo, hi = modulated_interval_arrays(model, prop, data.covariates, t, s["alpha"])(s["gamma"])
     write_table(out, {"index": range(data.n), "t": t.tolist(), "lo": lo.tolist(),
                       "hi": hi.tolist()})
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "intervals",
-                    {**s, "propensity_model": prop_path})
+    _write_manifest(manifest, "intervals", {**s, "propensity_model": prop_path})
     print(f"wrote {out}")
     return 0
 
@@ -336,16 +348,17 @@ def _cmd_gamma_search(args, s: dict, _config: dict) -> int:
                               gamma_tol=s["gamma_tol"], arm=s["arm"],
                               cost_kind=CostKind(s["cost_kind"]))
     out = Path(args.out)
-    _check_writable_parent(out)
+    points = out.with_suffix(".points.csv")
+    manifest = out.with_suffix(out.suffix + ".manifest.json")
+    _check_outputs(out, points, manifest)
     test = load_dataset_csv(s["test"])
     if test.potential_outcomes is None:
         raise ConfigError(f"{s['test']}: gamma-search needs y0/y1 potential-outcome columns")
     model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
     report = run_experiment(test, eval_cfg, model=model, propensity=prop, seed=s["seed"])
     report.write_json(out)
-    report.write_points_csv(out.with_suffix(".points.csv"),
-                            test.potential_outcomes[:, eval_cfg.arm])
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "gamma-search",
+    report.write_points_csv(points, test.potential_outcomes[:, eval_cfg.arm])
+    _write_manifest(manifest, "gamma-search",
                     {**s, **eval_cfg.to_dict(), "propensity_model": prop_path},
                     extra={"solved_gammas": list(report.solved_gammas)})
     verdict = "FAILURE" if report.failed else f"gamma*={report.gamma_star:.4f}"
@@ -422,20 +435,18 @@ def _cmd_report(args, s: dict, _config: dict) -> int:
     test = load_dataset_csv(s["test"])
     if test.potential_outcomes is None:
         raise ConfigError(f"{s['test']}: report needs y0/y1 columns")
-    out_dir = Path(args.out_dir)
-    _check_writable_dir(out_dir)
+    path, manifest = _out_dir_files(Path(args.out_dir), "coverage_curve.csv",
+                                    "report.manifest.json")
     arm = s["arm"]
     intervals = modulated_interval_arrays(model, prop, test.covariates,
                                           np.full(test.n, arm), s["alpha"])
     outcomes = test.potential_outcomes[:, arm]
     curve = [intervals(g) for g in gammas]
-    path = out_dir / "coverage_curve.csv"
     write_table(path, {"gamma": gammas,
                        "coverage": [coverage(lo, hi, outcomes) for lo, hi in curve],
                        "mean_length": [float(np.mean(hi - lo)) for lo, hi in curve],
                        "cost_mass": [cost_mass(lo, hi, outcomes) for lo, hi in curve]})
-    _write_manifest(out_dir / "report.manifest.json", "report",
-                    {**s, "propensity_model": prop_path})
+    _write_manifest(manifest, "report", {**s, "propensity_model": prop_path})
     print(f"wrote {path}")
     return 0
 
@@ -478,11 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
             p[name].add_argument(_flag(key), dest=key, default=None,
                                  type=kind if kind in (int, float) else str,
                                  help=f"{help_text} ({_default_text(default)})")
-    # flag-only arguments: output paths, training data, the generator seed
-    p["generate"].add_argument("--seed", type=int, default=None,
-                               help="generator seed; overrides the config file's")
+    # flag-only arguments: the output paths
     p["generate"].add_argument("--out-dir", required=True)
-    p["train"].add_argument("--data", required=True, help="training CSV")
     p["train"].add_argument("--out", required=True, help="ensemble JSON to write")
     p["train"].add_argument("--propensity-out", default=None,
                             help="propensity model JSON to write; without it, next to --out")

@@ -1,4 +1,7 @@
+import argparse
 import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,28 @@ def trained_model(bench_dir, tmp_path_factory):
                 "--epochs", 40, "--out", out])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def chain_manifests(bench_dir, trained_model, tmp_path_factory):
+    """The manifest of each subcommand that writes one, by subcommand."""
+    out = tmp_path_factory.mktemp("chain")
+    cfg = out / "gen.json"
+    cfg.write_text(json.dumps({"n_train": 20, "n_valid": 5, "n_test": 5}))
+    model, test = trained_model, bench_dir / "test.csv"
+    for argv in (["generate", "--seed", 1, "--config", cfg, "--out-dir", out / "data"],
+                 ["intervals", "--model", model, "--data", test, "--gamma", 2, "--alpha", 0.2,
+                  "--out", out / "iv.csv"],
+                 ["gamma-search", "--model", model, "--test", test, "--target", 0.8,
+                  "--out", out / "r.json"],
+                 ["report", "--model", model, "--test", test, "--gammas", 1,
+                  "--out-dir", out / "rep"]):
+        assert run(argv) == 0
+    return {"generate": out / "data" / "manifest.json",
+            "train": trained_model.with_suffix(".json.manifest.json"),
+            "intervals": out / "iv.csv.manifest.json",
+            "gamma-search": out / "r.json.manifest.json",
+            "report": out / "rep" / "report.manifest.json"}
 
 
 class TestGenerate:
@@ -233,9 +258,13 @@ class TestParserDefaults:
 
 
 # the flag-only arguments each subcommand needs to parse
-FLAG_ONLY = {"generate": ["--out-dir", "o"], "train": ["--data", "d.csv", "--out", "m.json"],
+FLAG_ONLY = {"generate": ["--out-dir", "o"], "train": ["--out", "m.json"],
              "intervals": ["--out", "iv.csv"], "gamma-search": ["--out", "r.json"],
              "oracle-check": [], "report": ["--out-dir", "rep"]}
+# every output-path flag of each subcommand
+OUTPUT_FLAGS = {"generate": {"--out-dir"}, "train": {"--out", "--propensity-out"},
+                "intervals": {"--out"}, "gamma-search": {"--out"}, "oracle-check": set(),
+                "report": {"--out-dir"}}
 # a config-file value and a flag value of each setting type
 SAMPLES = {int: (3, 4), float: (0.25, 0.5), str: ("a", "b"), (str, list): ("a", "b")}
 
@@ -272,6 +301,15 @@ class TestSettingsTable:
             assert resolved(required) == default
         assert resolved({**required, key: from_file}) == from_file
         assert resolved({**required, key: from_file}, flag, str(from_flag)) == from_flag
+
+    @pytest.mark.parametrize("sub", list(cli._SETTINGS))
+    def test_only_config_and_output_paths_are_flags_outside_the_table(self, sub):
+        (subparsers,) = [action for action in cli.build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        options = {option for action in subparsers.choices[sub]._actions
+                   for option in action.option_strings}
+        rows = {cli._flag(key) for key, *_ in cli._SETTINGS[sub]}
+        assert options == rows | {"-h", "--help", "--config"} | OUTPUT_FLAGS[sub]
 
     @pytest.mark.parametrize("argv, flag, value, check", [
         (["intervals", "--model", "m.json", "--data", "d.csv", "--gamma", "2", "--alpha", "0.2",
@@ -528,6 +566,17 @@ class TestSubcommandConfigFiles:
         assert "relative" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("writer, reader", [
+        (writer, reader) for writer in ("generate", "train", "intervals", "gamma-search", "report")
+        for reader in FLAG_ONLY if reader != writer])
+    def test_manifest_replays_only_under_its_subcommand(self, chain_manifests, tmp_path, capsys,
+                                                        writer, reader):
+        outputs = [a if a.startswith("--") else tmp_path / a for a in FLAG_ONLY[reader]]
+        assert run([reader, "--config", chain_manifests[writer], *outputs]) == 2
+        assert (f"config error: config file {chain_manifests[writer]} is a {writer} manifest, "
+                f"which {reader} cannot replay") in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_oracle_check_reads_its_settings_from_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "oc.json"
         cfg.write_text(json.dumps({"oracle-check": {"m": 3, "trials": 2}}))
@@ -564,6 +613,42 @@ class TestTrain:
         assert run(common + ["--config", manifest, "--out", replay]) == 0
         for name in ("m.json", "m.propensity.json", "m.json.manifest.json"):
             assert (replay.parent / name).read_bytes() == (first.parent / name).read_bytes()
+
+    def test_manifest_replays_with_out_alone(self, bench_dir, tmp_path):
+        first, replay = tmp_path / "a" / "m.json", tmp_path / "b" / "m.json"
+        first.parent.mkdir()
+        replay.parent.mkdir()
+        assert run(["train", "--data", bench_dir / "train.csv", "--head", "cauchy",
+                    "--seed", 3, "--members", 2, "--hidden", "4", "--epochs", 6,
+                    "--out", first]) == 0
+        manifest = first.with_suffix(".json.manifest.json")
+        assert json.loads(manifest.read_text())["config"]["data"] == str(bench_dir / "train.csv")
+        assert run(["train", "--config", manifest, "--out", replay]) == 0
+        for name in ("m.json", "m.propensity.json", "m.json.manifest.json"):
+            assert (replay.parent / name).read_bytes() == (first.parent / name).read_bytes()
+
+    def test_warmup_flag_and_config_file_write_the_same_model(self, bench_dir, tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"train": {"warmup_epochs": 3}}))
+        flag, file = tmp_path / "a" / "m.json", tmp_path / "b" / "m.json"
+        flag.parent.mkdir()
+        file.parent.mkdir()
+        # 8 epochs, whose default warm-up is 4
+        common = ["train", "--data", bench_dir / "train.csv", "--head", "cauchy", "--seed", 3,
+                  "--members", 2, "--hidden", "4", "--epochs", 8]
+        assert run(common + ["--warmup-epochs", 3, "--out", flag]) == 0
+        assert run(common + ["--config", cfg, "--out", file]) == 0
+        for name in ("m.json", "m.propensity.json", "m.json.manifest.json"):
+            assert (flag.parent / name).read_bytes() == (file.parent / name).read_bytes()
+        manifest = json.loads(flag.with_suffix(".json.manifest.json").read_text())
+        assert manifest["config"]["warmup_epochs"] == 3
+
+    def test_warmup_flag_zero_exits_2(self, bench_dir, tmp_path, capsys):
+        assert run(["train", "--data", bench_dir / "train.csv", "--warmup-epochs", 0,
+                    "--out", tmp_path / "m.json"]) == 2
+        assert ("config error: train config: warmup_epochs must be None or an integer >= 1, "
+                "got 0") in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_cauchy_manifest_replay_without_flags_is_byte_identical(self, bench_dir,
                                                                     tmp_path):
@@ -658,6 +743,52 @@ class TestTrain:
                     "--epochs", 5, "--out", tmp_path / "m.json"])
         assert code == 1
         assert f"{bad}: row 2: y must be finite, got '{value}'" in capsys.readouterr().err
+
+
+# each writing subcommand's arguments, and the files it writes under "{out}"
+WRITES = {
+    "generate": (["--config", "{cfg}", "--out-dir", "{out}/gen"],
+                 ["gen/train.csv", "gen/valid.csv", "gen/test.csv", "gen/manifest.json"]),
+    "train": (["--data", "{data}/train.csv", "--members", "1", "--hidden", "2", "--epochs", "1",
+               "--out", "{out}/m.json"], ["m.json", "m.propensity.json", "m.json.manifest.json"]),
+    "intervals": (["--model", "{model}", "--data", "{data}/valid.csv", "--gamma", "2",
+                   "--alpha", "0.2", "--out", "{out}/iv.csv"], ["iv.csv", "iv.csv.manifest.json"]),
+    "gamma-search": (["--model", "{model}", "--test", "{data}/test.csv", "--target", "0.8",
+                      "--out", "{out}/r.json"],
+                     ["r.json", "r.points.csv", "r.json.manifest.json"]),
+    "report": (["--model", "{model}", "--test", "{data}/test.csv", "--gammas", "1",
+                "--out-dir", "{out}/rep"], ["rep/coverage_curve.csv", "rep/report.manifest.json"]),
+}
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("sub, name", [(sub, name) for sub, (_, names) in WRITES.items()
+                                           for name in names])
+    def test_output_that_is_a_directory_exits_2_before_the_work(
+            self, bench_dir, trained_model, tmp_path, monkeypatch, capsys, sub, name):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"n_train": 20, "n_valid": 5, "n_test": 5}))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        calls = []
+
+        def recorded(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        for module, fn in ((cli, "load_dataset_csv"), (cli, "_load_models"),
+                           (cli, "modulated_interval_arrays"), (cli.benchgen, "write_benchmark")):
+            monkeypatch.setattr(module, fn, recorded(fn, getattr(module, fn)))
+        argv = [a.format(cfg=cfg, out=out, data=bench_dir, model=trained_model)
+                for a in WRITES[sub][0]]
+        assert run([sub, *argv]) == 2
+        assert f"config error: output {out / name} is a directory" in capsys.readouterr().err
+        # report reads its inputs before it makes --out-dir, but solves nothing
+        assert calls == (["_load_models", "load_dataset_csv"] if sub == "report" else [])
+        assert ({p.relative_to(out) for p in out.rglob("*")}
+                == {Path(name), *Path(name).parents} - {Path(".")})
 
 
 class TestRetiredSettings:

@@ -12,12 +12,12 @@ speed factors) beside its last-line JSON result.
 The protocol round runs the paper's settings in a temporary directory,
 one ``python -m modens.cli`` process per step, each timed by its wall
 clock: ``generate --seed 0`` (8192/2048/2048 rows); ``train`` with 16
-Cauchy members, hidden (32, 32), 300 epochs and 200 warm-up epochs (from a
-config file: ``warmup_epochs`` has no flag); ``gamma-search`` (target 0.8,
-alpha 0.3) and ``report`` (alpha 0.3) on the 2048 test rows; then a
-16-member Gaussian-head ``train`` and its ``gamma-search`` on the same
-rows.  Like the benchmark, the round runs on one CPU with one BLAS
-thread.  It records walls and answers; nothing gates on it.
+Cauchy members, hidden (32, 32), 300 epochs and 200 warm-up epochs;
+``gamma-search`` (target 0.8, alpha 0.3) and ``report`` (alpha 0.3) on the
+2048 test rows; then a 16-member Gaussian-head ``train`` and its
+``gamma-search`` on the same rows.  Like the benchmark, the round runs on
+one CPU with one BLAS thread.  It records walls and answers; nothing gates
+on it.
 
 The file also names the machine: the core count, the Python, numpy and
 scipy versions, and whether numba imports.
@@ -95,11 +95,10 @@ def protocol_round(work: Path) -> dict:
         return {"gamma_star": doc["gamma_star"], "achieved_coverage": doc["achieved_coverage"],
                 "solved_gammas": len(manifest["solved_gammas"])}
 
-    (work / "warmup.json").write_text(json.dumps({"train": {"warmup_epochs": 200}}))
     test = ("--test", "data/test.csv")
     cli("generate", "generate", "--seed", "0", "--out-dir", "data")
     cli("train_cauchy", "train", "--data", "data/train.csv", "--head", "cauchy", *TRAIN,
-        "--config", "warmup.json", "--out", "cauchy.json")
+        "--warmup-epochs", "200", "--out", "cauchy.json")
     cli("gamma_search_cauchy", "gamma-search", "--model", "cauchy.json", *test, *SEARCH,
         "--out", "cauchy-report.json")
     cli("report_cauchy", "report", "--model", "cauchy.json", *test, "--alpha", "0.3",
