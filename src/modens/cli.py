@@ -14,8 +14,9 @@ the value the program now always uses, of the same type; any other value is
 a configuration error.  Every subcommand but oracle-check, which only
 prints, writes a manifest echoing the resolved configuration with its hash,
 which only that subcommand replays.  An output file that is a directory, or
-whose directory is missing, is refused before any input is read (by report,
-before any solve).  Every CSV, read or written, goes through ``data``.
+whose directory is missing, and two outputs that name the same file are
+refused before any input is read (by report, before any solve).  Every
+CSV, read or written, goes through ``data``.
 Exit codes: 0 success (a FAILURE verdict is still a success), 1 operational
 error, 2 usage or configuration error.
 """
@@ -85,8 +86,13 @@ def _out_dir_files(out_dir: Path, *names: str) -> list[Path]:
 
 
 def _check_outputs(*paths: Path) -> None:
-    """Refuse an output file that is a directory, or whose directory is missing or read-only."""
+    """Refuse an output file that is a directory, or whose directory is
+    missing or read-only, and two outputs that name the same file."""
+    seen = {}
     for path in paths:
+        first = seen.setdefault(path.resolve(), path)
+        if first is not path:
+            raise ConfigError(f"outputs {first} and {path} name the same file")
         if path.is_dir():
             raise ConfigError(f"output {path} is a directory")
         if not path.parent.exists():
@@ -328,7 +334,8 @@ def _cmd_intervals(args, s: dict, _config: dict) -> int:
     model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
     data = load_dataset_csv(s["data"])
     t = data.treatments if arm is None else np.full(data.n, arm)
-    lo, hi = modulated_interval_arrays(model, prop, data.covariates, t, s["alpha"])(s["gamma"])
+    (lo, hi), = modulated_interval_arrays(model, prop, data.covariates, t,
+                                          s["alpha"])(s["gamma"])
     write_table(out, {"index": range(data.n), "t": t.tolist(), "lo": lo.tolist(),
                       "hi": hi.tolist()})
     _write_manifest(manifest, "intervals", {**s, "propensity_model": prop_path})
@@ -441,7 +448,7 @@ def _cmd_report(args, s: dict, _config: dict) -> int:
     intervals = modulated_interval_arrays(model, prop, test.covariates,
                                           np.full(test.n, arm), s["alpha"])
     outcomes = test.potential_outcomes[:, arm]
-    curve = [intervals(g) for g in gammas]
+    curve = intervals(*gammas)
     write_table(path, {"gamma": gammas,
                        "coverage": [coverage(lo, hi, outcomes) for lo, hi in curve],
                        "mean_length": [float(np.mean(hi - lo)) for lo, hi in curve],

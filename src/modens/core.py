@@ -8,7 +8,10 @@ on the sorted-rank envelope.  ``maximize_quantile``, ``minimize_quantile``
 and ``outcome_interval`` run it on one row with the scalar kernel;
 ``modulated_intervals_batch`` runs it on many rows at once with the
 row-lockstep kernel, whose endpoints agree with the scalar ones within
-tol and depend on their own row alone.  ``brute_force_extreme_quantile``
+tol and depend on their own row alone.  It solves any batch in blocks of
+``SOLVE_BLOCK_ROWS`` = 2048 rows, and a caller with several gammas
+(``evalharness``) stacks its rows once per gamma into one call.
+``brute_force_extreme_quantile``
 enumerates every vertex as a test oracle, and ``check_optimality``
 certifies a solution via the no-improving-pair condition.  Every solve
 here runs at the one quantile tolerance tol = 1e-9 * (1 + the largest
@@ -29,6 +32,10 @@ from .dist import (QUANTILE_TOL_REL, check_beta, check_weight_mean, default_quan
 from .sensitivity import WeightBounds
 
 _BOUND_SLACK = 1e-12
+# rows per lockstep solve: a larger batch spreads each step's fixed numpy
+# cost over more rows until its working set outgrows the cache (stored
+# search ensemble, one CPU: 15.2 us a row at 64 rows, 7.7 at 2048, 9.7 at 4096)
+SOLVE_BLOCK_ROWS = 2048
 # a member-mass gap above this at the quantile is an improving transfer
 OPTIMALITY_TOL_MASS = 1e-9
 
@@ -246,11 +253,14 @@ def modulated_intervals_batch(fam: np.ndarray, locs: np.ndarray,
     """One outcome interval per row of (locs, scales), members in families
     ``fam`` (0 Gaussian, 1 Cauchy, one code per column), under per-row
     weight bounds, at the default quantile tolerance tol of the row's
-    members.  All rows are solved together by the row-lockstep kernel
-    (``_kernels.interval_rows``): row i lies within tol of
-    ``outcome_interval`` on that row's members and bounds, both within
-    tol/2 of the crossing, and depends on row i alone, so a row solves to
-    the same bits alone or in any batch, in any row order."""
+    members.  The rows are solved by the row-lockstep kernel
+    (``_kernels.interval_rows``) in consecutive blocks of
+    ``SOLVE_BLOCK_ROWS`` rows (the last one shorter): row i lies within
+    tol of ``outcome_interval`` on that row's members and bounds, both
+    within tol/2 of the crossing, and depends on row i alone, so a row
+    solves to the same bits alone or in any batch, in any row order, and
+    the blocks give the bits of one kernel call on every row.  Callers
+    with several gammas stack their rows once per gamma into one call."""
     fam = np.asarray(fam)
     locs = np.asarray(locs, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
@@ -276,5 +286,8 @@ def modulated_intervals_batch(fam: np.ndarray, locs: np.ndarray,
         raise ValueError("weight bounds must satisfy 0 < lower <= 1 <= upper < inf")
     if n == 0:
         return np.empty(0), np.empty(0)
-    return K.interval_rows(fam.astype(np.int64), locs, scales, lowers, uppers, alpha,
-                           QUANTILE_TOL_REL * (1.0 + scales.max(axis=1)))
+    fam = fam.astype(np.int64)
+    tol = QUANTILE_TOL_REL * (1.0 + scales.max(axis=1))
+    ends = [K.interval_rows(fam, locs[b], scales[b], lowers[b], uppers[b], alpha, tol[b])
+            for b in (slice(i, i + SOLVE_BLOCK_ROWS) for i in range(0, n, SOLVE_BLOCK_ROWS))]
+    return np.concatenate([lo for lo, _ in ends]), np.concatenate([hi for _, hi in ends])

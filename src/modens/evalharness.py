@@ -9,7 +9,8 @@ scaled to the outcome standard deviation, or mass under the empirical
 outcome distribution.  Row i is covered once gamma reaches its critical
 budget, which follows in closed form from its members' masses at the
 outcome y_i (``modulated_budgets``); ``run_experiment`` takes gamma* from
-the budgets and solves intervals only where the answer rests.
+the budgets and solves intervals only at the gammas the answer rests on,
+all of them in one stacked batch.
 
 Intervals travel as ``(lo, hi)`` endpoint arrays: the search turns each
 probe's intervals into arrays once, the costs and ``ExperimentReport``
@@ -175,15 +176,15 @@ def _cost_at(lo: np.ndarray, hi: np.ndarray, outcomes: np.ndarray,
 
 def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
                       outcomes: Sequence[float], config: EvalConfig,
-                      seed: int | None = None, budgets: np.ndarray | None = None
+                      seed: int | None = None, plan: BudgetPlan | None = None
                       ) -> ExperimentReport:
     """The smallest gamma in [1, 50] whose intervals reach the coverage
-    target.  Without ``budgets``, the rows' ``modulated_budgets``, a
-    bisection solves intervals at every step and reports the feasible
-    (upper) end of its final bracket, at most ``gamma_tol`` wide or with
-    adjacent floats as ends.  With them, ``_budget_answer`` names the
-    gammas to solve; if the solved coverage at any of them disagrees with
-    the budgets, the bisection runs instead, as for any ``gamma_tol``
+    target.  Without ``plan``, a bisection solves intervals at every step
+    and reports the feasible (upper) end of its final bracket, at most
+    ``gamma_tol`` wide or with adjacent floats as ends.  With it, the
+    ``budget_plan`` of the rows' ``modulated_budgets``, the plan's gammas
+    are probed in order; if the solved coverage at any of them disagrees
+    with the plan, the bisection runs instead, as for any ``gamma_tol``
     below about 2 gamma* ``BUDGET_STEP``.
 
     Assumes the pipeline is deterministic in gamma and coverage is
@@ -202,9 +203,9 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
             solved[gamma] = (lo, hi, coverage(lo, hi, outcomes))
         return solved[gamma][2] >= target
 
-    if budgets is not None:
-        gamma_star, decided = _budget_answer(budgets, target, config.gamma_tol)
-    if budgets is None or not all(reaches(g) == d for g, d in decided.items()):
+    if plan is not None:
+        gamma_star, decided = plan
+    if plan is None or not all(reaches(g) == d for g, d in decided.items()):
         if reaches(1.0):
             gamma_star = 1.0
         elif not reaches(GAMMA_MAX):
@@ -232,8 +233,12 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
         solved_gammas=tuple(solved))
 
 
-def _budget_answer(budgets: np.ndarray, target: float, gamma_tol: float
-                   ) -> tuple[float | None, dict[float, bool]]:
+# gamma* (None for FAILURE) and the gammas that certify it, in the order
+# they are probed, each with whether it reaches the target
+BudgetPlan = tuple[float | None, dict[float, bool]]
+
+
+def budget_plan(budgets: np.ndarray, target: float, gamma_tol: float) -> BudgetPlan:
     """gamma* from the rows' critical budgets, and the gammas to solve with
     whether each reaches the target: gamma=1 alone when the deciding budget
     is 1, the top of the range alone (FAILURE) when it is above it, else
@@ -274,15 +279,27 @@ def _scored_arm(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
 def modulated_interval_arrays(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
                               covariates: np.ndarray, t: np.ndarray, alpha: float, *,
                               scored: ScoredArm | None = None
-                              ) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+                              ) -> Callable[..., list[tuple[np.ndarray, np.ndarray]]]:
     """Precompute member predictions and clamped propensities for arm t[i]
     of each row i (or take them from ``scored``, the ``_scored_arm`` of
-    these rows), and return the gamma -> (lo, hi) endpoint-array map."""
+    these rows), and return ``intervals(*gammas)``, which gives one
+    (lo, hi) endpoint-array pair per gamma (at least one).  It stacks the
+    rows once per gamma, each copy under that gamma's bounds, and solves
+    the stack as one ``modulated_intervals_batch`` call, in that
+    function's 2048-row blocks.  Each row's endpoints depend on that row
+    alone, so every pair has the bits of a call with its gamma alone."""
     fam, locs, scales, e_t = scored or _scored_arm(model, propensity, covariates, t)
 
-    def intervals(gamma: float) -> tuple[np.ndarray, np.ndarray]:
-        lowers, uppers = msm_bounds_arrays(e_t, gamma)
-        return modulated_intervals_batch(fam, locs, scales, lowers, uppers, alpha)
+    def intervals(*gammas: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        if not gammas:
+            raise ValueError("intervals needs at least one gamma")
+        bounds = [msm_bounds_arrays(e_t, gamma) for gamma in gammas]
+        k = len(gammas)
+        lo, hi = modulated_intervals_batch(
+            fam, np.tile(locs, (k, 1)), np.tile(scales, (k, 1)),
+            np.concatenate([lowers for lowers, _ in bounds]),
+            np.concatenate([uppers for _, uppers in bounds]), alpha)
+        return list(zip(np.split(lo, k), np.split(hi, k)))
 
     return intervals
 
@@ -295,32 +312,44 @@ def modulated_budgets(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
     ``modulated_interval_arrays``'s interval covers its outcome y_i (+inf
     if none does), unless y_i lies within solver tolerance of an endpoint:
     the later of the ``_kernels.critical_budgets`` of the sorted member
-    masses F_j(y_i) and S_j(y_i).  ``scored`` is as there."""
+    masses F_j(y_i) and S_j(y_i), both tails stacked in one pass.
+    ``scored`` is as there."""
     fam, locs, scales, e_t = scored or _scored_arm(model, propensity, covariates, t)
     y = np.asarray(outcomes, dtype=np.float64).ravel()
-    if len(y) != len(e_t):
-        raise ValueError(f"{len(e_t)} rows vs {len(y)} outcomes")
-    if len(y) == 0:
+    n = len(y)
+    if n != len(e_t):
+        raise ValueError(f"{len(e_t)} rows vs {n} outcomes")
+    if n == 0:
         raise ValueError("empty inputs")
-    lower, upper = (K.critical_budgets(np.sort(K.signed_masses(fam, locs, scales, y, sign),
-                                               axis=1), e_t, alpha / 2.0)
-                    for sign in (1.0, -1.0))
-    return np.maximum(lower, upper)
+    masses = K.signed_masses(fam, np.tile(locs, (2, 1)), np.tile(scales, (2, 1)),
+                             np.tile(y, 2), np.repeat([1.0, -1.0], n))
+    budgets = K.critical_budgets(np.sort(masses, axis=1), np.tile(e_t, 2), alpha / 2.0)
+    return np.maximum(budgets[:n], budgets[n:])
 
 
 def modulated_pipeline(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
                        test_data: Dataset, config: EvalConfig, *,
-                       scored: ScoredArm | None = None
+                       gammas: Sequence[float] = (), scored: ScoredArm | None = None
                        ) -> Callable[[float], list[OutcomeInterval]]:
     """The gamma -> intervals map used by the search, scoring arm
     ``config.arm`` on every test row; ``scored`` is as in
-    ``modulated_interval_arrays``."""
+    ``modulated_interval_arrays``.  ``gammas`` are the gammas the caller
+    plans to probe.  The first probe of a gamma that is not yet solved
+    solves it together with every planned gamma not yet solved, as one
+    stacked ``intervals`` call, and keeps the others' endpoints until
+    they are probed; a later probe of any other gamma solves it alone."""
     intervals = modulated_interval_arrays(
         model, propensity, test_data.covariates, np.full(test_data.n, config.arm),
         config.alpha, scored=scored)
+    planned = list(dict.fromkeys(gammas))
+    pending: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def pipeline(gamma: float) -> list[OutcomeInterval]:
-        lo, hi = intervals(gamma)
+        if gamma not in pending:
+            batch = [gamma, *(g for g in planned if g != gamma)]
+            planned.clear()
+            pending.update(zip(batch, intervals(*batch)))
+        lo, hi = pending.pop(gamma)
         return [OutcomeInterval(lo=a, hi=b, alpha=config.alpha, gamma=gamma)
                 for a, b in zip(lo.tolist(), hi.tolist())]
 
@@ -332,18 +361,21 @@ def run_experiment(test_data: Dataset, eval_config: EvalConfig, *,
                    ) -> ExperimentReport:
     """End-to-end protocol on loaded objects: per-point components and MSM
     bounds for the scored arm from the trained ensemble and propensity
-    model, then the gamma* search from the rows' ``modulated_budgets``.
-    The arm is scored once for both.  The caller writes the report with
-    ``write_json`` and ``write_points_csv``."""
+    model, then the gamma* search from the ``budget_plan`` of the rows'
+    ``modulated_budgets``, whose gammas the pipeline solves as one stacked
+    batch.  The arm is scored once for both.  The caller writes the report
+    with ``write_json`` and ``write_points_csv``."""
     t0 = time.perf_counter()
     if test_data.potential_outcomes is None:
         raise ValueError("test data must carry y0/y1 potential-outcome columns")
     outcomes = test_data.potential_outcomes[:, eval_config.arm]
     t = np.full(test_data.n, eval_config.arm)
     scored = _scored_arm(model, propensity, test_data.covariates, t)
-    pipeline = modulated_pipeline(model, propensity, test_data, eval_config, scored=scored)
     budgets = modulated_budgets(model, propensity, test_data.covariates, t, outcomes,
                                 eval_config.alpha, scored=scored)
-    report = gamma_star_search(pipeline, outcomes, eval_config, seed=seed, budgets=budgets)
+    plan = budget_plan(budgets, eval_config.target_coverage, eval_config.gamma_tol)
+    pipeline = modulated_pipeline(model, propensity, test_data, eval_config,
+                                  gammas=tuple(plan[1]), scored=scored)
+    report = gamma_star_search(pipeline, outcomes, eval_config, seed=seed, plan=plan)
     report.runtime_seconds = time.perf_counter() - t0
     return report

@@ -790,6 +790,21 @@ class TestOutputs:
         assert ({p.relative_to(out) for p in out.rglob("*")}
                 == {Path(name), *Path(name).parents} - {Path(".")})
 
+    @pytest.mark.parametrize("prop_out", ["m.json", "m.json.manifest.json", "./sub/../m.json"])
+    def test_two_outputs_naming_one_file_exit_2_before_the_work(
+            self, bench_dir, tmp_path, monkeypatch, capsys, prop_out):
+        # the propensity model would overwrite the ensemble or its manifest
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        reads = []
+        monkeypatch.setattr(cli, "load_dataset_csv", lambda *args: reads.append(args))
+        assert run(["train", "--data", bench_dir / "train.csv", "--members", "1",
+                    "--hidden", "2", "--epochs", "1", "--out", "m.json",
+                    "--propensity-out", prop_out]) == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert reads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
 
 class TestRetiredSettings:
     """Manifests written while train had ``step``, report had ``lengths``
@@ -1122,7 +1137,7 @@ class TestReportTableBytes:
         from modens import Dataset, save_dataset_csv
 
         def interval_arrays(model, prop, covariates, t, alpha):
-            return lambda gamma: (self.LO * gamma, self.HI * gamma)
+            return lambda *gammas: [(self.LO * gamma, self.HI * gamma) for gamma in gammas]
 
         monkeypatch.setattr(cli, "_load_models", lambda path, prop: (None, None, "p.json"))
         monkeypatch.setattr(cli, "modulated_interval_arrays", interval_arrays)

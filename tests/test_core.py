@@ -468,6 +468,32 @@ class TestBatchDriver:
                                                uppers[perm], alpha)
         assert p_lo.tobytes() == lo[perm].tobytes() and p_hi.tobytes() == hi[perm].tobytes()
 
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 4099])
+    def test_blocks_equal_one_lockstep_solve(self, n, monkeypatch):
+        # SOLVE_BLOCK_ROWS-row blocks, the last one short, give the bits of
+        # one interval_rows call on every row
+        from modens import _kernels as K
+        from modens.core import SOLVE_BLOCK_ROWS
+        from modens.dist import QUANTILE_TOL_REL
+
+        rng = np.random.default_rng(n)
+        m = 4
+        fam = np.array([K.CAUCHY, K.GAUSSIAN, K.CAUCHY, K.CAUCHY])
+        locs = rng.normal(0.0, 3.0, (n, m))
+        scales = 10.0 ** rng.uniform(-6.0, 2.0, (n, m))
+        lowers, uppers = msm_bounds_arrays(rng.uniform(PROPENSITY_CLAMP, 0.999, n), 4.0)
+        whole = K.interval_rows(fam, locs, scales, lowers, uppers, 0.2,
+                                QUANTILE_TOL_REL * (1.0 + scales.max(axis=1)))
+        blocks = []
+        solve = K.interval_rows
+        monkeypatch.setattr(K, "interval_rows",
+                            lambda fam, locs, *rest: blocks.append(len(locs))
+                            or solve(fam, locs, *rest))
+        lo, hi = modulated_intervals_batch(fam, locs, scales, lowers, uppers, 0.2)
+        assert blocks == [min(SOLVE_BLOCK_ROWS, n - i) for i in range(0, n, SOLVE_BLOCK_ROWS)]
+        assert SOLVE_BLOCK_ROWS == 2048
+        assert lo.tobytes() == whole[0].tobytes() and hi.tobytes() == whole[1].tobytes()
+
     def test_empty_batch(self):
         lo, hi = modulated_intervals_batch([0, 1], np.empty((0, 2)), np.empty((0, 2)),
                                            [], [], 0.1)

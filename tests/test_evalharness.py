@@ -137,6 +137,13 @@ class TestEndpointArrays:
             coverage(np.zeros(0), np.zeros(0), [])
 
 
+def planned(budgets, cfg):
+    """The plan the rows' critical budgets give the search under ``cfg``."""
+    from modens.evalharness import budget_plan
+
+    return budget_plan(budgets, cfg.target_coverage, cfg.gamma_tol)
+
+
 def step_pipeline(threshold, inner=(-1.0, 1.0), outer=(-10.0, 10.0), n=20):
     """Scripted pipeline whose coverage jumps when gamma >= threshold."""
 
@@ -342,14 +349,14 @@ class TestPredictedCoverage:
         t, y = np.full(test.n, arm), test.potential_outcomes[:, arm]
         arrays = modulated_interval_arrays(model, prop, test.covariates, t, alpha)
         budgets = modulated_budgets(model, prop, test.covariates, t, y, alpha)
-        cov_1, cov_50 = coverage(*arrays(1.0), y), coverage(*arrays(50.0), y)
+        cov_1, cov_50 = (coverage(lo, hi, y) for lo, hi in arrays(1.0, 50.0))
         assert cov_1 < cov_50  # so the bisection runs inside the range
         cfg = EvalConfig(target_coverage=0.5 * (cov_1 + cov_50), alpha=alpha, arm=arm)
         gammas = gamma_star_search(modulated_pipeline(model, prop, test, cfg), y,
                                    cfg).solved_gammas
         assert len(gammas) > 2
         for g in [*gammas, *extra]:
-            assert np.count_nonzero(budgets <= g) / test.n == coverage(*arrays(g), y), g
+            assert np.count_nonzero(budgets <= g) / test.n == coverage(*arrays(g)[0], y), g
         self.assert_rows_cover_from_their_budgets(model, prop, test, alpha, arm, budgets)
         return budgets
 
@@ -404,7 +411,7 @@ class TestPredictedCoverage:
             budgets = modulated_budgets(tied, prop, test.covariates, t, y, 0.3)
             assert set(budgets.tolist()) == {1.0, math.inf}, m
             for g in (1.0, 3.0, 12.0, 49.9, 50.0):
-                assert np.count_nonzero(budgets <= g) / test.n == coverage(*arrays(g), y), g
+                assert np.count_nonzero(budgets <= g) / test.n == coverage(*arrays(g)[0], y), g
 
     def test_propensity_at_clamp_and_gamma_50(self, trained):
         from modens import PROPENSITY_CLAMP, predict_propensity_batch
@@ -434,8 +441,8 @@ class TestPredictedCoverage:
         test, models = trained
         model, prop = models["cauchy"]
         assert model.m == 3
-        lo, _ = modulated_interval_arrays(model, prop, test.covariates, np.ones(test.n),
-                                          0.3)(2.0)
+        (lo, _), = modulated_interval_arrays(model, prop, test.covariates, np.ones(test.n),
+                                             0.3)(2.0)
         on_boundary = dataclasses.replace(
             test, potential_outcomes=np.column_stack([lo, lo]))
         budgets = self.assert_agrees(model, prop, on_boundary, alpha=0.3,
@@ -501,7 +508,7 @@ class TestPredictedSearch:
         arrays = modulated_interval_arrays(model, prop, test.covariates, np.ones(test.n),
                                            alpha)
         y = test.potential_outcomes[:, 1]
-        cov_1, cov_50 = coverage(*arrays(1.0), y), coverage(*arrays(50.0), y)
+        cov_1, cov_50 = (coverage(lo, hi, y) for lo, hi in arrays(1.0, 50.0))
         assert 0.0 < cov_1 < cov_50 < 1.0
         for target, outcome in ((0.5 * (cov_1 + cov_50), "interior"), (cov_1, "gamma one"),
                                 (0.5 * (cov_50 + 1.0), "failure")):
@@ -510,7 +517,7 @@ class TestPredictedSearch:
             exact = run_experiment(test, cfg, model=model, propensity=prop, seed=0)
             if outcome == "interior":
                 self.assert_interior(exact, plain, cfg)
-                lo, hi = arrays(exact.gamma_star)
+                (lo, hi), = arrays(exact.gamma_star)
                 assert lo.tobytes() == exact.lo.tobytes() and hi.tobytes() == exact.hi.tobytes()
             elif outcome == "gamma one":
                 self.assert_same_report(exact, plain)
@@ -530,7 +537,8 @@ class TestPredictedSearch:
         # the pipeline and the budgets each scoring the rows themselves
         unshared = gamma_star_search(
             modulated_pipeline(model, prop, test, cfg), y, cfg, seed=0,
-            budgets=modulated_budgets(model, prop, test.covariates, np.ones(test.n), y, 0.2))
+            plan=planned(modulated_budgets(model, prop, test.covariates, np.ones(test.n), y,
+                                           0.2), cfg))
         calls = []
         predict = mlp.predict_components_batch
         monkeypatch.setattr(mlp, "predict_components_batch",
@@ -556,8 +564,11 @@ class TestPredictedSearch:
         real = modulated_budgets(model, prop, test.covariates, np.ones(test.n), y, 0.2)
         plain = self.plain(model, prop, test, cfg)
         assert 1.0 < plain.gamma_star < 50.0
-        guided = gamma_star_search(modulated_pipeline(model, prop, test, cfg), y, cfg,
-                                   seed=0, budgets=wrong(real))
+        # the pipeline solves the plan's gammas together, as run_experiment's does
+        plan = planned(wrong(real), cfg)
+        guided = gamma_star_search(modulated_pipeline(model, prop, test, cfg,
+                                                      gammas=tuple(plan[1])),
+                                   y, cfg, seed=0, plan=plan)
         self.assert_same_report(guided, plain)
         assert set(plain.solved_gammas) <= set(guided.solved_gammas)
 
@@ -569,7 +580,7 @@ class TestPredictedSearch:
         cfg = EvalConfig(target_coverage=0.9, alpha=0.1)
         plain = gamma_star_search(step_pipeline(threshold), outcomes, cfg)
         exact = gamma_star_search(step_pipeline(threshold), outcomes, cfg,
-                                  budgets=np.full(20, threshold))
+                                  plan=planned(np.full(20, threshold), cfg))
         if threshold == 7.0:
             assert plain.solved_gammas[:2] == (1.0, 50.0) and len(plain.solved_gammas) == 12
             assert exact.gamma_star == 7.0 * (1.0 + BUDGET_STEP)
@@ -588,7 +599,7 @@ class TestPredictedSearch:
         cfg = EvalConfig(target_coverage=0.9, alpha=0.1, gamma_tol=1e-20)
         plain = returns_within(30, gamma_star_search, step_pipeline(7.0, n=16), outcomes, cfg)
         exact = returns_within(30, gamma_star_search, step_pipeline(7.0, n=16), outcomes, cfg,
-                               budgets=np.full(16, 7.0))
+                               plan=planned(np.full(16, 7.0), cfg))
         assert plain.gamma_star == 7.0 and math.nextafter(7.0, 0.0) in plain.solved_gammas
         self.assert_same_report(exact, plain)
         certified = 7.0 * (1.0 + BUDGET_STEP)
@@ -603,8 +614,8 @@ class TestPredictedSearch:
         model, prop = models[head]
         arrays = modulated_interval_arrays(model, prop, test.covariates, np.ones(test.n), 0.6)
         y = test.potential_outcomes[:, 1]
-        cfg = EvalConfig(target_coverage=0.5 * (coverage(*arrays(1.0), y)
-                                                + coverage(*arrays(50.0), y)), alpha=0.6)
+        cfg = EvalConfig(target_coverage=0.5 * sum(coverage(lo, hi, y)
+                                                   for lo, hi in arrays(1.0, 50.0)), alpha=0.6)
         default = run_experiment(test, cfg, model=model, propensity=prop)
         self.assert_interior(default, self.plain(model, prop, test, cfg), cfg)
         fine = returns_within(30, run_experiment, test,
@@ -628,7 +639,7 @@ class TestPredictedSearch:
                     arrays = modulated_interval_arrays(model, prop, test.covariates,
                                                        np.full(test.n, arm), alpha)
                     y = test.potential_outcomes[:, arm]
-                    cov_1, cov_50 = coverage(*arrays(1.0), y), coverage(*arrays(50.0), y)
+                    cov_1, cov_50 = (coverage(lo, hi, y) for lo, hi in arrays(1.0, 50.0))
                     for target in (k / test.n for k in range(test.n + 1)
                                    if cov_1 < k / test.n <= cov_50):
                         cfg = EvalConfig(target_coverage=target, alpha=alpha, arm=arm)
@@ -651,7 +662,109 @@ class TestPredictedSearch:
 
         cfg = EvalConfig(target_coverage=0.28, alpha=0.1)
         y = np.linspace(-0.5, 0.5, 25)
-        exact = gamma_star_search(pipeline, y, cfg, budgets=budgets)
+        exact = gamma_star_search(pipeline, y, cfg, plan=planned(budgets, cfg))
         assert exact.gamma_star == 8.0 * (1.0 + BUDGET_STEP)
         assert exact.achieved_coverage == 7 / 25
         self.assert_interior(exact, gamma_star_search(pipeline, y, cfg), cfg)
+
+
+class TestStackedSolves:
+    """Every gamma a caller names is solved in one stacked
+    ``modulated_intervals_batch`` call, with the bits of one call per gamma."""
+
+    @staticmethod
+    def one_solve(model, prop, test, alpha, gamma):
+        from modens import modulated_intervals_batch, msm_bounds_arrays
+        from modens.evalharness import _scored_arm
+
+        fam, locs, scales, e = _scored_arm(model, prop, test.covariates, np.ones(test.n))
+        return modulated_intervals_batch(fam, locs, scales, *msm_bounds_arrays(e, gamma), alpha)
+
+    def assert_one_solve_each(self, model, prop, test, alpha, gammas, pairs):
+        assert len(pairs) == len(gammas)
+        for gamma, (lo, hi) in zip(gammas, pairs):
+            ref_lo, ref_hi = self.one_solve(model, prop, test, alpha, gamma)
+            assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes(), gamma
+
+    @staticmethod
+    def count_batches(monkeypatch):
+        """The rows and results of each ``modulated_intervals_batch`` call
+        the harness makes."""
+        from modens import evalharness
+
+        calls = []
+        batch = evalharness.modulated_intervals_batch
+
+        def counted(*args):
+            result = batch(*args)
+            calls.append((len(args[1]), result))
+            return result
+
+        monkeypatch.setattr(evalharness, "modulated_intervals_batch", counted)
+        return calls
+
+    @pytest.mark.parametrize("gammas", [(3.0,), (2.5, 2.5), (1.0, 2.0, 5.0, 10.0, 25.0, 50.0)],
+                             ids=["one", "duplicate", "six"])
+    @pytest.mark.parametrize("head", ["cauchy", "gaussian"])
+    def test_intervals_of_several_gammas_equal_one_call_each(self, trained, monkeypatch,
+                                                             head, gammas):
+        from modens.evalharness import modulated_interval_arrays
+
+        test, models = trained
+        model, prop = models[head]
+        arrays = modulated_interval_arrays(model, prop, test.covariates, np.ones(test.n), 0.3)
+        calls = self.count_batches(monkeypatch)
+        pairs = arrays(*gammas)
+        assert [rows for rows, _ in calls] == [len(gammas) * test.n]
+        self.assert_one_solve_each(model, prop, test, 0.3, gammas, pairs)
+
+    def test_intervals_need_a_gamma(self, trained):
+        from modens.evalharness import modulated_interval_arrays
+
+        test, models = trained
+        arrays = modulated_interval_arrays(*models["cauchy"], test.covariates,
+                                           np.ones(test.n), 0.3)
+        with pytest.raises(ValueError, match="at least one gamma"):
+            arrays()
+
+    def test_pipeline_solves_the_planned_gammas_with_the_first_probe(self, trained,
+                                                                    monkeypatch):
+        from modens.evalharness import modulated_pipeline
+
+        test, models = trained
+        model, prop = models["cauchy"]
+        cfg = EvalConfig(target_coverage=0.8, alpha=0.3)
+        pipeline = modulated_pipeline(model, prop, test, cfg, gammas=(4.0, 2.0, 4.0))
+        calls = self.count_batches(monkeypatch)
+        probed = [(gamma, pipeline(gamma)) for gamma in (2.0, 4.0, 3.0, 2.0)]
+        # 2.0 and 4.0 together; then 3.0, unplanned, and 2.0 again, each alone
+        assert [rows for rows, _ in calls] == [2 * test.n, test.n, test.n]
+        self.assert_one_solve_each(model, prop, test, 0.3, [g for g, _ in probed],
+                                   [ends(intervals) for _, intervals in probed])
+        assert all(iv.gamma == gamma for gamma, intervals in probed for iv in intervals)
+
+    @pytest.mark.parametrize("head", ["cauchy", "gaussian"])
+    def test_budget_path_solves_its_gammas_in_one_batch(self, trained, monkeypatch, head):
+        from modens import run_experiment
+        from modens.evalharness import modulated_budgets, modulated_interval_arrays
+
+        test, models = trained
+        model, prop = models[head]
+        alpha = 0.6
+        y = test.potential_outcomes[:, 1]
+        arrays = modulated_interval_arrays(model, prop, test.covariates, np.ones(test.n), alpha)
+        cfg = EvalConfig(target_coverage=0.5 * sum(coverage(lo, hi, y)
+                                                   for lo, hi in arrays(1.0, 50.0)), alpha=alpha)
+        plan = planned(modulated_budgets(model, prop, test.covariates, np.ones(test.n), y,
+                                         alpha), cfg)
+        calls = self.count_batches(monkeypatch)
+        report = run_experiment(test, cfg, model=model, propensity=prop, seed=0)
+        assert len(calls) == 1 and calls[0][0] == 2 * test.n
+        assert report.gamma_star == plan[0] and report.solved_gammas == tuple(plan[1])
+        assert len(report.solved_gammas) == 2
+        lo, hi = calls[0][1]
+        self.assert_one_solve_each(model, prop, test, alpha, report.solved_gammas,
+                                   list(zip(np.split(lo, 2), np.split(hi, 2))))
+        ref_lo, ref_hi = self.one_solve(model, prop, test, alpha, report.gamma_star)
+        assert report.lo.tobytes() == ref_lo.tobytes()
+        assert report.hi.tobytes() == ref_hi.tobytes()

@@ -8,6 +8,7 @@ bracket [x0, x0 + W0] (the solver's first two evaluations).
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -401,3 +402,23 @@ def test_critical_budgets_match_the_envelope_mass_on_a_gamma_grid(m, alpha):
         reached = np.logical_and(*((weights * c).sum(axis=1) / m >= alpha / 2.0
                                    for c in masses))
         assert np.array_equal(budgets <= gamma, reached), gamma
+
+
+def test_cauchy_cdf_array_is_the_scalar_formula_bit_for_bit(monkeypatch):
+    # numpy's arctan and math.atan can differ in the last bit, so the
+    # scalar formula runs here with numpy's arctan; with math.atan it
+    # agrees within two spacings of the result
+    edges = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5,
+                      math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0, 1e16,
+                      1e300, 1e308, math.inf])
+    z = np.concatenate([edges, -edges, np.linspace(-60.0, 60.0, 240_001),
+                        np.geomspace(1e-300, 1e300, 20_001),
+                        -np.geomspace(1e-300, 1e300, 20_001),
+                        np.random.default_rng(3).standard_cauchy(20_000)])
+    got = K._cauchy_cdf_array(z)
+    truth = np.array([K.cauchy_cdf(v) for v in z.tolist()])
+    assert np.all(np.abs(got - truth) <= 2.0 * np.spacing(truth))
+    monkeypatch.setattr(K, "math", types.SimpleNamespace(atan=lambda v: float(np.arctan(v)),
+                                                         pi=math.pi))
+    expected = np.array([K.cauchy_cdf(v) for v in z.tolist()])
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
