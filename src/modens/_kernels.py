@@ -11,16 +11,11 @@ Two kernels run the one solver described below.  The scalar kernel (every
 row is small, and numpy's per-call overhead would dominate it, so the
 single-row API stays on it.  The row-lockstep kernel (:func:`interval_rows`)
 solves both ends of n rows that share their member families as one batch
-of 2n problems in numpy.  It records each problem's midpoint once, when
-its bracket closes, and compacts the batch to the open problems once at
-least half of those it holds have closed.  It takes the scalar kernel's
-steps from the same brackets, but it sums the mixture masses with numpy
-rather than ``math.fsum``, so its endpoints agree with :func:`interval_k`
-within tol rather than bit for bit; each row's endpoints depend on that
-row alone.  Each step costs about the same at any batch size, so callers
-batch: a caller with several gammas stacks its rows once per gamma, and
-``core.modulated_intervals_batch`` solves any batch in blocks of
-``core.SOLVE_BLOCK_ROWS`` (2048) rows.
+of 2n problems in numpy, and drops each problem from the batch at the
+step its bracket closes.  It takes the scalar kernel's steps from the
+same brackets, but it sums the mixture masses with numpy rather than
+``math.fsum``, so its endpoints agree with :func:`interval_k` within tol
+rather than bit for bit; each row's endpoints depend on that row alone.
 
 Extreme quantiles.  Fix q.  Over weights w in [lower, upper]^m with mean 1,
 the mixture mass F_w(q) = m^-1 sum_j w_j F_j(q) is a linear program in w.
@@ -447,14 +442,9 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
     The lower ends and the upper ends, the latter as negated survival
     masses as in :func:`_tail_quantile`, are 2n problems of one root-finder
     loop: :func:`_bracketed_quantile`'s widening, Chandrupatla step, ITP
-    radius, tie rule and stop, applied to arrays.  Both ends of every
-    bracket are evaluated in one mass call.  A ``done`` mask records each
-    problem's midpoint once, at the step its bracket closes; closed
-    problems keep stepping, unread, until at least half of those held
-    have closed, and then the open ones are compacted, so late steps
-    touch only open problems without a compaction at every step.  The
-    batch driver passes at most ``core.SOLVE_BLOCK_ROWS`` (2048) rows,
-    which may stack one ensemble under several gammas."""
+    radius, tie rule and stop, applied to arrays.  A problem leaves the
+    arrays at the step its bracket closes, so late steps touch only the
+    problems still open."""
     n, m = locs.shape
     half = alpha / 2.0
     # member points with tail mass alpha/2: l + s*z below, l - s*z above
@@ -481,12 +471,8 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
         masses = signed_masses(fam, locs[rows], scales[rows], x, sign[rows])
         return sign[rows] * (weights[rows] * np.sort(masses, axis=1)).sum(axis=1) / m
 
-    def end_masses(rows):
-        # both ends of the brackets of ``rows`` in one call
-        f = mass(np.concatenate([lo[rows], hi[rows]]), np.concatenate([rows, rows]))
-        return f[:rows.size], f[rows.size:]
-
-    flo, fhi = end_masses(np.arange(2 * n))
+    flo = mass(lo)
+    fhi = mass(hi)
     for _ in range(_MAX_WIDEN):
         open_ = np.flatnonzero((flo > beta) | (fhi < beta))
         if open_.size == 0:
@@ -495,13 +481,13 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
         center = 0.5 * lo[open_] + 0.5 * hi[open_]
         lo[open_] = center - width
         hi[open_] = center + width
-        flo[open_], fhi[open_] = end_masses(open_)
+        flo[open_] = mass(lo[open_], open_)
+        fhi[open_] = mass(hi[open_], open_)
     if np.any((flo > beta) | (fhi < beta)):
         raise RuntimeError("mixture quantile bracket failed to straddle beta")
 
     out = np.empty(2 * n)
     rows = np.arange(2 * n)
-    done = np.zeros(2 * n, dtype=bool)
     flo = flo - beta
     fhi = fhi - beta
     x1, f1, x2, f2 = lo, flo, hi, fhi
@@ -510,19 +496,16 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
     for j in range(_MAX_STEPS):
         width = hi - lo
         mid = 0.5 * lo + 0.5 * hi
-        closed = ~done & ((width <= tol) | (mid <= lo) | (mid >= hi))
+        closed = (width <= tol) | (mid <= lo) | (mid >= hi)
         if closed.any():
             out[rows[closed]] = mid[closed]
-            done |= closed
-            closed_count = np.count_nonzero(done)
-            if closed_count == done.size:
+            keep = ~closed
+            (rows, lo, hi, flo, fhi, x1, f1, x2, f2, t, tol, n_max, width, mid,
+             locs, scales, weights, sign, beta) = (
+                a[keep] for a in (rows, lo, hi, flo, fhi, x1, f1, x2, f2, t, tol, n_max,
+                                  width, mid, locs, scales, weights, sign, beta))
+            if rows.size == 0:
                 break
-            if 2 * closed_count >= done.size:
-                keep = ~done
-                (rows, done, lo, hi, flo, fhi, x1, f1, x2, f2, t, tol, n_max, width, mid,
-                 locs, scales, weights, sign, beta) = (
-                    a[keep] for a in (rows, done, lo, hi, flo, fhi, x1, f1, x2, f2, t, tol,
-                                      n_max, width, mid, locs, scales, weights, sign, beta))
         half_tol = 0.5 * tol
         x = x1 + t * (x2 - x1)
         x = np.minimum(np.maximum(x, lo + half_tol), hi - half_tol)
@@ -550,11 +533,10 @@ def interval_rows(fam, locs, scales, lowers, uppers, alpha, tol):
             t = np.where(iqi, f1 / (f2 - f1) * f3 / (f2 - f3)
                          + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
     else:
-        open_ = ~done
-        if np.any(hi[open_] - lo[open_] > tol[open_]):
+        if np.any(hi - lo > tol):
             raise RuntimeError("mixture quantile bracket still open after "
                                f"{_MAX_STEPS} steps")
-        out[rows[open_]] = 0.5 * lo[open_] + 0.5 * hi[open_]
+        out[rows] = 0.5 * lo + 0.5 * hi
     lo_end, hi_end = out[:n], out[n:]
     crossed = lo_end > hi_end   # identical degenerate setups can cross by solver noise
     lo_end[crossed] = hi_end[crossed] = 0.5 * lo_end[crossed] + 0.5 * hi_end[crossed]

@@ -13,10 +13,11 @@ so a bad flag and a bad config value fail alike.  A retired setting
 the value the program now always uses, of the same type; any other value is
 a configuration error.  Every subcommand but oracle-check, which only
 prints, writes a manifest echoing the resolved configuration with its hash,
-which only that subcommand replays.  An output file that is a directory, or
-whose directory is missing, and two outputs that name the same file are
-refused before any input is read (by report, before any solve).  Every
-CSV, read or written, goes through ``data``.
+which only that subcommand replays.  An output file that names an input,
+is a directory or whose directory is missing, and two outputs that name
+the same file are refused before any input is read (report checks its
+--out-dir after reading, before any solve).  Every CSV, read or written,
+goes through ``data``.
 Exit codes: 0 success (a FAILURE verdict is still a success), 1 operational
 error, 2 usage or configuration error.
 """
@@ -76,18 +77,27 @@ def _write_manifest(path: Path, subcommand: str, resolved: dict,
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _out_dir_files(out_dir: Path, *names: str) -> list[Path]:
+def _out_dir_files(out_dir: Path, *names: str, inputs=()) -> list[Path]:
     """Make ``out_dir`` and return its files ``names``, checked by ``_check_outputs``."""
     with _config_errors(f"out-dir {out_dir} is not writable", OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for name in names]
-    _check_outputs(*paths)
+    _check_outputs(*paths, inputs=inputs)
     return paths
 
 
-def _check_outputs(*paths: Path) -> None:
-    """Refuse an output file that is a directory, or whose directory is
-    missing or read-only, and two outputs that name the same file."""
+def _check_inputs_kept(outputs, inputs) -> None:
+    """Refuse an output that names an input file, which it would overwrite."""
+    read = {Path(path).resolve(): path for path in inputs}
+    for path in outputs:
+        if path.resolve() in read:
+            raise ConfigError(f"output {path} names the input {read[path.resolve()]}")
+
+
+def _check_outputs(*paths: Path, inputs=()) -> None:
+    """Refuse an output that names one of ``inputs``, is a directory, or
+    whose directory is missing or read-only, and two that name one file."""
+    _check_inputs_kept(paths, inputs)
     seen = {}
     for path in paths:
         first = seen.setdefault(path.resolve(), path)
@@ -255,10 +265,11 @@ def _cmd_generate(args, s: dict, config: dict) -> int:
         gen = benchgen.config_from_dict(gen_cfg)
     out_dir = Path(args.out_dir)
     # the three CSVs write_benchmark writes, and the manifest
-    *_, manifest = _out_dir_files(out_dir, "train.csv", "valid.csv", "test.csv",
-                                  "manifest.json")
     features_path = s["features"]
-    features = None if features_path.lower() == "none" else load_feature_csv(features_path)
+    inputs = [] if features_path.lower() == "none" else [features_path]
+    *_, manifest = _out_dir_files(out_dir, "train.csv", "valid.csv", "test.csv",
+                                  "manifest.json", inputs=inputs)
+    features = load_feature_csv(features_path) if inputs else None
     paths = benchgen.write_benchmark(features, gen, out_dir)
     _write_manifest(manifest, "generate",
                     {"generator": benchgen.config_to_dict(gen), "features": features_path},
@@ -292,7 +303,7 @@ def _cmd_train(args, s: dict, _config: dict) -> int:
     out = Path(args.out)
     prop_path = _propensity_path_for(out, args.propensity_out)
     manifest = out.with_suffix(out.suffix + ".manifest.json")
-    _check_outputs(out, prop_path, manifest)
+    _check_outputs(out, prop_path, manifest, inputs=[s["data"]])
     data = load_dataset_csv(s["data"])
     model = mlp.train_ensemble(data, train_cfg, s["seed"], m=s["members"])
     prop = mlp.fit_propensity(data, train_cfg, s["seed"])
@@ -310,13 +321,14 @@ def _propensity_path_for(model_path: Path, explicit: str | None) -> Path:
     return Path(explicit) if explicit else model_path.with_suffix(".propensity.json")
 
 
-def _load_models(model_path: Path, propensity_model: str | None
-                 ) -> tuple[mlp.EnsembleModel, mlp.MlpParams, str]:
-    """The ensemble, its propensity model (by default the one `train` wrote
-    next to it) and the propensity path, which the manifest records so
-    that a replay loads the same file."""
-    prop_path = _propensity_path_for(model_path, propensity_model)
-    return mlp.load_model(model_path), mlp.load_propensity(prop_path), str(prop_path)
+def _model_paths(s: dict) -> tuple[Path, Path]:
+    """The ensemble's path and its propensity model's, by default the one train wrote beside it."""
+    model_path = Path(s["model"])
+    return model_path, _propensity_path_for(model_path, s["propensity_model"])
+
+
+def _load_models(model_path: Path, prop_path: Path) -> tuple[mlp.EnsembleModel, mlp.MlpParams]:
+    return mlp.load_model(model_path), mlp.load_propensity(prop_path)
 
 
 # --------------------------------------------------------------- intervals
@@ -330,15 +342,16 @@ def _cmd_intervals(args, s: dict, _config: dict) -> int:
             check_arm(arm)
     out = Path(args.out)
     manifest = out.with_suffix(out.suffix + ".manifest.json")
-    _check_outputs(out, manifest)
-    model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
+    model_path, prop_path = _model_paths(s)
+    _check_outputs(out, manifest, inputs=[model_path, prop_path, s["data"]])
+    model, prop = _load_models(model_path, prop_path)
     data = load_dataset_csv(s["data"])
     t = data.treatments if arm is None else np.full(data.n, arm)
     (lo, hi), = modulated_interval_arrays(model, prop, data.covariates, t,
                                           s["alpha"])(s["gamma"])
     write_table(out, {"index": range(data.n), "t": t.tolist(), "lo": lo.tolist(),
                       "hi": hi.tolist()})
-    _write_manifest(manifest, "intervals", {**s, "propensity_model": prop_path})
+    _write_manifest(manifest, "intervals", {**s, "propensity_model": str(prop_path)})
     print(f"wrote {out}")
     return 0
 
@@ -357,16 +370,17 @@ def _cmd_gamma_search(args, s: dict, _config: dict) -> int:
     out = Path(args.out)
     points = out.with_suffix(".points.csv")
     manifest = out.with_suffix(out.suffix + ".manifest.json")
-    _check_outputs(out, points, manifest)
+    model_path, prop_path = _model_paths(s)
+    _check_outputs(out, points, manifest, inputs=[model_path, prop_path, s["test"]])
     test = load_dataset_csv(s["test"])
     if test.potential_outcomes is None:
         raise ConfigError(f"{s['test']}: gamma-search needs y0/y1 potential-outcome columns")
-    model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
+    model, prop = _load_models(model_path, prop_path)
     report = run_experiment(test, eval_cfg, model=model, propensity=prop, seed=s["seed"])
     report.write_json(out)
     report.write_points_csv(points, test.potential_outcomes[:, eval_cfg.arm])
     _write_manifest(manifest, "gamma-search",
-                    {**s, **eval_cfg.to_dict(), "propensity_model": prop_path},
+                    {**s, **eval_cfg.to_dict(), "propensity_model": str(prop_path)},
                     extra={"solved_gammas": list(report.solved_gammas)})
     verdict = "FAILURE" if report.failed else f"gamma*={report.gamma_star:.4f}"
     print(f"{verdict} coverage={report.achieved_coverage:.4f} -> {out}")
@@ -438,12 +452,15 @@ def _cmd_report(args, s: dict, _config: dict) -> int:
         check_arm(s["arm"])
     if not gammas:
         raise ConfigError(f"gammas must list at least one gamma, got {s['gammas']!r}")
-    model, prop, prop_path = _load_models(Path(s["model"]), s["propensity_model"])
+    names = ("coverage_curve.csv", "report.manifest.json")
+    model_path, prop_path = _model_paths(s)
+    _check_inputs_kept([Path(args.out_dir, name) for name in names],
+                       [model_path, prop_path, s["test"]])
+    model, prop = _load_models(model_path, prop_path)
     test = load_dataset_csv(s["test"])
     if test.potential_outcomes is None:
         raise ConfigError(f"{s['test']}: report needs y0/y1 columns")
-    path, manifest = _out_dir_files(Path(args.out_dir), "coverage_curve.csv",
-                                    "report.manifest.json")
+    path, manifest = _out_dir_files(Path(args.out_dir), *names)
     arm = s["arm"]
     intervals = modulated_interval_arrays(model, prop, test.covariates,
                                           np.full(test.n, arm), s["alpha"])
@@ -453,7 +470,7 @@ def _cmd_report(args, s: dict, _config: dict) -> int:
                        "coverage": [coverage(lo, hi, outcomes) for lo, hi in curve],
                        "mean_length": [float(np.mean(hi - lo)) for lo, hi in curve],
                        "cost_mass": [cost_mass(lo, hi, outcomes) for lo, hi in curve]})
-    _write_manifest(manifest, "report", {**s, "propensity_model": prop_path})
+    _write_manifest(manifest, "report", {**s, "propensity_model": str(prop_path)})
     print(f"wrote {path}")
     return 0
 

@@ -9,9 +9,9 @@ and ``outcome_interval`` run it on one row with the scalar kernel;
 ``modulated_intervals_batch`` runs it on many rows at once with the
 row-lockstep kernel, whose endpoints agree with the scalar ones within
 tol and depend on their own row alone.  It solves any batch in blocks of
-``SOLVE_BLOCK_ROWS`` = 2048 rows, and a caller with several gammas
-(``evalharness``) stacks its rows once per gamma into one call.
-``brute_force_extreme_quantile``
+``SOLVE_BLOCK_ROWS`` = 2048 rows, which alone bound the kernel's working
+set, and a caller with several gammas (``evalharness``) stacks its rows
+once per gamma into one call.  ``brute_force_extreme_quantile``
 enumerates every vertex as a test oracle, and ``check_optimality``
 certifies a solution via the no-improving-pair condition.  Every solve
 here runs at the one quantile tolerance tol = 1e-9 * (1 + the largest
@@ -32,9 +32,9 @@ from .dist import (QUANTILE_TOL_REL, check_beta, check_weight_mean, default_quan
 from .sensitivity import WeightBounds
 
 _BOUND_SLACK = 1e-12
-# rows per lockstep solve: a larger batch spreads each step's fixed numpy
-# cost over more rows until its working set outgrows the cache (stored
-# search ensemble, one CPU: 15.2 us a row at 64 rows, 7.7 at 2048, 9.7 at 4096)
+# rows per lockstep solve, the one bound on its working set: more rows spread
+# each step's fixed numpy cost until they outgrow the cache (stored search
+# ensemble, one CPU: 17.5 us a row at 64 rows, 9.5 at 2048, 10.2 at 4096)
 SOLVE_BLOCK_ROWS = 2048
 # a member-mass gap above this at the quantile is an improving transfer
 OPTIMALITY_TOL_MASS = 1e-9

@@ -1,5 +1,6 @@
 import argparse
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -805,6 +806,46 @@ class TestOutputs:
         assert reads == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
+    # (subcommand, its arguments, the output that names an input); the
+    # inputs all sit in "{io}", where report's test split is coverage_curve.csv
+    OVERWRITES = [
+        ("generate", ["--features", "{io}/train.csv", "--out-dir", "{io}"], "train.csv"),
+        ("train", ["--data", "{io}/train.csv", "--members", "1", "--hidden", "2",
+                   "--epochs", "1", "--out", "{io}/train.csv"], "train.csv"),
+        ("train", ["--data", "{io}/train.csv", "--members", "1", "--hidden", "2",
+                   "--epochs", "1", "--out", "{io}/new.json", "--propensity-out",
+                   "{io}/train.csv"], "train.csv"),
+        ("intervals", ["--model", "{io}/m.json", "--data", "{io}/test.csv", "--gamma", "2",
+                       "--alpha", "0.2", "--out", "{io}/test.csv"], "test.csv"),
+        ("gamma-search", ["--model", "{io}/m.json", "--test", "{io}/test.csv", "--target",
+                          "0.8", "--out", "{io}/m.propensity.json"], "m.propensity.json"),
+        ("report", ["--model", "{io}/m.json", "--test", "{io}/coverage_curve.csv",
+                    "--out-dir", "{io}"], "coverage_curve.csv"),
+    ]
+
+    @pytest.mark.parametrize("sub, argv, name", OVERWRITES,
+                             ids=["generate", "train", "train-propensity-out", "intervals",
+                                  "gamma-search", "report"])
+    def test_output_that_names_an_input_exits_2_before_the_work(
+            self, bench_dir, trained_model, tmp_path, monkeypatch, capsys, sub, argv, name):
+        io = tmp_path / "io"
+        io.mkdir()
+        for src, dst in ((bench_dir / "train.csv", "train.csv"),
+                         (bench_dir / "test.csv", "test.csv"),
+                         (bench_dir / "test.csv", "coverage_curve.csv"),
+                         (trained_model, "m.json"),
+                         (trained_model.with_suffix(".propensity.json"), "m.propensity.json")):
+            shutil.copyfile(src, io / dst)
+        before = {p.name: p.read_bytes() for p in io.iterdir()}
+        reads = []
+        for fn in ("load_dataset_csv", "load_feature_csv", "_load_models"):
+            monkeypatch.setattr(cli, fn, lambda *args, fn=fn: reads.append(fn))
+        assert run([sub, *(a.format(io=io) for a in argv)]) == 2
+        assert (f"config error: output {io / name} names the input {io / name}"
+                in capsys.readouterr().err)
+        assert reads == []
+        assert {p.name: p.read_bytes() for p in io.iterdir()} == before
+
 
 class TestRetiredSettings:
     """Manifests written while train had ``step``, report had ``lengths``
@@ -1139,7 +1180,7 @@ class TestReportTableBytes:
         def interval_arrays(model, prop, covariates, t, alpha):
             return lambda *gammas: [(self.LO * gamma, self.HI * gamma) for gamma in gammas]
 
-        monkeypatch.setattr(cli, "_load_models", lambda path, prop: (None, None, "p.json"))
+        monkeypatch.setattr(cli, "_load_models", lambda path, prop: (None, None))
         monkeypatch.setattr(cli, "modulated_interval_arrays", interval_arrays)
         data = tmp_path / "data.csv"
         save_dataset_csv(Dataset(covariates=[[1.0], [2.0], [3.0]], treatments=[0, 1, 1],

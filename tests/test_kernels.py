@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from modens import (PROPENSITY_CLAMP, ComponentDistribution, Family, SensitivityConfig,
-                    default_quantile_tol, msm_bounds)
+                    default_quantile_tol, modulated_intervals_batch, msm_bounds,
+                    msm_bounds_arrays)
 from modens import _kernels as K
-from modens.dist import pack_components
+from modens.dist import QUANTILE_TOL_REL, pack_components
 
 import oracles
 
@@ -254,6 +255,66 @@ def test_open_bracket_raises(monkeypatch):
     monkeypatch.setattr(K, "_MAX_STEPS", 3)
     with pytest.raises(RuntimeError, match="still open"):
         K._bracketed_quantile(lambda x: float(x >= 0.1), *gauss_10_bracket(0.4), 0.4, 1e-9)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (10.0, 10.5)], ids=["below", "above"])
+def test_one_sided_bracket_widens_to_the_crossing(lo, hi):
+    # the Gaussian(7.3, 1) CDF crosses 0.3 outside the bracket
+    crossing = 7.3 + K.norm_ppf(0.3)
+    xs = []
+
+    def cdf(x):
+        xs.append(x)
+        return 0.5 * math.erfc(-(x - 7.3) / math.sqrt(2.0))
+
+    tol = 1e-9
+    q = K._bracketed_quantile(cdf, lo, hi, 0.3, tol)
+    assert not lo <= crossing <= hi
+    assert min(xs) < lo or max(xs) > hi
+    assert abs(q - crossing) <= tol / 2 + 4.0 * math.ulp(crossing)
+
+
+def member_points_off_the_crossing(monkeypatch, shift):
+    """Shift the standard quantiles the batch kernel starts from, so that
+    each end's bracket of member points lies wholly past its crossing,
+    toward the other end."""
+    for name in ("norm_ppf", "cauchy_ppf"):
+        real = getattr(K, name)
+        monkeypatch.setattr(K, name, lambda p, real=real: real(p) + shift)
+
+
+def batch_rows():
+    rng = np.random.default_rng(31)
+    fam = np.array([0, 1, 0, 1])
+    locs = rng.normal(0.0, 3.0, (6, 4))
+    scales = 0.2 + np.abs(rng.normal(0.0, 1.5, (6, 4)))
+    locs[5], scales[5] = locs[5, 0], scales[5, 0]   # identical members
+    lowers, uppers = msm_bounds_arrays(rng.uniform(0.05, 0.95, 6), 4.0)
+    return fam, locs, scales, lowers, uppers
+
+
+def test_batch_brackets_off_the_crossing_widen_to_the_same_endpoints(monkeypatch):
+    args = batch_rows()
+    lo, hi = modulated_intervals_batch(*args, 0.1)
+    member_points_off_the_crossing(monkeypatch, 40.0)
+    w_lo, w_hi = modulated_intervals_batch(*args, 0.1)
+    tol = QUANTILE_TOL_REL * (1.0 + args[2].max(axis=1))
+    assert np.all(np.abs(w_lo - lo) <= tol) and np.all(np.abs(w_hi - hi) <= tol)
+
+
+def test_no_widening_left_raises(monkeypatch):
+    monkeypatch.setattr(K, "_MAX_WIDEN", 0)
+    with pytest.raises(RuntimeError, match="failed to straddle"):
+        K._bracketed_quantile(lambda x: float(x >= 5.0), -1.0, 1.0, 0.3, 1e-9)
+    member_points_off_the_crossing(monkeypatch, 40.0)
+    with pytest.raises(RuntimeError, match="failed to straddle"):
+        modulated_intervals_batch(*batch_rows(), 0.1)
+
+
+def test_batch_open_after_the_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(K, "_MAX_STEPS", 3)
+    with pytest.raises(RuntimeError, match="still open"):
+        modulated_intervals_batch(*batch_rows(), 0.1)
 
 
 def test_exhausted_spacing_returns_without_error():

@@ -15,9 +15,14 @@ clock: ``generate --seed 0`` (8192/2048/2048 rows); ``train`` with 16
 Cauchy members, hidden (32, 32), 300 epochs and 200 warm-up epochs;
 ``gamma-search`` (target 0.8, alpha 0.3) and ``report`` (alpha 0.3) on the
 2048 test rows; then a 16-member Gaussian-head ``train`` and its
-``gamma-search`` on the same rows.  Like the benchmark, the round runs on
-one CPU with one BLAS thread.  It records walls and answers; nothing gates
-on it.
+``gamma-search`` on the same rows.  A single wall of a sub-second step
+moves with the machine's noise, so every step but ``train`` runs
+``REPEATS`` times, each in a fresh process, and the record keeps every
+sample beside their median (``wall_s``); the answers come from the first
+run, and every later run must leave every file of the round with the
+same bytes (a report's ``runtime_seconds`` aside), or the record fails.
+Like the benchmark, the round runs on one CPU with one BLAS thread.  It
+records walls and answers; no wall gates on it.
 
 The file also names the machine: the core count, the Python, numpy and
 scipy versions, and whether numba imports.
@@ -26,10 +31,12 @@ scipy versions, and whether numba imports.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -42,6 +49,7 @@ import common  # noqa: E402  (the benchmark's one-BLAS-thread environment)
 
 WORKLOADS = ("train", "search", "scalar", "cli")
 SECONDS = 26
+REPEATS = 5   # samples of each protocol step but train
 SEARCH = ("--target", "0.8", "--alpha", "0.3")
 TRAIN = ("--members", "16", "--hidden", "32,32", "--epochs", "300", "--seed", "0")
 
@@ -75,19 +83,41 @@ def workload_run(workload: str, trace: int) -> dict:
     return record
 
 
+def file_digests(work: Path) -> dict:
+    """sha256 of every file under ``work``, by path; a report's own wall
+    clock, its ``runtime_seconds``, is left out."""
+    digests = {}
+    for path in sorted(work.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.suffix == ".json" and b'"runtime_seconds"' in data:
+                doc = json.loads(data)
+                del doc["runtime_seconds"]
+                data = json.dumps(doc, sort_keys=True).encode("utf-8")
+            digests[str(path.relative_to(work))] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
 def protocol_round(work: Path) -> dict:
-    """The paper's protocol, one timed CLI process per step."""
+    """The paper's protocol, one timed CLI process per step run."""
     env = common.child_env()
     steps = {}
 
-    def cli(step: str, *args: str) -> None:
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "modens.cli", *args], cwd=work,
-                              env=env, capture_output=True, text=True)
-        steps[step] = {"wall_s": round(time.perf_counter() - t0, 3),
+    def cli(step: str, *args: str, repeats: int = REPEATS) -> None:
+        samples = []
+        for run in range(repeats):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "modens.cli", *args], cwd=work,
+                                  env=env, capture_output=True, text=True)
+            samples.append(round(time.perf_counter() - t0, 3))
+            if proc.returncode != 0:
+                raise RuntimeError(f"{step} exited {proc.returncode}: {proc.stderr}")
+            if run == 0:
+                first = file_digests(work)
+            elif file_digests(work) != first:
+                raise RuntimeError(f"{step} run {run + 1} wrote other bytes than run 1")
+        steps[step] = {"wall_s": statistics.median(samples), "samples_s": samples,
                        "argv": ["modens", *args]}
-        if proc.returncode != 0:
-            raise RuntimeError(f"{step} exited {proc.returncode}: {proc.stderr}")
 
     def answer(report: str) -> dict:
         doc = json.loads((work / report).read_text(encoding="utf-8"))
@@ -98,13 +128,13 @@ def protocol_round(work: Path) -> dict:
     test = ("--test", "data/test.csv")
     cli("generate", "generate", "--seed", "0", "--out-dir", "data")
     cli("train_cauchy", "train", "--data", "data/train.csv", "--head", "cauchy", *TRAIN,
-        "--warmup-epochs", "200", "--out", "cauchy.json")
+        "--warmup-epochs", "200", "--out", "cauchy.json", repeats=1)
     cli("gamma_search_cauchy", "gamma-search", "--model", "cauchy.json", *test, *SEARCH,
         "--out", "cauchy-report.json")
     cli("report_cauchy", "report", "--model", "cauchy.json", *test, "--alpha", "0.3",
         "--out-dir", "curve")
     cli("train_gaussian", "train", "--data", "data/train.csv", "--head", "gaussian", *TRAIN,
-        "--out", "gaussian.json")
+        "--out", "gaussian.json", repeats=1)
     cli("gamma_search_gaussian", "gamma-search", "--model", "gaussian.json", *test, *SEARCH,
         "--out", "gaussian-report.json")
     return {"steps": steps,
