@@ -15,9 +15,9 @@ a configuration error.  Every subcommand but oracle-check, which only
 prints, writes a manifest echoing the resolved configuration with its hash,
 which only that subcommand replays.  An output file that names an input,
 is a directory or whose directory is missing, and two outputs that name
-the same file are refused before any input is read (report checks its
---out-dir after reading, before any solve).  Every CSV, read or written,
-goes through ``data``.
+the same file are refused before any input is read (generate and report
+check their --out-dir after reading, before any work).  Every CSV, read or
+written, goes through ``data``.
 Exit codes: 0 success (a FAILURE verdict is still a success), 1 operational
 error, 2 usage or configuration error.
 """
@@ -39,7 +39,7 @@ from .core import (brute_force_extreme_quantile, check_alpha, check_brute_force_
                    maximize_quantile, minimize_quantile, modulated_intervals_batch)
 from .data import load_dataset_csv, load_feature_csv, write_table
 from .dist import ComponentDistribution, Family
-from .evalharness import (CostKind, EvalConfig, check_arm, cost_mass, coverage,
+from .evalharness import (EvalConfig, check_arm, cost_mass, coverage,
                           modulated_interval_arrays, run_experiment)
 from .sensitivity import SensitivityConfig, check_gamma, msm_bounds
 
@@ -77,12 +77,12 @@ def _write_manifest(path: Path, subcommand: str, resolved: dict,
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _out_dir_files(out_dir: Path, *names: str, inputs=()) -> list[Path]:
+def _out_dir_files(out_dir: Path, *names: str) -> list[Path]:
     """Make ``out_dir`` and return its files ``names``, checked by ``_check_outputs``."""
     with _config_errors(f"out-dir {out_dir} is not writable", OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for name in names]
-    _check_outputs(*paths, inputs=inputs)
+    _check_outputs(*paths)
     return paths
 
 
@@ -265,11 +265,12 @@ def _cmd_generate(args, s: dict, config: dict) -> int:
         gen = benchgen.config_from_dict(gen_cfg)
     out_dir = Path(args.out_dir)
     # the three CSVs write_benchmark writes, and the manifest
+    names = ("train.csv", "valid.csv", "test.csv", "manifest.json")
     features_path = s["features"]
     inputs = [] if features_path.lower() == "none" else [features_path]
-    *_, manifest = _out_dir_files(out_dir, "train.csv", "valid.csv", "test.csv",
-                                  "manifest.json", inputs=inputs)
+    _check_inputs_kept([out_dir / name for name in names], inputs)
     features = load_feature_csv(features_path) if inputs else None
+    *_, manifest = _out_dir_files(out_dir, *names)
     paths = benchgen.write_benchmark(features, gen, out_dir)
     _write_manifest(manifest, "generate",
                     {"generator": benchgen.config_to_dict(gen), "features": features_path},
@@ -366,7 +367,7 @@ def _cmd_gamma_search(args, s: dict, _config: dict) -> int:
         eval_cfg = EvalConfig(target_coverage=target,
                               alpha=1.0 - target if alpha is None else alpha,
                               gamma_tol=s["gamma_tol"], arm=s["arm"],
-                              cost_kind=CostKind(s["cost_kind"]))
+                              cost_kind=s["cost_kind"])
     out = Path(args.out)
     points = out.with_suffix(".points.csv")
     manifest = out.with_suffix(out.suffix + ".manifest.json")

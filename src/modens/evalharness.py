@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -70,6 +69,7 @@ class EvalConfig:
         if not 0.0 < self.gamma_tol < math.inf:
             raise ValueError("gamma_tol must be finite and > 0")
         check_arm(self.arm)
+        object.__setattr__(self, "cost_kind", CostKind(self.cost_kind))
 
     def to_dict(self) -> dict:
         return {
@@ -81,7 +81,7 @@ class EvalConfig:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
     """gamma_star is None on FAILURE (coverage at the top of the gamma range
     never reached the target); FAILURE reports carry no coverage cost.
@@ -98,7 +98,6 @@ class ExperimentReport:
     hi: np.ndarray
     config: dict
     seed: int | None = None
-    runtime_seconds: float = 0.0
     solved_gammas: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -117,7 +116,6 @@ class ExperimentReport:
             "mean_length": self.mean_length,
             "n_points": len(self.lo),
             "seed": self.seed,
-            "runtime_seconds": self.runtime_seconds,
         }
         if not self.failed:
             doc["coverage_cost"] = self.coverage_cost
@@ -190,7 +188,6 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
     Assumes the pipeline is deterministic in gamma and coverage is
     nondecreasing in gamma (guaranteed by interval nesting).
     """
-    t0 = time.perf_counter()
     outcomes = np.asarray(outcomes, dtype=np.float64)
     target = config.target_coverage
     solved: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
@@ -228,9 +225,7 @@ def gamma_star_search(pipeline: Callable[[float], Sequence[OutcomeInterval]],
         coverage_cost=(None if gamma_star is None
                        else _cost_at(lo, hi, outcomes, config.cost_kind)),
         mean_length=float(np.mean(hi - lo)), lo=lo, hi=hi,
-        config=config.to_dict(), seed=seed,
-        runtime_seconds=time.perf_counter() - t0,
-        solved_gammas=tuple(solved))
+        config=config.to_dict(), seed=seed, solved_gammas=tuple(solved))
 
 
 # gamma* (None for FAILURE) and the gammas that certify it, in the order
@@ -365,7 +360,6 @@ def run_experiment(test_data: Dataset, eval_config: EvalConfig, *,
     ``modulated_budgets``, whose gammas the pipeline solves as one stacked
     batch.  The arm is scored once for both.  The caller writes the report
     with ``write_json`` and ``write_points_csv``."""
-    t0 = time.perf_counter()
     if test_data.potential_outcomes is None:
         raise ValueError("test data must carry y0/y1 potential-outcome columns")
     outcomes = test_data.potential_outcomes[:, eval_config.arm]
@@ -376,6 +370,4 @@ def run_experiment(test_data: Dataset, eval_config: EvalConfig, *,
     plan = budget_plan(budgets, eval_config.target_coverage, eval_config.gamma_tol)
     pipeline = modulated_pipeline(model, propensity, test_data, eval_config,
                                   gammas=tuple(plan[1]), scored=scored)
-    report = gamma_star_search(pipeline, outcomes, eval_config, seed=seed, plan=plan)
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return gamma_star_search(pipeline, outcomes, eval_config, seed=seed, plan=plan)

@@ -448,7 +448,7 @@ def _params_from_json(obj: dict, sizes: tuple[int, ...], head: Head,
         biases = [np.asarray(b, dtype=np.float64) for b in obj["biases"]]
         return MlpParams(sizes, weights, biases, head)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFileError(f"{context}: {exc}") from None
+        raise ValueError(f"{context}: {exc}") from None
 
 
 def save_model(model: EnsembleModel, path: str | Path) -> None:
@@ -475,12 +475,11 @@ def load_model(path: str | Path) -> EnsembleModel:
         head = Head(doc["head"])
         sizes = tuple(int(s) for s in doc["layer_sizes"])
         seed = int(doc["seed"])
-        raw_members = doc["members"]
+        return EnsembleModel(members=tuple(
+            _params_from_json(obj, sizes, head, f"member {i}")
+            for i, obj in enumerate(doc["members"])), seed=seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: {exc}") from None
-    members = [_params_from_json(obj, sizes, head, f"{path}: member {i}")
-               for i, obj in enumerate(raw_members)]
-    return EnsembleModel(members=tuple(members), seed=seed)
 
 
 def save_propensity(params: MlpParams, path: str | Path, seed: int = 0) -> None:
@@ -491,4 +490,6 @@ def load_propensity(path: str | Path) -> MlpParams:
     model = load_model(path)
     if model.head is not Head.PROPENSITY:
         raise ModelFileError(f"{path}: expected a propensity model, got {model.head.value}")
+    if model.m != 1:
+        raise ModelFileError(f"{path}: a propensity model has one member, got {model.m}")
     return model.members[0]

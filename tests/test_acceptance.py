@@ -326,34 +326,30 @@ def test_c09_coverage_bound_and_search():
 
 
 @_criterion("10. byte-identical reproducibility of the CLI workflow")
-def test_c10_reproducibility(tmp_path):
+def test_c10_reproducibility(tmp_path, monkeypatch):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n_train": 160, "n_valid": 32, "n_test": 64,
+                               "noise_family": "gaussian", "noise_scale": 4.0}))
+
     def one_run(root):
+        # relative paths inside the run's own root, so that the manifests,
+        # which echo them, are comparable too
         root.mkdir()
-        data_dir = root / "data"
-        cfg = tmp_path / "gen.json"
-        cfg.write_text(json.dumps({"n_train": 160, "n_valid": 32, "n_test": 64,
-                                   "noise_family": "gaussian", "noise_scale": 4.0}))
+        monkeypatch.chdir(root)
         assert cli_main(["generate", "--seed", "9", "--config", str(cfg),
-                         "--out-dir", str(data_dir)]) == 0
-        model = root / "model.json"
-        assert cli_main(["train", "--seed", "9", "--data", str(data_dir / "train.csv"),
+                         "--out-dir", "data"]) == 0
+        assert cli_main(["train", "--seed", "9", "--data", "data/train.csv",
                          "--head", "gaussian", "--members", "2", "--hidden", "6",
-                         "--epochs", "40", "--out", str(model)]) == 0
-        report = root / "report.json"
-        assert cli_main(["gamma-search", "--seed", "9", "--model", str(model),
-                         "--test", str(data_dir / "test.csv"), "--target", "0.8",
-                         "--cost", "mass", "--out", str(report)]) == 0
-        return root
+                         "--epochs", "40", "--out", "model.json"]) == 0
+        assert cli_main(["gamma-search", "--seed", "9", "--model", "model.json",
+                         "--test", "data/test.csv", "--target", "0.8",
+                         "--cost", "mass", "--out", "report.json"]) == 0
+        return {path.relative_to(root).as_posix(): path.read_bytes()
+                for path in root.rglob("*") if path.is_file()}
 
     a = one_run(tmp_path / "runA")
     b = one_run(tmp_path / "runB")
-    identical = ["data/train.csv", "data/valid.csv", "data/test.csv",
-                 "data/manifest.json", "model.json", "model.propensity.json",
-                 "report.points.csv"]
-    for rel in identical:
-        assert (a / rel).read_bytes() == (b / rel).read_bytes(), f"{rel} differs"
-    # the report carries a wall-clock field; mask it, then require identity
-    ra = json.loads((a / "report.json").read_text())
-    rb = json.loads((b / "report.json").read_text())
-    ra["runtime_seconds"] = rb["runtime_seconds"] = 0.0
-    assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+    assert "report.json" in a
+    assert sorted(a) == sorted(b)
+    for name, data in a.items():
+        assert data == b[name], f"{name} differs"

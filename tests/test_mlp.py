@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from modens import (Dataset, EnsembleModel, Head, ModelFileError, TrainConfig,
-                    fit_propensity, load_model, predict_components_batch,
+                    fit_propensity, load_model, load_propensity, predict_components_batch,
                     predict_propensity_batch, save_model, train_ensemble,
                     train_member)
 from modens.mlp import _fold_affine, _sigmoid, init_params, nll, nll_and_grads
@@ -514,6 +514,25 @@ class TestSerialization:
         path.write_text(json.dumps({"schema_version": 99}))
         with pytest.raises(ModelFileError, match="schema_version"):
             load_model(path)
+
+    @pytest.mark.parametrize("members, message", [
+        ([], "ensemble needs at least one member"),
+        (7, "'int' object is not iterable")], ids=["empty", "not-a-list"])
+    def test_bad_members_name_the_file(self, tmp_path, members, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"schema_version": 1, "head": "gaussian",
+                                    "layer_sizes": [3, 2], "seed": 0, "members": members}))
+        with pytest.raises(ModelFileError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_propensity_file_with_two_members_names_the_file(self, tmp_path):
+        p = zero_params((3, 2, 1), Head.PROPENSITY)
+        path = tmp_path / "prop.json"
+        save_model(EnsembleModel(members=(p, p), seed=1), path)
+        with pytest.raises(ModelFileError) as exc:
+            load_propensity(path)
+        assert str(exc.value) == f"{path}: a propensity model has one member, got 2"
 
 
 class TestBootstrap:

@@ -20,7 +20,7 @@ moves with the machine's noise, so every step but ``train`` runs
 ``REPEATS`` times, each in a fresh process, and the record keeps every
 sample beside their median (``wall_s``); the answers come from the first
 run, and every later run must leave every file of the round with the
-same bytes (a report's ``runtime_seconds`` aside), or the record fails.
+same bytes, or the record fails.
 Like the benchmark, the round runs on one CPU with one BLAS thread.  It
 records walls and answers; no wall gates on it.
 
@@ -84,18 +84,9 @@ def workload_run(workload: str, trace: int) -> dict:
 
 
 def file_digests(work: Path) -> dict:
-    """sha256 of every file under ``work``, by path; a report's own wall
-    clock, its ``runtime_seconds``, is left out."""
-    digests = {}
-    for path in sorted(work.rglob("*")):
-        if path.is_file():
-            data = path.read_bytes()
-            if path.suffix == ".json" and b'"runtime_seconds"' in data:
-                doc = json.loads(data)
-                del doc["runtime_seconds"]
-                data = json.dumps(doc, sort_keys=True).encode("utf-8")
-            digests[str(path.relative_to(work))] = hashlib.sha256(data).hexdigest()
-    return digests
+    """sha256 of every file under ``work``, by path."""
+    return {str(path.relative_to(work)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(work.rglob("*")) if path.is_file()}
 
 
 def protocol_round(work: Path) -> dict:
