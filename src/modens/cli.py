@@ -8,16 +8,16 @@ with dashes, except where ``_FLAGS`` renames it, and ``--help`` prints every
 default.  A setting resolves as its flag, else the config file, else the
 default, before any file is read; the library's checks (``mlp.Head``,
 ``check_arm``, ``CostKind`` and the rest) are the only checks on its value,
-so a bad flag and a bad config value fail alike.  A retired setting
-(``_RETIRED``) that an older config file or manifest still gives replays at
-the value the program now always uses, of the same type; any other value is
-a configuration error.  Every subcommand but oracle-check, which only
-prints, writes a manifest echoing the resolved configuration with its hash,
-which only that subcommand replays.  An output file that names an input,
-is a directory or whose directory is missing, and two outputs that name
-the same file are refused before any input is read (generate and report
-check their --out-dir after reading, before any work).  Every CSV, read or
-written, goes through ``data``.
+so a bad flag and a bad config value fail alike.  A config file's section
+holds only its subcommand's settings (``generate``'s, ``features`` and the
+generator fields): any other key is a configuration error.  Every
+subcommand but oracle-check, which only prints, writes a manifest echoing
+the resolved configuration with its hash, which only that subcommand
+replays.  Each one checks its outputs once, after its settings and before
+it reads any input: an output file that names an input, is a directory or
+whose directory is missing, and two outputs that name the same file, are
+refused.  A missing ``--out-dir`` is made after the inputs are read.
+Every CSV, read or written, goes through ``data``.
 Exit codes: 0 success (a FAILURE verdict is still a success), 1 operational
 error, 2 usage or configuration error.
 """
@@ -77,38 +77,34 @@ def _write_manifest(path: Path, subcommand: str, resolved: dict,
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _out_dir_files(out_dir: Path, *names: str) -> list[Path]:
-    """Make ``out_dir`` and return its files ``names``, checked by ``_check_outputs``."""
-    with _config_errors(f"out-dir {out_dir} is not writable", OSError):
-        out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / name for name in names]
-    _check_outputs(*paths)
-    return paths
-
-
-def _check_inputs_kept(outputs, inputs) -> None:
-    """Refuse an output that names an input file, which it would overwrite."""
-    read = {Path(path).resolve(): path for path in inputs}
-    for path in outputs:
-        if path.resolve() in read:
-            raise ConfigError(f"output {path} names the input {read[path.resolve()]}")
-
-
-def _check_outputs(*paths: Path, inputs=()) -> None:
+def _check_outputs(*paths: Path, inputs=(), out_dir: Path | None = None) -> None:
     """Refuse an output that names one of ``inputs``, is a directory, or
-    whose directory is missing or read-only, and two that name one file."""
-    _check_inputs_kept(paths, inputs)
+    whose directory is missing or read-only, and two that name one file.
+    ``out_dir``, the directory of ``paths``, may be missing if its nearest
+    existing ancestor is a writable directory, where ``_make_dir`` makes it."""
+    read = {Path(path).resolve(): path for path in inputs}
     seen = {}
     for path in paths:
+        if path.resolve() in read:
+            raise ConfigError(f"output {path} names the input {read[path.resolve()]}")
         first = seen.setdefault(path.resolve(), path)
         if first is not path:
             raise ConfigError(f"outputs {first} and {path} name the same file")
         if path.is_dir():
             raise ConfigError(f"output {path} is a directory")
-        if not path.parent.exists():
-            raise ConfigError(f"output directory {path.parent} does not exist")
-        if not os.access(path.parent, os.W_OK):
-            raise ConfigError(f"output directory {path.parent} is not writable")
+    parents = {path.parent for path in paths}
+    if out_dir is not None:
+        parents = {next(d for d in (out_dir, *out_dir.parents) if d.exists())}
+    for parent in parents:
+        if not parent.exists():
+            raise ConfigError(f"output directory {parent} does not exist")
+        if not parent.is_dir() or not os.access(parent, os.W_OK):
+            raise ConfigError(f"output directory {parent} is not a writable directory")
+
+
+def _make_dir(out_dir: Path) -> None:
+    with _config_errors(f"out-dir {out_dir} is not writable", OSError):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
 
 _REQUIRED = object()
@@ -169,36 +165,22 @@ _SETTINGS = {
 }
 _FLAGS = {"target_coverage": "--target", "cost_kind": "--cost"}
 
-# Settings since retired, by subcommand: (config key, the value the program
-# now always uses, why).  The value may be a function of the config section
-# and the resolved settings: standardize follows the head the section names.
-# Older config files and manifests may still give them; another value, or
-# the same of another type, would change the answer, so it is refused.
-_RETIRED = {
-    "train": (("step", mlp._ADAM_STEP, f"Adam's step size is fixed at {mlp._ADAM_STEP}"),
-              ("standardize",
-               lambda config, s: config.get("head", s["head"]) == mlp.Head.GAUSSIAN.value,
-               "Gaussian heads train on standardized outcomes, Cauchy heads on raw outcomes")),
-    "report": (("lengths", None, "report no longer writes a relative-cost table"),),
-}
-
-
 def _flag(key: str) -> str:
     return _FLAGS.get(key, "--" + key.replace("_", "-"))
 
 
 def _settings(args, config: dict) -> dict:
     """The subcommand's settings by config key, each resolved by
-    ``_setting`` from its flag and the config file section ``config``;
-    any retired setting the section gives is then checked."""
+    ``_setting`` from its flag and the config file section ``config``,
+    which may hold no other key (but ``generate``'s generator fields,
+    which ``benchgen.config_from_dict`` checks)."""
+    rows = _SETTINGS[args.subcommand]
+    unknown = sorted(config.keys() - {key for key, *_ in rows})
+    if unknown and args.subcommand != "generate":
+        raise ConfigError(f"config file {args.config}: not {args.subcommand} settings: "
+                          + ", ".join(unknown))
     s = {key: _setting(getattr(args, key), config, key, kind, default)
-         for key, kind, default, _ in _SETTINGS[args.subcommand]}
-    for key, value, why in _RETIRED.get(args.subcommand, ()):
-        given = config.get(key)
-        if callable(value):
-            value = value(config, s)
-        if given is not None and (type(given) is not type(value) or given != value):
-            raise ConfigError(f"{key}={given!r} cannot be set: {why}")
+         for key, kind, default, _ in rows}
     if s.get("seed") is not None:
         with _config_errors():
             benchgen.check_seed(s["seed"])
@@ -230,9 +212,9 @@ def _setting(flag_value, config: dict, key: str, kind: type, default):
 
 def _command_config(args) -> dict:
     """The config file's settings for this subcommand: its section named
-    after the subcommand, else the top level (a generator config has no
-    ``generate`` key).  A manifest is read as its ``config``, and only by
-    the subcommand that wrote it."""
+    after the subcommand, if that is an object, else the top level (a
+    generator config has no ``generate`` key).  A manifest is read as its
+    ``config``, and only by the subcommand that wrote it."""
     if args.config is None:
         return {}
     with _config_errors(f"config file {args.config}", (OSError, json.JSONDecodeError)):
@@ -245,35 +227,31 @@ def _command_config(args) -> dict:
                           f"which {args.subcommand} cannot replay")
     if isinstance(cfg_file.get("config"), dict):
         cfg_file = cfg_file["config"]
-    section = cfg_file.get(args.subcommand, cfg_file)
-    if not isinstance(section, dict):
-        raise ConfigError(f"config file {args.config}: {args.subcommand!r} must be an object")
-    return section
+    section = cfg_file.get(args.subcommand)
+    return section if isinstance(section, dict) else cfg_file
 
 
 # ---------------------------------------------------------------- generate
 
 def _cmd_generate(args, s: dict, config: dict) -> int:
-    # `features` sits beside the generator section (a manifest) or its fields
-    rest = {k: v for k, v in config.items() if k != "features"}
-    gen_cfg = rest.get("generator", rest)
-    if not isinstance(gen_cfg, dict):
-        raise ConfigError(f"config file {args.config}: 'generator' must be an object")
+    # every key but `features` is a generator field; a --seed flag replaces the file's
+    gen_cfg = {k: v for k, v in config.items() if k != "features"}
     if s["seed"] is not None:
-        gen_cfg = {**gen_cfg, "seed": s["seed"]}
+        gen_cfg["seed"] = s["seed"]
     with _config_errors("generator config"):
         gen = benchgen.config_from_dict(gen_cfg)
     out_dir = Path(args.out_dir)
     # the three CSVs write_benchmark writes, and the manifest
-    names = ("train.csv", "valid.csv", "test.csv", "manifest.json")
+    *_, manifest = outputs = [out_dir / name for name in
+                              ("train.csv", "valid.csv", "test.csv", "manifest.json")]
     features_path = s["features"]
     inputs = [] if features_path.lower() == "none" else [features_path]
-    _check_inputs_kept([out_dir / name for name in names], inputs)
+    _check_outputs(*outputs, inputs=inputs, out_dir=out_dir)
     features = load_feature_csv(features_path) if inputs else None
-    *_, manifest = _out_dir_files(out_dir, *names)
+    _make_dir(out_dir)
     paths = benchgen.write_benchmark(features, gen, out_dir)
     _write_manifest(manifest, "generate",
-                    {"generator": benchgen.config_to_dict(gen), "features": features_path},
+                    {"features": features_path, **benchgen.config_to_dict(gen)},
                     extra={"files": {k: p.name for k, p in paths.items()}})
     print(f"wrote {paths['train']}, {paths['valid']}, {paths['test']}")
     return 0
@@ -285,9 +263,6 @@ def _train_config_from(s: dict, head: mlp.Head) -> mlp.TrainConfig:
     hidden = s["hidden"]
     widths = ([int(h) if h.strip().isdecimal() else h for h in hidden.split(",") if h]
               if isinstance(hidden, str) else hidden)
-    if any(type(h) is not int for h in widths):
-        raise ConfigError(f"hidden must be comma-separated integers or a list of "
-                          f"integers, got {hidden!r}")
     with _config_errors("train config"):
         return mlp.TrainConfig(hidden=tuple(widths), epochs=s["epochs"], head=head,
                                warmup_epochs=s["warmup_epochs"])
@@ -453,15 +428,15 @@ def _cmd_report(args, s: dict, _config: dict) -> int:
         check_arm(s["arm"])
     if not gammas:
         raise ConfigError(f"gammas must list at least one gamma, got {s['gammas']!r}")
-    names = ("coverage_curve.csv", "report.manifest.json")
+    out_dir = Path(args.out_dir)
+    path, manifest = out_dir / "coverage_curve.csv", out_dir / "report.manifest.json"
     model_path, prop_path = _model_paths(s)
-    _check_inputs_kept([Path(args.out_dir, name) for name in names],
-                       [model_path, prop_path, s["test"]])
+    _check_outputs(path, manifest, inputs=[model_path, prop_path, s["test"]], out_dir=out_dir)
     model, prop = _load_models(model_path, prop_path)
     test = load_dataset_csv(s["test"])
     if test.potential_outcomes is None:
         raise ConfigError(f"{s['test']}: report needs y0/y1 columns")
-    path, manifest = _out_dir_files(Path(args.out_dir), *names)
+    _make_dir(out_dir)
     arm = s["arm"]
     intervals = modulated_interval_arrays(model, prop, test.covariates,
                                           np.full(test.n, arm), s["alpha"])

@@ -48,8 +48,9 @@ class CostKind(enum.Enum):
 
 
 def check_arm(arm) -> None:
-    """Reject an arm that is not a treatment arm, 0 or 1."""
-    if arm not in (0, 1):
+    """Reject an arm that is not a treatment arm, an integer 0 or 1 (a bool
+    or a float is not one: it would index the outcome columns otherwise)."""
+    if not isinstance(arm, (int, np.integer)) or isinstance(arm, bool) or arm not in (0, 1):
         raise ValueError(f"arm must be 0 or 1, got {arm!r}")
 
 
@@ -69,6 +70,10 @@ class EvalConfig:
         if not 0.0 < self.gamma_tol < math.inf:
             raise ValueError("gamma_tol must be finite and > 0")
         check_arm(self.arm)
+        # plain Python values, which index, compare and serialize as such
+        object.__setattr__(self, "target_coverage", float(self.target_coverage))
+        object.__setattr__(self, "gamma_tol", float(self.gamma_tol))
+        object.__setattr__(self, "arm", int(self.arm))
         object.__setattr__(self, "cost_kind", CostKind(self.cost_kind))
 
     def to_dict(self) -> dict:
@@ -261,7 +266,11 @@ def _scored_arm(model: mlp.EnsembleModel, propensity: mlp.MlpParams,
                 covariates: np.ndarray, t: np.ndarray) -> ScoredArm:
     """Member families, the (n, m) member locations and scales for arm t[i]
     of each row i, and that arm's clamped propensities."""
-    t = np.asarray(t, dtype=np.int64).ravel()
+    t = np.asarray(t).ravel()
+    bad = t[(t != 0) & (t != 1)]
+    if bad.size:
+        raise ValueError(f"treatments must be 0 or 1, got {bad[0].item()!r}")
+    t = t.astype(np.int64)
     locs, scales = mlp.predict_components_batch(model, covariates, t)
     fam_code = (Family.GAUSSIAN if model.head is mlp.Head.GAUSSIAN
                 else Family.CAUCHY).code

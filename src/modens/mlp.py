@@ -72,8 +72,10 @@ class TrainConfig:
     warmup_epochs: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 1 or any(h < 1 for h in self.hidden):
-            raise ValueError("invalid training configuration")
+        if type(self.epochs) is not int or self.epochs < 1:
+            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        if any(type(h) is not int or h < 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be integers >= 1, got {self.hidden!r}")
         w = self.warmup_epochs
         if w is not None and (type(w) is not int or w < 1):
             raise ValueError(f"warmup_epochs must be None or an integer >= 1, got {w!r}")
@@ -374,9 +376,9 @@ def train_member(data: Dataset, config: TrainConfig, seed: int) -> MlpParams:
 
 
 def check_members(m: int) -> None:
-    """Reject an ensemble size below one member."""
-    if m < 1:
-        raise ValueError(f"members must be >= 1, got {m!r}")
+    """Reject an ensemble size that is not an integer >= 1."""
+    if type(m) is not int or m < 1:
+        raise ValueError(f"members must be an integer >= 1, got {m!r}")
 
 
 def train_ensemble(data: Dataset, config: TrainConfig, seed: int,

@@ -59,7 +59,7 @@ def chain_manifests(bench_dir, trained_model, tmp_path_factory):
 
 class TestGenerate:
     def test_default_like_generation(self, tmp_path):
-        cfg = {"generator": {"n_train": 50, "n_valid": 10, "n_test": 10, "seed": 3}}
+        cfg = {"n_train": 50, "n_valid": 10, "n_test": 10, "seed": 3}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "data"
@@ -75,15 +75,16 @@ class TestGenerate:
     def test_combined_config_reads_generate_section(self, tmp_path):
         sizes = {"n_train": 30, "n_valid": 6, "n_test": 6, "seed": 2}
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"generate": {"generator": sizes},
+        cfg_path.write_text(json.dumps({"generate": sizes,
                                         "train": {"head": "cauchy", "members": 2}}))
         out, ref = tmp_path / "data", tmp_path / "ref"
         assert run(["generate", "--config", cfg_path, "--out-dir", out]) == 0
         write_benchmark(None, GeneratorConfig(**sizes), ref)
         for name in ("train.csv", "valid.csv", "test.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
-        generator = json.loads((out / "manifest.json").read_text())["config"]["generator"]
-        assert {k: generator[k] for k in sizes} == sizes
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert {k: config[k] for k in sizes} == sizes
+        assert config["features"] == "none"
 
     def test_repeat_invocation_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -112,11 +113,16 @@ class TestGenerate:
         assert "config error" in capsys.readouterr().err
 
     def test_non_object_generator_section_exits_2(self, tmp_path, capsys):
+        # the generator fields sit flat beside `features`: a `generator`
+        # key, an object or not, is no generator field
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"generator": 5}))
-        assert run(["generate", "--seed", 1, "--config", cfg_path,
-                    "--out-dir", tmp_path / "o"]) == 2
-        assert "'generator' must be an object" in capsys.readouterr().err
+        for section in (5, {"n_train": 20, "n_valid": 5, "n_test": 5}):
+            cfg_path.write_text(json.dumps({"generator": section}))
+            assert run(["generate", "--seed", 1, "--config", cfg_path,
+                        "--out-dir", tmp_path / "o"]) == 2
+            assert ("config error: generator config: unknown generator config fields: "
+                    "['generator']") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     SIZES = {"n_train": 50, "n_valid": 10, "n_test": 10}
 
@@ -401,7 +407,7 @@ class TestConfigErrors:
             "train-propensity-out-dir-missing"])
     def test_config_error_exits_2(self, bench_dir, trained_model, tmp_path, argv, capsys):
         cfg = tmp_path / "cfg.json"
-        # the retired step setting is an error at any value but 0.01
+        # step is no train setting
         cfg.write_text(json.dumps({"gamma-search": {"arm": 2}, "train": {"step": float("nan")}}))
         out = tmp_path / "out"
         out.mkdir()
@@ -682,37 +688,31 @@ class TestTrain:
         assert (config["hidden"], config["epochs"]) == ([4], 4)
 
     @pytest.mark.parametrize("head", ["gaussian", "cauchy"])
-    def test_manifest_recording_the_standardize_rule_replays(self, bench_dir, tmp_path,
-                                                             head, capsys):
-        # manifests written while standardize was a setting record the
-        # head's rule (standardized Gaussian, raw Cauchy) and still replay
-        first, replay = tmp_path / "a" / "m.json", tmp_path / "b" / "m.json"
+    def test_manifest_recording_standardize_exits_2(self, bench_dir, tmp_path, head,
+                                                    capsys, monkeypatch):
+        # standardization is no setting (Gaussian heads train on standardized
+        # outcomes, Cauchy heads on raw ones), so a manifest written while it
+        # was one is refused at either value, with or without a --head flag
+        first = tmp_path / "a" / "m.json"
         first.parent.mkdir()
-        replay.parent.mkdir()
         assert run(["train", "--data", bench_dir / "train.csv", "--head", head, "--seed", 3,
                     "--members", 2, "--hidden", "4", "--epochs", 6, "--out", first]) == 0
-        manifest = first.with_suffix(".json.manifest.json")
-        doc = json.loads(manifest.read_text())
+        doc = json.loads(first.with_suffix(".json.manifest.json").read_text())
         assert "standardize" not in doc["config"]
         old = tmp_path / "old.json"
-        old.write_text(json.dumps({"config": {**doc["config"],
-                                              "standardize": head == "gaussian"}}))
-        assert run(["train", "--data", bench_dir / "train.csv", "--config", old,
-                    "--out", replay]) == 0
-        for name in ("m.json", "m.propensity.json", "m.json.manifest.json"):
-            assert (replay.parent / name).read_bytes() == (first.parent / name).read_bytes()
-        old.write_text(json.dumps({"config": {**doc["config"],
-                                              "standardize": head != "gaussian"}}))
-        assert run(["train", "--data", bench_dir / "train.csv", "--config", old,
-                    "--out", tmp_path / "x.json"]) == 2
-        assert "Gaussian heads train on standardized outcomes" in capsys.readouterr().err
-        # the rule recorded is the one of the head the manifest names: a
-        # --head flag that changes the head brings its own
+        out = tmp_path / "b"
+        out.mkdir()
+        reads = []
+        monkeypatch.setattr(cli, "load_dataset_csv", lambda *args: reads.append(args))
         other = "cauchy" if head == "gaussian" else "gaussian"
-        old.write_text(json.dumps({"config": {**doc["config"],
-                                              "standardize": head == "gaussian"}}))
-        assert run(["train", "--data", bench_dir / "train.csv", "--config", old,
-                    "--head", other, "--out", tmp_path / "y.json"]) == 0
+        for standardize, flags in ((True, []), (False, []), (True, ["--head", other])):
+            old.write_text(json.dumps({"config": {**doc["config"],
+                                                  "standardize": standardize}}))
+            assert run(["train", "--config", old, *flags, "--out", out / "m.json"]) == 2
+            assert (f"config error: config file {old}: not train settings: standardize"
+                    in capsys.readouterr().err)
+        assert reads == []
+        assert not list(out.iterdir())
 
     def test_failed_propensity_fit_writes_nothing(self, bench_dir, tmp_path, monkeypatch,
                                                   capsys):
@@ -784,8 +784,7 @@ class TestOutputs:
                 for a in WRITES[sub][0]]
         assert run([sub, *argv]) == 2
         assert f"config error: output {out / name} is a directory" in capsys.readouterr().err
-        # report reads its inputs before it makes --out-dir, but solves nothing
-        assert calls == (["_load_models", "load_dataset_csv"] if sub == "report" else [])
+        assert calls == []
         assert ({p.relative_to(out) for p in out.rglob("*")}
                 == {Path(name), *Path(name).parents} - {Path(".")})
 
@@ -845,54 +844,94 @@ class TestOutputs:
         assert {p.name: p.read_bytes() for p in io.iterdir()} == before
 
 
+# a config section of each subcommand that misspells settings, and the
+# arguments that run it
+MISSPELT = {
+    "generate": ({"n_train": 20, "n_valid": 5, "n_test": 5, "n_trian": 20},
+                 WRITES["generate"][0]),
+    "train": ({"epoch": 1, "member": 1, "hiden": "2"}, WRITES["train"][0]),
+    "intervals": ({"gama": 2}, WRITES["intervals"][0]),
+    "gamma-search": ({"target": 0.8}, WRITES["gamma-search"][0]),
+    "oracle-check": ({"m": 2, "trails": 1}, []),
+    "report": ({"gamma": "1,2"}, WRITES["report"][0]),
+}
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("sub", list(MISSPELT))
+    def test_misspelt_key_exits_2_before_any_read(self, bench_dir, trained_model, tmp_path,
+                                                  monkeypatch, capsys, sub):
+        section, argv = MISSPELT[sub]
+        misspelt = sorted(section.keys() - {key for key, *_ in cli._SETTINGS[sub]}
+                          - set(GeneratorConfig.__dataclass_fields__))
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = tmp_path / "cfg.json"
+        argv = [a.format(cfg=cfg, out=out, data=bench_dir, model=trained_model) for a in argv]
+        if "--config" not in argv:
+            argv += ["--config", cfg]
+        reads = []
+        for module, fn in ((cli, "load_dataset_csv"), (cli, "load_feature_csv"),
+                           (cli, "_load_models"), (cli, "run_oracle_check"),
+                           (cli.benchgen, "write_benchmark")):
+            monkeypatch.setattr(module, fn, lambda *args, fn=fn: reads.append(fn))
+        # a file whose section for the subcommand misspells a setting, and
+        # one with a section for another subcommand only: both keys are named
+        other = "report" if sub == "train" else "train"
+        for doc, keys in (({sub: section}, misspelt), ({other: {"seed": 1}}, [other])):
+            cfg.write_text(json.dumps(doc))
+            assert run([sub, *argv]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and all(key in err for key in keys), err
+        assert reads == []
+        assert not list(out.iterdir())
+
+
 class TestRetiredSettings:
     """Manifests written while train had ``step``, report had ``lengths``
-    and intervals had ``seed`` still replay when they record what the
-    program now does; any other step is a config error (any other lengths:
-    ``TestReport::test_malformed_lengths_exit_2``)."""
+    and intervals had ``seed`` are refused like any other key that is not
+    a setting, at any value, before any input is read or output written."""
 
-    def replay(self, manifest, extra, argv):
+    def refused(self, manifest, key, value, argv, out, monkeypatch, capsys):
         old = manifest.parent / "old.json"
         doc = json.loads(manifest.read_text())
-        old.write_text(json.dumps({"config": {**doc["config"], **extra}}))
-        return run(argv + ["--config", old])
+        assert key not in doc["config"]
+        old.write_text(json.dumps({"config": {**doc["config"], key: value}}))
+        reads = []
+        for fn in ("load_dataset_csv", "_load_models"):
+            monkeypatch.setattr(cli, fn, lambda *args, fn=fn: reads.append(fn))
+        assert run(argv + ["--config", old]) == 2
+        assert (f"config error: config file {old}: not {argv[0]} settings: {key}"
+                in capsys.readouterr().err)
+        assert reads == []
+        assert not out.exists()
 
-    def test_train_step(self, bench_dir, tmp_path, capsys):
-        first, replay = tmp_path / "a" / "m.json", tmp_path / "b" / "m.json"
+    def test_train_step(self, bench_dir, tmp_path, capsys, monkeypatch):
+        first = tmp_path / "a" / "m.json"
         first.parent.mkdir()
-        replay.parent.mkdir()
         assert run(["train", "--data", bench_dir / "train.csv", "--head", "cauchy",
                     "--seed", 3, "--members", 2, "--hidden", "4", "--epochs", 6,
                     "--out", first]) == 0
-        manifest = first.with_suffix(".json.manifest.json")
-        assert "step" not in json.loads(manifest.read_text())["config"]
-        argv = ["train", "--data", bench_dir / "train.csv"]
-        assert self.replay(manifest, {"step": 0.01}, argv + ["--out", replay]) == 0
-        for name in ("m.json", "m.propensity.json", "m.json.manifest.json"):
-            assert (replay.parent / name).read_bytes() == (first.parent / name).read_bytes()
-        capsys.readouterr()
-        assert self.replay(manifest, {"step": 0.05}, argv + ["--out", tmp_path / "x.json"]) == 2
-        assert "config error: step=0.05 cannot be set" in capsys.readouterr().err
-        assert not (tmp_path / "x.json").exists()
+        # 0.01 is the step Adam takes
+        self.refused(first.with_suffix(".json.manifest.json"), "step", 0.01,
+                     ["train", "--out", tmp_path / "x.json"], tmp_path / "x.json",
+                     monkeypatch, capsys)
 
-    def test_report_lengths(self, bench_dir, trained_model, tmp_path):
-        first, replay = tmp_path / "a", tmp_path / "b"
+    def test_report_lengths(self, bench_dir, trained_model, tmp_path, capsys, monkeypatch):
+        first = tmp_path / "a"
         assert run(["report", "--model", trained_model, "--test", bench_dir / "test.csv",
                     "--gammas", "1,3", "--out-dir", first]) == 0
-        manifest = first / "report.manifest.json"
-        assert "lengths" not in json.loads(manifest.read_text())["config"]
-        assert self.replay(manifest, {"lengths": None}, ["report", "--out-dir", replay]) == 0
-        for name in ("coverage_curve.csv", "report.manifest.json"):
-            assert (replay / name).read_bytes() == (first / name).read_bytes()
+        self.refused(first / "report.manifest.json", "lengths", None,
+                     ["report", "--out-dir", tmp_path / "b"], tmp_path / "b",
+                     monkeypatch, capsys)
 
-    def test_intervals_seed_is_ignored(self, bench_dir, trained_model, tmp_path):
-        first, replay = tmp_path / "a.csv", tmp_path / "b.csv"
+    def test_intervals_seed(self, bench_dir, trained_model, tmp_path, capsys, monkeypatch):
+        first = tmp_path / "a.csv"
         assert run(["intervals", "--model", trained_model, "--data", bench_dir / "valid.csv",
                     "--gamma", 2, "--alpha", 0.2, "--out", first]) == 0
-        manifest = first.with_suffix(".csv.manifest.json")
-        assert "seed" not in json.loads(manifest.read_text())["config"]
-        assert self.replay(manifest, {"seed": 1.5}, ["intervals", "--out", replay]) == 0
-        assert replay.read_bytes() == first.read_bytes()
+        self.refused(first.with_suffix(".csv.manifest.json"), "seed", 1,
+                     ["intervals", "--out", tmp_path / "b.csv"], tmp_path / "b.csv",
+                     monkeypatch, capsys)
 
 
 class TestIntervals:
@@ -1114,14 +1153,15 @@ class TestReport:
     @pytest.mark.parametrize("doc", ['[2.0]', '{"a": null}', '{"a": "x"}', '{"a": true}',
                                      '{"a": Infinity}', '{}'])
     def test_malformed_lengths_exit_2(self, tmp_path, doc, capsys):
-        # lengths is retired: a config that still gives one, of any shape, is refused
-        # before any file is read or written
+        # lengths is no report setting: a config that gives one, of any shape,
+        # is refused before any file is read or written
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"report": {"lengths": json.loads(doc)}}))
         out = tmp_path / "rep"
         assert run(["report", "--model", "m.json", "--test", "t.csv", "--config", cfg,
                     "--out-dir", out]) == 2
-        assert "config error: lengths=" in capsys.readouterr().err
+        assert (f"config error: config file {cfg}: not report settings: lengths"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_coverage_curve(self, bench_dir, trained_model, tmp_path):

@@ -9,6 +9,7 @@ import oracles
 from conftest import returns_within
 from modens import (CostKind, EvalConfig, OutcomeInterval, cost_abs_std, cost_mass,
                     coverage, gamma_star_search)
+from modens.evalharness import check_arm
 
 
 def iv(lo, hi, alpha=0.1, gamma=1.0):
@@ -300,6 +301,24 @@ class TestEvalConfigValidation:
         with pytest.raises(ValueError):
             EvalConfig(target_coverage=0.9, alpha=0.1, arm=2)
 
+    @pytest.mark.parametrize("arm", [True, False, 1.0, 0.0, np.float64(1.0), np.bool_(True),
+                                     np.int64(2), "1", None],
+                             ids=repr)
+    def test_arm_is_an_integer_0_or_1(self, arm):
+        # True would index the outcome columns as a new axis, 1.0 not at all
+        for check in (check_arm, lambda a: EvalConfig(target_coverage=0.9, alpha=0.1, arm=a)):
+            with pytest.raises(ValueError, match="arm must be 0 or 1"):
+                check(arm)
+
+    def test_numpy_values_are_kept_as_plain_python(self):
+        cfg = EvalConfig(target_coverage=np.float32(0.8), alpha=np.float32(0.1),
+                         gamma_tol=np.float32(0.5), arm=np.int64(0))
+        values = (cfg.target_coverage, cfg.alpha, cfg.gamma_tol, cfg.arm)
+        assert [type(v) for v in values] == [float, float, float, int]
+        assert values == (float(np.float32(0.8)), float(np.float32(0.1)), 0.5, 0)
+        json.dumps(cfg.to_dict())
+        check_arm(np.int32(1))
+
     def test_alpha_whose_half_rounds_to_zero(self):
         with pytest.raises(ValueError, match="alpha"):
             EvalConfig(target_coverage=0.9, alpha=5e-324)
@@ -465,6 +484,44 @@ class TestPredictedCoverage:
         with pytest.raises(ValueError, match="empty"):
             modulated_budgets(*models["cauchy"], test.covariates[:0], np.ones(0),
                               np.zeros(0), 0.3)
+
+
+class TestScoredArm:
+    @pytest.mark.parametrize("t", [2, -1, 0.5, float("nan")])
+    def test_treatment_that_is_not_0_or_1_is_refused(self, trained, t):
+        from modens.evalharness import modulated_budgets, modulated_interval_arrays
+
+        test, models = trained
+        ts = np.array([1] * (test.n - 1) + [t])
+        for call in (lambda: modulated_interval_arrays(*models["cauchy"], test.covariates,
+                                                       ts, 0.3),
+                     lambda: modulated_budgets(*models["cauchy"], test.covariates, ts,
+                                               np.zeros(test.n), 0.3)):
+            with pytest.raises(ValueError, match=f"treatments must be 0 or 1, got {t!r}$"):
+                call()
+
+    def test_float_and_bool_treatments_score_their_arm(self, trained):
+        from modens.evalharness import modulated_interval_arrays
+
+        test, models = trained
+        ints = test.treatments.astype(np.int64)
+        (want,) = modulated_interval_arrays(*models["cauchy"], test.covariates, ints, 0.3)(2.0)
+        for ts in (ints.astype(float), ints.astype(bool)):
+            (got,) = modulated_interval_arrays(*models["cauchy"], test.covariates, ts, 0.3)(2.0)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_numpy_config_values_write_the_same_report(self, trained, tmp_path):
+        from modens import run_experiment
+
+        test, models = trained
+        written = []
+        for target, arm in ((0.75, 1), (np.float32(0.75), np.int64(1))):
+            path = tmp_path / f"r{len(written)}.json"
+            run_experiment(test, EvalConfig(target_coverage=target, alpha=0.3, arm=arm),
+                           model=models["cauchy"][0], propensity=models["cauchy"][1]
+                           ).write_json(path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestPredictedSearch:

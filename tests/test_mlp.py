@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -285,6 +286,27 @@ class TestTrainMember:
         assert p.head is Head.CAUCHY
         locs = predict_components_batch(one(p), X, t)[0][:, 0]
         assert np.median(np.abs(locs - u)) < np.median(np.abs(np.median(y) - u))
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("kw, message", [
+        ({"hidden": (3.7,)}, "hidden widths"), ({"hidden": (4, True)}, "hidden widths"),
+        ({"hidden": (np.int64(4),)}, "hidden widths"), ({"hidden": (0,)}, "hidden widths"),
+        ({"epochs": True}, "epochs"), ({"epochs": 2.5}, "epochs"), ({"epochs": 2.0}, "epochs"),
+        ({"epochs": 0}, "epochs")],
+        ids=["hidden-float", "hidden-bool", "hidden-numpy", "hidden-0", "epochs-bool",
+             "epochs-float", "epochs-whole-float", "epochs-0"])
+    def test_widths_and_epochs_are_integers_at_least_one(self, kw, message):
+        # a float width would train its floor, a bool its int
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kw)
+
+    @pytest.mark.parametrize("m", [True, 2.0, 0, np.int64(2)],
+                             ids=lambda m: f"{type(m).__name__}-{m}")
+    def test_member_count_is_an_integer_at_least_one(self, rng, m):
+        with pytest.raises(ValueError, match=re.escape(f"members must be an integer >= 1, "
+                                                       f"got {m!r}")):
+            train_ensemble(small_data(rng), TrainConfig(hidden=(2,), epochs=1), 1, m=m)
 
 
 class TestTrainEnsemble:
